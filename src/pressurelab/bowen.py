@@ -26,20 +26,13 @@ against threshold 1, and the returned bracket width is always reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import sys
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-import scipy.optimize
-import scipy.sparse
-
-from ._engine import NEG_INF, cover_min_log
-from .errors import (
-    DepthTooShallow,
-    EmptyTarget,
-    ScaleTooCoarse,
-)
-from .subsets import SubsetSpec, count_target_words, iter_target_words, validate_spec
+from ._engine import cover_min_log
+from .errors import DepthTooShallow, EmptyTarget, ScaleTooCoarse
+from .subsets import SubsetSpec, count_target_words, validate_spec
 from .symbolic import (
     LocallyConstantPotential,
     Scale,
@@ -50,11 +43,7 @@ from .symbolic import (
     sup_birkhoff_on_cylinder,
 )
 
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-    "ipm_optimality_tolerance": 1e-12,
-}
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -180,6 +169,11 @@ def _require_nonempty(sft: Subshift, Z: SubsetSpec, L: int) -> None:
         raise EmptyTarget(f"target has no admissible words at depth {L}")
 
 
+def _value_from_log(value: float) -> float:
+    """A cover value from its log: 0.0 at -inf, inf past the float range."""
+    return math.exp(value) if value <= _LOG_FLOAT_MAX else math.inf
+
+
 def min_cover_value(
     sft: Subshift,
     Z: SubsetSpec,
@@ -203,8 +197,7 @@ def min_cover_value(
     validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
     _require_nonempty(sft, Z, L)
-    value = cover_min_log(sft, Z, f, s, sigma=0, d_min=d_min, d_max=L)
-    return math.exp(value) if value != NEG_INF else 0.0
+    return _value_from_log(cover_min_log(sft, Z, f, s, sigma=0, d_min=d_min, d_max=L))
 
 
 def bowen_pressure(
@@ -235,82 +228,15 @@ def weighted_cover_value(
     N: int,
     scale: Scale,
     L: int,
-    candidate_pool: Optional[Sequence[Word]] = None,
 ) -> float:
-    """Optimal fractional cover value (a covering LP), depth-priced.
+    """Optimal fractional (covering-LP) cover value; equals min_cover_value.
 
-    Variables are nonnegative weights on candidate cylinders with depths in
-    [N + m, L]; each depth-L target word must collect total weight >= 1 from
-    its ancestors. The default pool is every such cylinder that meets the
-    target. Solved as a sparse LP to relative tolerance 1e-9; always at most
-    ``min_cover_value`` (integral covers are feasible points).
+    Each cylinder covers a contiguous block of the sorted depth-L target
+    words, so the covering matrix is an interval matrix, totally unimodular,
+    and the LP optimum is integral: the tree-DP minimum. The tests solve the
+    LP independently and check the equality.
     """
-    validate_spec(K, sft)
-    d_min = _check_window(N, scale, L)
-    leaves = iter_target_words(sft, K, L)
-    if not leaves:
-        raise EmptyTarget(f"target has no admissible words at depth {L}")
-
-    if candidate_pool is None:
-        pool_set = set()
-        for w in leaves:
-            for d in range(d_min, L + 1):
-                pool_set.add(w[:d])
-        pool = sorted(pool_set, key=lambda w: (len(w), w))
-    else:
-        pool = list(candidate_pool)
-        for w in pool:
-            if not d_min <= len(w) <= L:
-                raise ValueError(
-                    f"candidate {w!r} has depth {len(w)} outside [{d_min}, {L}]"
-                )
-        pool_set = set(pool)
-    index = {w: j for j, w in enumerate(pool)}
-
-    cost = np.empty(len(pool))
-    for w, j in index.items():
-        d = len(w)
-        cost[j] = math.exp(-s * d + sup_birkhoff_on_cylinder(sft, f, w, d))
-
-    rows: List[int] = []
-    cols: List[int] = []
-    for i, leaf in enumerate(leaves):
-        hit = False
-        for d in range(d_min, L + 1):
-            j = index.get(leaf[:d])
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                hit = True
-        if not hit:
-            raise ValueError(f"candidate pool cannot cover target word {leaf!r}")
-    data = np.ones(len(rows))
-    A = scipy.sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(leaves), len(pool))
-    )
-    result = scipy.optimize.linprog(
-        c=cost,
-        A_ub=-A,
-        b_ub=-np.ones(len(leaves)),
-        bounds=(0, None),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not result.success:
-        raise RuntimeError(f"covering LP failed: {result.message}")
-    value = float(result.fun)
-    if candidate_pool is None:
-        # On sorted depth-L leaves each candidate cylinder covers a
-        # contiguous block, so the constraint matrix has consecutive ones
-        # per column and the LP has an integral optimal solution. The exact
-        # integral optimum is the tree-DP value; capping at it strips the
-        # solver's last-ulp rounding without changing the mathematics
-        # (with a restricted pool the integral optimum may be infeasible,
-        # so the cap applies to the full pool only).
-        integral_log = cover_min_log(sft, K, f, s, sigma=0, d_min=d_min, d_max=L)
-        integral = math.exp(integral_log) if integral_log != NEG_INF else 0.0
-        value = min(value, integral)
-    return value
+    return min_cover_value(sft, K, f, s, N, scale, L)
 
 
 def weighted_pressure(
@@ -322,14 +248,8 @@ def weighted_pressure(
     L: int,
     tol: float = 1e-4,
 ) -> CriticalExponent:
-    """Critical exponent of weighted_cover_value against threshold 1."""
-
-    def logv(s: float) -> float:
-        return math.log(weighted_cover_value(sft, K, f, s, N, scale, L))
-
-    _check_window(N, scale, L)
-    _require_nonempty(sft, K, L)
-    return _bisect_critical(logv, tol, depth=L, N=N, scale=scale, method="weighted")
+    """Critical exponent of weighted_cover_value, i.e. ``bowen_pressure``'s."""
+    return replace(bowen_pressure(sft, K, f, scale, N, L, tol), method="weighted")
 
 
 def string_cover_value(
@@ -360,8 +280,7 @@ def string_cover_value(
     if L < d_min:
         raise DepthTooShallow(f"depth L={L} is below minimum string depth {d_min}")
     _require_nonempty(sft, Z, L)
-    value = cover_min_log(sft, Z, f, s, sigma=q - 1, d_min=d_min, d_max=L)
-    return math.exp(value) if value != NEG_INF else 0.0
+    return _value_from_log(cover_min_log(sft, Z, f, s, sigma=q - 1, d_min=d_min, d_max=L))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +371,7 @@ def check_chain(
     )
     unweighted = min_cover_value(sft, K, f, s, N, scale, L)
     weighted = weighted_cover_value(sft, K, f, s, N, scale, L)
-    centered = math.exp(centered_log) if centered_log != NEG_INF else 0.0
+    centered = _value_from_log(centered_log)
 
     slack = 1e-9
     left_ok = centered <= weighted * (1 + slack) + slack

@@ -365,8 +365,8 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
         if not isinstance(target, (int, float)) or not 0 <= target <= 1:
             problems.append((f"{path}.target", "must be a frequency in [0, 1]"))
             return None
-        if not isinstance(window, (int, float)) or window < 0:
-            problems.append((f"{path}.window", "must be a nonnegative half-width"))
+        if not isinstance(window, (int, float)) or window <= 0:
+            problems.append((f"{path}.window", "must be a positive half-width"))
             return None
         return frequency_level(symbol, float(target), float(window), label=label)
     problems.append((f"{path}.kind", f"unknown subset kind {kind!r}"))

@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities from first principles with the
 dumbest viable algorithm (full enumeration, literal metric evaluation,
-dense eigenvalue solves) so library results can be compared against code
-that shares no logic with the implementation under test.
+dense eigenvalue solves, a general-purpose LP solver) so library results
+can be compared against code that shares no logic with the implementation
+under test.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 Word = Tuple[int, ...]
 
@@ -133,6 +136,25 @@ def sup_birkhoff(
 # exhaustive cover search
 
 
+def oracle_costs(
+    allowed: Sequence[Sequence[bool]],
+    table: Dict[Word, float],
+    depth: int,
+    leaves: Sequence[Word],
+    s: float,
+    d_min: int,
+    d_max: int,
+) -> Dict[Word, float]:
+    """Depth-priced ball costs for every prefix of the given leaves."""
+    cost = {}
+    for leaf in leaves:
+        for d in range(d_min, min(d_max, len(leaf)) + 1):
+            w = leaf[:d]
+            if w not in cost:
+                cost[w] = math.exp(-s * d + sup_birkhoff(allowed, table, depth, w, d))
+    return cost
+
+
 def brute_min_cover(
     leaves: Sequence[Word],
     cost: Dict[Word, float],
@@ -195,6 +217,45 @@ def interval_min_cover(
         return best
 
     return solve(0, len(leaves))
+
+
+def lp_weighted_cover(
+    leaves: Sequence[Word],
+    cost: Dict[Word, float],
+    d_min: int,
+    d_max: int,
+) -> float:
+    """Optimal fractional cover of `leaves`, solved as a covering LP.
+
+    One nonnegative weight per candidate (every depth-d prefix of a leaf,
+    d in [d_min, d_max]); each leaf must collect weight >= 1 from its
+    prefixes. Solved by scipy's HiGHS with tight tolerances, sharing no
+    logic with the cover DPs, so agreement with them checks that the
+    fractional optimum is integral rather than assuming it.
+    """
+    pool = sorted({leaf[:d] for leaf in leaves
+                   for d in range(d_min, min(d_max, len(leaf)) + 1)})
+    index = {w: j for j, w in enumerate(pool)}
+    rows, cols = [], []
+    for i, leaf in enumerate(leaves):
+        for d in range(d_min, min(d_max, len(leaf)) + 1):
+            rows.append(i)
+            cols.append(index[leaf[:d]])
+    A = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(leaves), len(pool)))
+    result = linprog(
+        c=np.array([cost[w] for w in pool]),
+        A_ub=-A,
+        b_ub=-np.ones(len(leaves)),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+            "ipm_optimality_tolerance": 1e-12,
+        },
+    )
+    assert result.success, f"covering LP failed: {result.message}"
+    return float(result.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ import pytest
 import pressurelab as pl
 from pressurelab.bowen import enlargement_cylinder
 from pressurelab.cli import main as cli_main
-from brute import first_diff_table, interval_min_cover, orbit_metric, sup_birkhoff
+from brute import (
+    admissible_words,
+    first_diff_table,
+    interval_min_cover,
+    lp_weighted_cover,
+    oracle_costs,
+    orbit_metric,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -165,7 +172,12 @@ def test_criterion_4_cover_value_chain(criterion):
         u = pl.min_cover_value(host, pl.whole(), f, s, N, pl.Scale(m), L)
         ok = ok and rep["passed"] and rep["precondition_ok"]
         ok = ok and w <= u
-    criterion(4, ok, "2 shipped sets + 20 draws, weighted <= minimal exactly")
+        # the library's weighted value is the minimal one by total
+        # unimodularity; the independently solved LP keeps that claim checked
+        leaves = admissible_words(host.allowed, L)
+        cost = oracle_costs(host.allowed, table, depth, leaves, s, N + m, L)
+        ok = ok and lp_weighted_cover(leaves, cost, N + m, L) <= u * (1 + 1e-9)
+    criterion(4, ok, "2 shipped sets + 20 draws, weighted (library and LP) <= minimal")
 
 
 @pytest.mark.xfail(
@@ -224,16 +236,6 @@ def test_criterion_7_gibbs_bound_with_negative_control(criterion):
     )
 
 
-def _oracle_costs(allowed, table, depth, leaves, s, d_min, d_max):
-    cost = {}
-    for leaf in leaves:
-        for d in range(d_min, min(d_max, len(leaf)) + 1):
-            w = leaf[:d]
-            if w not in cost:
-                cost[w] = math.exp(-s * d + sup_birkhoff(allowed, table, depth, w, d))
-    return cost
-
-
 def _random_subset(rng) -> pl.SubsetSpec:
     roll = int(rng.integers(0, 5))
     if roll == 0:
@@ -277,7 +279,7 @@ def test_criterion_8_brute_force_equivalences(criterion):
         s = float(rng.uniform(-0.2, 1.3))
         got = pl.min_cover_value(FULL2, spec, f, s, N, pl.Scale(m), L)
         leaves = list(pl.iter_target_words(FULL2, spec, L))
-        cost = _oracle_costs(FULL2.allowed, table, depth, leaves, s, N + m, L)
+        cost = oracle_costs(FULL2.allowed, table, depth, leaves, s, N + m, L)
         want = interval_min_cover(leaves, cost, N + m, L)
         ok = ok and got == pytest.approx(want, rel=1e-9)
         done += 1

@@ -11,6 +11,8 @@ from brute import (
     all_words,
     brute_min_cover,
     interval_min_cover,
+    lp_weighted_cover,
+    oracle_costs,
     sup_birkhoff,
 )
 
@@ -19,19 +21,6 @@ GM = pl.golden_mean_shift()
 F0 = pl.zero_potential(FULL2)
 F10 = pl.potential_from_table(FULL2, 1, {(0,): 1.0, (1,): 0.0})
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
-
-
-def oracle_costs(allowed, table, depth, leaves, s, d_min, d_max):
-    """Depth-priced ball costs for every prefix of the given leaves."""
-    cost = {}
-    for leaf in leaves:
-        for d in range(d_min, min(d_max, len(leaf)) + 1):
-            w = leaf[:d]
-            if w not in cost:
-                cost[w] = math.exp(
-                    -s * d + sup_birkhoff(allowed, table, depth, w, d)
-                )
-    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +218,49 @@ def test_weighted_cover_far_above_crossing_is_small():
     assert w < 1.0
 
 
+def _random_target(rng, host, L):
+    """A random target on host with its depth-L words, enumerated literally."""
+    words = admissible_words(host.allowed, L)
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return pl.whole(), words
+    if kind == 1:
+        k = host.alphabet_size
+        rel = [[host.allowed[a][b] and rng.random() < 0.7 for b in range(k)] for a in range(k)]
+        for a in range(k):  # every symbol keeps a successor, so none is trimmed
+            if not any(rel[a]):
+                rel[a][int(rng.choice(np.flatnonzero(host.allowed[a])))] = True
+        spec = pl.sub_sft(tuple(tuple(row) for row in rel))
+        return spec, admissible_words(rel, L)
+    symbol = int(rng.integers(0, host.alphabet_size))
+    # centered on a realized frequency, so the target is never empty
+    target = words[int(rng.integers(0, len(words)))].count(symbol) / L
+    window = float(rng.uniform(0.05, 0.2))
+    spec = pl.frequency_level(symbol, target, window)
+    return spec, [w for w in words if abs(w.count(symbol) / L - target) <= window]
+
+
 def test_weighted_cover_matches_dp_on_random_cases():
     # the covering constraint matrix has interval structure, so the LP
-    # optimum is integral and must coincide with the exhaustive cover
-    # minimum; this exercises both routes on random inputs
+    # optimum is integral: an independently solved LP must coincide with
+    # the library's weighted value and with the exhaustive cover minimum
     rng = np.random.default_rng(31)
+    hosts = ((FULL2, 7), (GM, 8), (pl.full_shift(3), 5))
     for _ in range(8):
-        table = {(a,): float(rng.uniform(-1, 1)) for a in range(2)}
-        f = pl.potential_from_table(FULL2, 1, table)
-        s = float(rng.uniform(0.2, 1.0))
-        w = pl.weighted_cover_value(FULL2, pl.whole(), f, s, 2, pl.Scale(1), 6)
-        leaves = admissible_words(FULL2.allowed, 6)
-        cost = oracle_costs(FULL2.allowed, table, 1, leaves, s, 3, 6)
-        oracle = interval_min_cover(leaves, cost, 3, 6)
-        assert w == pytest.approx(oracle, rel=1e-7)
+        for host, L in hosts:
+            depth = int(rng.integers(1, 3))
+            table = {
+                w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
+            }
+            f = pl.potential_from_table(host, depth, table)
+            spec, leaves = _random_target(rng, host, L)
+            N, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            s = float(rng.uniform(0.2, 1.0))
+            w = pl.weighted_cover_value(host, spec, f, s, N, pl.Scale(m), L)
+            cost = oracle_costs(host.allowed, table, depth, leaves, s, N + m, L)
+            lp = lp_weighted_cover(leaves, cost, N + m, L)
+            assert abs(lp - w) <= 1e-9 * max(1.0, w)
+            assert w == pytest.approx(interval_min_cover(leaves, cost, N + m, L), rel=1e-7)
 
 
 def test_weighted_pressure_full_shift():

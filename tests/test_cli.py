@@ -39,10 +39,12 @@ def test_parse_config_collects_every_problem():
         "scales": [],
         "tol": -2,
         "bogus": 1,
+        "subset": {"kind": "frequency_level", "symbol": 0, "target": 0.3, "window": 0},
     }
     with pytest.raises(SchemaError) as exc:
         parse_config(bad, "pressure capacity")
     fields = {path for path, _ in exc.value.problems}
+    assert "subset.window" in fields
     assert "system.alphabet_size" in fields
     assert "scales" in fields
     assert "tol" in fields
@@ -359,6 +361,43 @@ def test_cli_frequency_band_runs(tmp_path, capsys):
     assert 0.4 < report["results"]["m=1"]["midpoint"] < 0.7
 
 
+def test_cli_chain_overflowing_cover_values_report_inf(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "chain_full2.json").read_text())
+    cfg["s"] = -80  # cover values near exp(14 * 80), past the float range
+    path = tmp_path / "chain_overflow.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = _run(
+        ["verify", "chain", "--config", str(path), "--out", str(tmp_path)], capsys
+    )
+    assert code in (0, 2)
+    assert err == ""
+    report = json.loads((tmp_path / "verify_chain_report.json").read_text())
+    assert report["results"]["m=4"]["unweighted_value"] == "inf"
+
+
+def _src_env() -> dict:
+    """This process's environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing the package must not load it
+    code = (
+        "import pressurelab, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _declared_entry_point(name: str) -> str:
     """The ``module:attr`` target of ``[project.scripts][name]`` in pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -380,13 +419,9 @@ def test_console_script_version():
         # the declared entry point in a fresh interpreter, as pip's script does.
         module, attr = _declared_entry_point("pressurelab").split(":")
         code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c", code, "--version"],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=_src_env(),
         )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == pressurelab.__version__
