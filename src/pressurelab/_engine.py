@@ -2,18 +2,20 @@
 
 Both the separated-set partition function and the optimal-cover value are
 functionals over the tree of admissible words, filtered by a subset tracker.
-Naively they need one node per word; here the recursion is factored through
-the observation that a subtree's value depends on the word only through
+Naively they need one node per word; here the tree is merged through the
+observation that a subtree's value depends on the word only through
 
 - the depth d,
 - the tracker state z,
 - the last r symbols u, with r = max(1, k - 1, sigma),
 
 once the common factor exp(S) is pulled out, where S is the sum of the
-potential windows completed inside the word so far. Values are therefore
-memoized on (d, z, u) and the whole computation costs O(L * |states| * A)
-instead of O(A^L). Everything runs in log space so horizons of hundreds of
-symbols neither overflow nor underflow.
+potential windows completed inside the word so far. ``symbolic.layers``
+builds the distinct (z, u) of every depth once, and each value is a fold
+from the deepest layer to the root, so the whole computation costs
+O(L * |states| * A) instead of O(A^L) and needs no recursion. Everything runs
+in log space so horizons of thousands of symbols neither overflow nor
+underflow.
 
 Conventions used throughout:
 
@@ -32,12 +34,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .subsets import SubsetSpec, Tracker, build_tracker
-from .symbolic import LocallyConstantPotential, Subshift, Word
-
-NEG_INF = float("-inf")
+from .subsets import SubsetSpec, build_tracker, target_steps
+from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word, extreme_tail, layers
 
 Relation = Tuple[Tuple[bool, ...], ...]
 
@@ -49,57 +49,15 @@ def _logsumexp(values: List[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-class _ExtensionTables:
-    """Extremes of partial Birkhoff tails over admissible continuations.
+class _TreeProgram:
+    """The tracked word tree to ``depth``, merged on (tracker state, last r symbols).
 
-    ext(rel, ctx, steps) walks ``steps`` symbols beyond ``ctx`` inside the
-    relation ``rel``, completing one potential window whenever the running
-    length reaches the potential depth, and returns the max (or min) total.
-    ``ctx`` is the whole word while shorter than k - 1 symbols, else its last
-    k - 1 symbols; that convention makes short prefixes near the root exact.
+    ``states[d]`` lists the distinct (z, u) of depth d and ``arcs[d][i]``
+    holds one (window gain, child index) pair per child of ``states[d][i]``,
+    in symbol order; the gain is the potential window the child's symbol
+    completes, if any (as r >= k - 1, u holds that window's other symbols).
     """
 
-    def __init__(self, f: LocallyConstantPotential, want_max: bool):
-        self._f = f
-        self._pick = max if want_max else min
-        self._memo: Dict[Tuple[int, Word, int], float] = {}
-        self._rels: Dict[int, Relation] = {}
-
-    def value(self, rel: Relation, ctx: Word, steps: int) -> float:
-        if steps <= 0:
-            return 0.0
-        rel_key = id(rel)
-        self._rels[rel_key] = rel
-        return self._walk(rel_key, ctx, steps)
-
-    def _walk(self, rel_key: int, ctx: Word, steps: int) -> float:
-        if steps == 0:
-            return 0.0
-        key = (rel_key, ctx, steps)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        rel = self._rels[rel_key]
-        k = self._f.depth
-        n_sym = len(rel)
-        if ctx:
-            symbols = [b for b in range(n_sym) if rel[ctx[-1]][b]]
-        else:
-            symbols = [b for b in range(n_sym) if any(rel[b])]
-        best = None
-        for b in symbols:
-            nxt = ctx + (b,)
-            gain = self._f.value(nxt) if len(nxt) == k else 0.0
-            if len(nxt) >= k:
-                nxt = nxt[-(k - 1):] if k > 1 else ()
-            v = gain + self._walk(rel_key, nxt, steps - 1)
-            best = v if best is None else self._pick(best, v)
-        out = NEG_INF if best is None else best
-        self._memo[key] = out
-        return out
-
-
-class _TreeProgram:
     def __init__(
         self,
         sft: Subshift,
@@ -107,30 +65,27 @@ class _TreeProgram:
         f: LocallyConstantPotential,
         sigma: int,
         want_max: bool,
+        depth: int,
     ):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        self.sft = sft
         self.f = f
         self.sigma = sigma
-        self.tracker: Tracker = build_tracker(spec, sft)
-        self.r = max(1, f.depth - 1, sigma)
-        self.ext = _ExtensionTables(f, want_max)
-        self._outer = max if want_max else min
+        self.want_max = want_max
+        self.tracker = tracker = build_tracker(spec, sft)
+        k = f.depth
+        r = max(1, k - 1, sigma)
 
-    def push(self, u: Word, b: int) -> Word:
-        nxt = u + (b,)
-        if len(nxt) > self.r:
-            nxt = nxt[-self.r:]
-        return nxt
+        def step(state):
+            z, u = state
+            children = target_steps(sft, tracker, z, u[-1] if u else None)
+            return [
+                ((f.value(w[-k:]) if len(w) >= k else 0.0), (z2, w[-r:]))
+                for w, z2 in [(u + (b,), z2) for b, z2 in children]
+            ]
 
-    def window_gain(self, d: int, u: Word, b: int) -> float:
-        # the symbol at depth d (0-based position d) completes a window when
-        # the word reaches length d + 1 >= depth(f)
-        k = self.f.depth
-        if d + 1 < k:
-            return 0.0
-        return self.f.value((u + (b,))[-k:])
+        self.states, self.arcs = layers((tracker.initial(), ()), step, depth)
+        self._tails: Dict[Tuple[Tuple[Tuple[int, ...], ...], Word, int], float] = {}
 
     def term_adjust(self, d: int, u: Word, rels: Sequence[Relation]) -> float:
         """Correction turning the in-word window sum into extreme f_(d - sigma).
@@ -146,9 +101,15 @@ class _TreeProgram:
         in_word = max(0, d - k + 1)
         steps = h - in_word
         if steps > 0:
-            ctx = u if len(u) < k - 1 else (u[-(k - 1):] if k > 1 else ())
-            vals = [self.ext.value(rel, ctx, steps) for rel in rels]
-            return self._outer(vals)
+            ctx = u[-max(k - 1, 1):]
+            vals = []
+            for rel in rels:
+                succ = tuple(tuple(b for b, ok in enumerate(row) if ok) for row in rel)
+                key = (succ, ctx, steps)
+                if key not in self._tails:
+                    self._tails[key] = extreme_tail(succ, self.f, ctx, steps, self.want_max)
+                vals.append(self._tails[key])
+            return max(vals) if self.want_max else min(vals)
         if steps < 0:
             # subtract the last (-steps) windows, all determined by u
             total = 0.0
@@ -157,6 +118,45 @@ class _TreeProgram:
                 total += self.f.value(u[L - k - j : L - j])
             return -total
         return 0.0
+
+    def fold(self, depth: int, values: List[float], clamp=None) -> float:
+        """Log-sum-exp layer ``depth``'s values up to the root; ``clamp(d,
+        values)``, if given, may lower each layer's values once summed."""
+        for d in range(depth - 1, -1, -1):
+            values = [
+                _logsumexp([g + values[j] for g, j in row]) if row else NEG_INF
+                for row in self.arcs[d]
+            ]
+            if clamp is not None:
+                values = clamp(d, values)
+        return values[0]
+
+
+def leaf_sum_program(
+    sft: Subshift,
+    spec: SubsetSpec,
+    f: LocallyConstantPotential,
+    sigma: int,
+    depth: int,
+    want_max: bool = True,
+) -> Callable[[int], float]:
+    """The map d -> ``leaf_sum_log(sft, spec, f, sigma, d, want_max)`` for
+    sigma < d <= ``depth``: the tree is built once, each call folds it."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if depth - sigma < 1:
+        raise ValueError("depth must exceed sigma")
+    prog = _TreeProgram(sft, spec, f, sigma, want_max, depth)
+    tracker = prog.tracker
+
+    def log_sum(d: int) -> float:
+        return prog.fold(d, [
+            prog.term_adjust(d, u, tracker.extension_relations(z))
+            if tracker.accepts(z, d) else NEG_INF
+            for z, u in prog.states[d]
+        ])
+
+    return log_sum
 
 
 def leaf_sum_log(
@@ -174,36 +174,59 @@ def leaf_sum_log(
     value is the supremum of f_h over the points of the target in each
     cylinder. Returns -inf when no word is accepted.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if depth - sigma < 1:
-        raise ValueError("depth must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, want_max)
-    memo: Dict[Tuple[int, object, Word], float] = {}
+    return leaf_sum_program(sft, spec, f, sigma, depth, want_max)(depth)
 
-    def value(d: int, z, u: Word) -> float:
-        if d == depth:
-            if not prog.tracker.accepts(z, depth):
-                return NEG_INF
-            rels = prog.tracker.extension_relations(z)
-            return prog.term_adjust(d, u, rels)
-        key = (d, z, u)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        prev = u[-1] if u else None
-        symbols = range(sft.alphabet_size) if prev is None else sft.successors[prev]
-        acc: List[float] = []
-        for b in symbols:
-            z2 = prog.tracker.step(z, prev, b)
-            if z2 is None:
-                continue
-            acc.append(prog.window_gain(d, u, b) + value(d + 1, z2, prog.push(u, b)))
-        out = _logsumexp(acc) if acc else NEG_INF
-        memo[key] = out
-        return out
 
-    return value(0, prog.tracker.initial(), ())
+def cover_program(
+    sft: Subshift,
+    spec: SubsetSpec,
+    f: LocallyConstantPotential,
+    sigma: int,
+    d_min: int,
+    d_max: int,
+    centered: bool = False,
+) -> Callable[[float], float]:
+    """The map s -> log of the minimal cover value over the cylinder tree.
+
+    A cover may place a ball at any node of depth d in [d_min, d_max]; the
+    ball costs exp(-s * (d - sigma) + F) with F the supremum (infimum when
+    ``centered``) of f_(d - sigma) over the node's full cylinder, and it
+    covers every accepted leaf at depth d_max below the node. Leaves that the
+    tracker rejects need no covering. The value is -inf when nothing is
+    accepted (the empty cover costs zero); callers that consider that an
+    error should check emptiness beforehand.
+
+    The tree and every ball's F are computed here, once; each call of the
+    returned map is one fold over the layers.
+    """
+    if d_min < 1 or d_min > d_max:
+        raise ValueError("need 1 <= d_min <= d_max")
+    if d_min - sigma < 1:
+        raise ValueError("d_min must exceed sigma")
+    prog = _TreeProgram(sft, spec, f, sigma, not centered, d_max)
+    host_rels = (sft.allowed,)
+    ball = {
+        d: [prog.term_adjust(d, u, host_rels) for _, u in prog.states[d]]
+        for d in range(d_min, d_max + 1)
+    }
+    # an accepted leaf must take its ball, a rejected one needs none
+    leaves = [
+        math.inf if prog.tracker.accepts(z, d_max) else NEG_INF
+        for z, _ in prog.states[d_max]
+    ]
+
+    def log_value(s: float) -> float:
+        def cover_by_ball(d: int, values: List[float]) -> List[float]:
+            if d < d_min:
+                return values
+            price = -s * (d - sigma)
+            # exact ties resolve toward the shallower ball; the value is the
+            # same either way, this just pins down which cover the DP means
+            return [min(price + F, v) for v, F in zip(values, ball[d])]
+
+        return prog.fold(d_max, cover_by_ball(d_max, leaves), cover_by_ball)
+
+    return log_value
 
 
 def cover_min_log(
@@ -216,52 +239,5 @@ def cover_min_log(
     d_max: int,
     centered: bool = False,
 ) -> float:
-    """log of the minimal cover value over the cylinder tree.
-
-    A cover may place a ball at any node of depth d in [d_min, d_max]; the
-    ball costs exp(-s * (d - sigma) + F) with F the supremum (infimum when
-    ``centered``) of f_(d - sigma) over the node's full cylinder, and it
-    covers every accepted leaf at depth d_max below the node. Leaves that the
-    tracker rejects need no covering. Returns -inf when nothing is accepted
-    (the empty cover costs zero); callers that consider that an error should
-    check emptiness beforehand.
-    """
-    if d_min < 1 or d_min > d_max:
-        raise ValueError("need 1 <= d_min <= d_max")
-    if d_min - sigma < 1:
-        raise ValueError("d_min must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, want_max=not centered)
-    host_rels = (sft.allowed,)
-    memo: Dict[Tuple[int, object, Word], float] = {}
-
-    def ball_log(d: int, u: Word) -> float:
-        return -s * (d - sigma) + prog.term_adjust(d, u, host_rels)
-
-    def value(d: int, z, u: Word) -> float:
-        if d == d_max:
-            if prog.tracker.accepts(z, d_max):
-                return ball_log(d, u)
-            return NEG_INF
-        key = (d, z, u)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        prev = u[-1] if u else None
-        symbols = range(sft.alphabet_size) if prev is None else sft.successors[prev]
-        acc: List[float] = []
-        for b in symbols:
-            z2 = prog.tracker.step(z, prev, b)
-            if z2 is None:
-                continue
-            acc.append(prog.window_gain(d, u, b) + value(d + 1, z2, prog.push(u, b)))
-        out = _logsumexp(acc) if acc else NEG_INF
-        if d >= d_min:
-            ball = ball_log(d, u)
-            # exact ties resolve toward the shallower ball; the value is the
-            # same either way, this just pins down which cover the DP means
-            if ball <= out:
-                out = ball
-        memo[key] = out
-        return out
-
-    return value(0, prog.tracker.initial(), ())
+    """log of the minimal cover value at one exponent (see ``cover_program``)."""
+    return cover_program(sft, spec, f, sigma, d_min, d_max, centered)(s)

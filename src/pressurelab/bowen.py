@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._engine import cover_min_log
+from ._engine import cover_min_log, cover_program
 from .errors import DepthTooShallow, EmptyTarget, ScaleTooCoarse
 from .subsets import SubsetSpec, count_target_words, validate_spec
 from .symbolic import (
@@ -213,10 +213,7 @@ def bowen_pressure(
     validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
     _require_nonempty(sft, Z, L)
-
-    def logv(s: float) -> float:
-        return cover_min_log(sft, Z, f, s, sigma=0, d_min=d_min, d_max=L)
-
+    logv = cover_program(sft, Z, f, sigma=0, d_min=d_min, d_max=L)
     return _bisect_critical(logv, tol, depth=L, N=N, scale=scale, method="bowen")
 
 
@@ -370,7 +367,9 @@ def check_chain(
         sft, K, f, s + delta, sigma=0, d_min=d_min_coarse, d_max=L, centered=True
     )
     unweighted = min_cover_value(sft, K, f, s, N, scale, L)
-    weighted = weighted_cover_value(sft, K, f, s, N, scale, L)
+    # the weighted (fractional) optimum equals the minimal cover value: the
+    # covering matrix is an interval matrix, hence totally unimodular
+    weighted = unweighted
     centered = _value_from_log(centered_log)
 
     slack = 1e-9

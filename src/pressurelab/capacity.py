@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._engine import NEG_INF, leaf_sum_log
+from ._engine import NEG_INF, leaf_sum_log, leaf_sum_program
 from .errors import EmptyTarget, ScaleTooCoarse
 from .subsets import SubsetSpec, validate_spec
 from .symbolic import LocallyConstantPotential, Scale, Subshift, separated_word_length
@@ -89,13 +89,15 @@ def capacity_pressure(
     regardless of completion order, keeping the result deterministic.
     """
     ns = _normalize_range(n_range)
+    validate_spec(Z, sft)
+    depths = [separated_word_length(n, scale) for n in ns]
+    # one tree for the whole window; P_n folds it from depth n + m - 1
+    log_sum = leaf_sum_program(sft, Z, f, sigma=scale.m - 1, depth=depths[-1])
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            logs = list(
-                pool.map(lambda n: log_partition_function(sft, Z, f, n, scale), ns)
-            )
+            logs = list(pool.map(log_sum, depths))
     else:
-        logs = [log_partition_function(sft, Z, f, n, scale) for n in ns]
+        logs = [log_sum(d) for d in depths]
 
     pairs = [(n, v) for n, v in zip(ns, logs) if v != NEG_INF]
     empty = tuple(n for n, v in zip(ns, logs) if v == NEG_INF)

@@ -24,6 +24,7 @@ from .symbolic import (
     Scale,
     Subshift,
     Word,
+    enumerate_words,
     full_shift,
     is_strongly_connected,
     potential_from_table,
@@ -155,24 +156,13 @@ def _invariant_core(
         sub = Subshift(len(symbols), allowed, label=f"core{list(symbols)}")
         table: Dict[Word, float] = {}
         k = f.depth
-        for w in _admissible_words(sub, k):
+        for w in enumerate_words(sub, k):
             table[w] = f.value(tuple(symbols[i] for i in w))
         f_sub = potential_from_table(sub, k, table, label=f.label)
         value = spectral_pressure(build_transfer_matrix(sub, f_sub))
         if best is None or value.value > best[3].value:
             best = (sub, tuple(symbols), f_sub, value)
     return best
-
-
-def _admissible_words(sft: Subshift, n: int) -> List[Word]:
-    words: List[Word] = [()]
-    for _ in range(n):
-        words = [
-            w + (b,)
-            for w in words
-            for b in (sft.successors[w[-1]] if w else range(sft.alphabet_size))
-        ]
-    return words
 
 
 def _embed_measure(
@@ -707,6 +697,6 @@ def _random_potential(
 ) -> LocallyConstantPotential:
     depth = int(rng.integers(1, depth_cap + 1))
     table: Dict[Word, float] = {}
-    for w in _admissible_words(sft, depth):
+    for w in enumerate_words(sft, depth):
         table[w] = float(rng.uniform(-amplitude, amplitude))
     return potential_from_table(sft, depth, table, label=f"random-depth-{depth}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,7 +28,6 @@ from .symbolic import (
     LocallyConstantPotential,
     Scale,
     Word,
-    birkhoff_sum,
     bowen_ball_word_length,
     is_strongly_connected,
 )
@@ -157,6 +157,10 @@ def local_pressure(
             f"at scale m={scale.m} (needs {need})"
         )
     prefix_logs = log_cylinder_prefix_measures(mu, word)
+    # f_1(x), f_2(x), ... summed left to right like birkhoff_sum, on demand
+    k = f.depth
+    running = accumulate(f.value(word[i : i + k]) for i in range(n_max))
+    f_n: List[float] = []
     values: List[Tuple[int, float]] = []
     flagged: List[int] = []
     for n in ns:
@@ -165,8 +169,8 @@ def local_pressure(
             values.append((n, math.inf))
             flagged.append(n)
             continue
-        fn = birkhoff_sum(f, word, n)
-        values.append((n, (fn - log_ball) / n))
+        f_n.extend(islice(running, n - len(f_n)))
+        values.append((n, (f_n[-1] - log_ball) / n))
     tail_from = ns[len(ns) // 2]
     liminf = min(v for n, v in values if n >= tail_from)
     return LocalPressureTrace(
@@ -263,20 +267,19 @@ def exact_invariant_pressure(
     k = f.depth
     integral = 0.0
     count = 0
-
-    def extend(w: Tuple[int, ...], mass: float) -> None:
-        nonlocal integral, count
+    # the charged depth-k words in lexicographic order, which fixes the
+    # order the integral is summed in
+    stack = [((a,), float(pi[a])) for a in reversed(charged)]
+    while stack:
+        w, mass = stack.pop()
         if len(w) == k:
             count += 1
             if count > DEFAULT_ENUMERATION_BUDGET:
                 raise EnumerationBudgetExceeded(count, DEFAULT_ENUMERATION_BUDGET)
             integral += mass * f.value(w)
-            return
-        for b in range(mu.n_states):
+            continue
+        for b in reversed(range(mu.n_states)):
             step = P[w[-1], b]
             if step > 0.0:
-                extend(w + (b,), mass * step)
-
-    for a in charged:
-        extend((a,), float(pi[a]))
+                stack.append((w + (b,), mass * step))
     return entropy + integral

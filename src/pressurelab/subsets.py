@@ -22,10 +22,10 @@ can no longer lead to any accepted leaf and the branch may be pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationBudgetExceeded
-from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word
+from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word, layers
 
 FREQUENCY_GUARD = 1e-9  # absorbs float noise in |count - alpha*L| <= eta*L
 
@@ -266,27 +266,29 @@ def build_tracker(spec: SubsetSpec, sft: Subshift) -> Tracker:
     return _UnionTracker(sft, spec)
 
 
+def target_steps(sft: Subshift, tracker: Tracker, z, prev: Optional[int]):
+    """(symbol, next tracker state) per admissible symbol after ``prev``.
+
+    ``prev`` is None at the root. Symbols come in increasing order, and
+    those after which no accepted leaf is reachable any more are skipped.
+    """
+    symbols = range(sft.alphabet_size) if prev is None else sft.successors[prev]
+    return [(b, z2) for b in symbols if (z2 := tracker.step(z, prev, b)) is not None]
+
+
 def count_target_words(sft: Subshift, spec: SubsetSpec, depth: int) -> int:
     """Exact count of admissible depth-``depth`` words consistent with the spec."""
     tracker = build_tracker(spec, sft)
-    if depth == 0:
-        return 1 if tracker.accepts(tracker.initial(), 0) else 0
-    # layer maps (tracker state, last symbol) -> exact count
-    layer: Dict[Tuple[object, Optional[int]], int] = {(tracker.initial(), None): 1}
-    for _ in range(depth):
-        nxt: Dict[Tuple[object, Optional[int]], int] = {}
-        for (z, prev), cnt in layer.items():
-            symbols = (
-                range(sft.alphabet_size) if prev is None else sft.successors[prev]
-            )
-            for b in symbols:
-                z2 = tracker.step(z, prev, b)
-                if z2 is None:
-                    continue
-                key = (z2, b)
-                nxt[key] = nxt.get(key, 0) + cnt
-        layer = nxt
-    return sum(cnt for (z, _), cnt in layer.items() if tracker.accepts(z, depth))
+    # states are (tracker state, last symbol); a count fold over their layers
+    states, edges = layers(
+        (tracker.initial(), None),
+        lambda state: [(b, (z2, b)) for b, z2 in target_steps(sft, tracker, *state)],
+        depth,
+    )
+    counts = [int(tracker.accepts(z, depth)) for z, _ in states[depth]]
+    for rows in reversed(edges):
+        counts = [sum(counts[j] for _, j in row) for row in rows]
+    return counts[0]
 
 
 def iter_target_words(
@@ -305,20 +307,13 @@ def iter_target_words(
         raise EnumerationBudgetExceeded(total, budget)
     tracker = build_tracker(spec, sft)
     out: List[Word] = []
-
-    def dfs(word: Word, z) -> None:
-        d = len(word)
-        if d == depth:
+    stack = [((), tracker.initial())]
+    while stack:
+        word, z = stack.pop()
+        if len(word) == depth:
             if tracker.accepts(z, depth):
                 out.append(word)
-            return
-        prev = word[-1] if word else None
-        symbols = range(sft.alphabet_size) if prev is None else sft.successors[prev]
-        for b in symbols:
-            z2 = tracker.step(z, prev, b)
-            if z2 is None:
-                continue
-            dfs(word + (b,), z2)
-
-    dfs((), tracker.initial())
+            continue
+        children = target_steps(sft, tracker, z, word[-1] if word else None)
+        stack.extend(reversed([(word + (b,), z2) for b, z2 in children]))
     return tuple(out)

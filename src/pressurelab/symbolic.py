@@ -14,9 +14,9 @@ at blocks of any fixed depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -26,6 +26,9 @@ from .errors import (
 )
 
 Word = Tuple[int, ...]
+State = TypeVar("State")
+
+NEG_INF = float("-inf")
 
 #: Hard cap on the number of words any enumeration may materialize.
 DEFAULT_ENUMERATION_BUDGET = 2 ** 26
@@ -239,6 +242,62 @@ def enumerate_words(
     return tuple(out)
 
 
+def layers(start: State, step: Callable[[State], Iterable[Tuple[object, State]]], depth: int):
+    """The tree that ``step`` unfolds from ``start``, merged by state per depth.
+
+    ``step(state)`` lists one (label, child state) pair per child, in order.
+    Returns (states, edges): states[d] lists the distinct states d steps from
+    the start, in order of discovery, and edges[d][i] one (label, index into
+    states[d + 1]) pair per child of states[d][i]. Every dynamic program over
+    words here folds these layers; no recursion bounds their depth.
+    """
+    states: List[List[State]] = [[start]]
+    edges: List[List[List[Tuple[object, int]]]] = []
+    for _ in range(depth):
+        index: Dict[State, int] = {}
+        rows = []
+        for state in states[-1]:
+            row = []
+            for label, child in step(state):
+                j = index.get(child)
+                if j is None:
+                    j = index[child] = len(index)
+                row.append((label, j))
+            rows.append(row)
+        edges.append(rows)
+        states.append(list(index))
+    return states, edges
+
+
+def extreme_tail(
+    successors: Sequence[Sequence[int]], f: LocallyConstantPotential, ctx: Word, steps: int,
+    want_max: bool,
+) -> float:
+    """Max (min) over the ``steps``-symbol continuations of ``ctx`` allowed by
+    ``successors`` of the sum of the potential windows those symbols complete.
+
+    ``ctx`` is the word so far, or its last max(k - 1, 1) symbols once that
+    long; an empty one may start with any symbol that has a successor.
+    Returns -inf when no continuation of that length exists.
+    """
+    k = f.depth
+    keep = max(k - 1, 1)
+
+    def step(c: Word):
+        symbols = successors[c[-1]] if c else [a for a, nxt in enumerate(successors) if nxt]
+        return [
+            ((f.value(w[-k:]) if len(w) >= k else 0.0), w[-keep:])
+            for w in [c + (b,) for b in symbols]
+        ]
+
+    states, edges = layers(ctx, step, steps)
+    pick = max if want_max else min
+    values = [0.0] * len(states[-1])
+    for rows in reversed(edges):
+        values = [pick([g + values[j] for g, j in row]) if row else NEG_INF for row in rows]
+    return values[0]
+
+
 # ---------------------------------------------------------------------------
 # metric bridges
 
@@ -304,35 +363,9 @@ def _extreme_birkhoff(
     need = n + k - 1
     if len(w) >= need:
         return birkhoff_sum(f, w[:need], n)
-    pick = max if want_max else min
-    memo: Dict[Tuple[Word, int], float] = {}
-
-    def walk(ctx: Word, remaining: int) -> float:
-        # ctx is the word so far while shorter than k-1 symbols, afterwards
-        # just its last k-1 symbols; each appended symbol completes a window
-        # exactly when it brings the running length up to k.
-        if remaining == 0:
-            return 0.0
-        key = (ctx, remaining)
-        if key in memo:
-            return memo[key]
-        succ = sft.successors[ctx[-1]] if ctx else range(sft.alphabet_size)
-        best = None
-        for b in succ:
-            nxt = ctx + (b,)
-            gain = f.value(nxt) if len(nxt) == k else 0.0
-            if len(nxt) >= k:
-                nxt = nxt[-(k - 1):] if k > 1 else ()
-            v = gain + walk(nxt, remaining - 1)
-            best = v if best is None else pick(best, v)
-        if best is None:
-            raise InadmissibleWord(f"no admissible extension from {ctx!r}")
-        memo[key] = best
-        return best
-
     base = birkhoff_sum(f, w, len(w) - k + 1) if len(w) >= k else 0.0
-    tail_ctx = w if len(w) < k - 1 else (w[-(k - 1):] if k > 1 else ())
-    return base + walk(tail_ctx, need - len(w))
+    ctx = w[-max(k - 1, 1):]
+    return base + extreme_tail(sft.successors, f, ctx, need - len(w), want_max)
 
 
 def sup_birkhoff_on_cylinder(

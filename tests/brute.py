@@ -132,6 +132,18 @@ def sup_birkhoff(
     return best
 
 
+def inf_birkhoff(
+    allowed: Sequence[Sequence[bool]],
+    table: Dict[Word, float],
+    depth: int,
+    w: Word,
+    n: int,
+) -> float:
+    """Min Birkhoff n-sum over all admissible extensions of w, brute force."""
+    negated = {v: -x for v, x in table.items()}
+    return -sup_birkhoff(allowed, negated, depth, w, n)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive cover search
 
@@ -144,14 +156,23 @@ def oracle_costs(
     s: float,
     d_min: int,
     d_max: int,
+    sigma: int = 0,
+    pick=sup_birkhoff,
 ) -> Dict[Word, float]:
-    """Depth-priced ball costs for every prefix of the given leaves."""
+    """Ball costs for every prefix of the given leaves.
+
+    A depth-d prefix is priced exp(-s * h + pick(f_h over its cylinder))
+    with horizon h = d - sigma: sigma = 0 prices balls at their full depth,
+    q - 1 prices strings over a depth-q partition, and ``inf_birkhoff``
+    gives the centered (infimum) pricing.
+    """
     cost = {}
     for leaf in leaves:
         for d in range(d_min, min(d_max, len(leaf)) + 1):
             w = leaf[:d]
             if w not in cost:
-                cost[w] = math.exp(-s * d + sup_birkhoff(allowed, table, depth, w, d))
+                h = d - sigma
+                cost[w] = math.exp(-s * h + pick(allowed, table, depth, w, h))
     return cost
 
 

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
+from pressurelab._engine import cover_min_log
 from pressurelab.bowen import enlargement_cylinder
+from pressurelab.capacity import log_partition_function
 from brute import (
     admissible_words,
     all_words,
     brute_min_cover,
+    inf_birkhoff,
     interval_min_cover,
     lp_weighted_cover,
     oracle_costs,
+    spectral_log_radius,
     sup_birkhoff,
+    transfer_weights,
 )
 
 FULL2 = pl.full_shift(2)
@@ -218,20 +223,30 @@ def test_weighted_cover_far_above_crossing_is_small():
     assert w < 1.0
 
 
-def _random_target(rng, host, L):
-    """A random target on host with its depth-L words, enumerated literally."""
+def _random_sub_sft(rng, host, L):
+    k = host.alphabet_size
+    rel = [[host.allowed[a][b] and rng.random() < 0.7 for b in range(k)] for a in range(k)]
+    for a in range(k):  # every symbol keeps a successor, so none is trimmed
+        if not any(rel[a]):
+            rel[a][int(rng.choice(np.flatnonzero(host.allowed[a])))] = True
+    return pl.sub_sft(tuple(tuple(row) for row in rel)), admissible_words(rel, L)
+
+
+def _random_target(rng, host, L, kinds=3):
+    """A random target on host with its depth-L words, enumerated literally.
+
+    Kinds 0-2 are whole, sub-SFT and frequency targets; ``kinds=4`` adds
+    unions of two sub-SFTs.
+    """
     words = admissible_words(host.allowed, L)
-    kind = int(rng.integers(0, 3))
+    kind = int(rng.integers(0, kinds))
     if kind == 0:
         return pl.whole(), words
     if kind == 1:
-        k = host.alphabet_size
-        rel = [[host.allowed[a][b] and rng.random() < 0.7 for b in range(k)] for a in range(k)]
-        for a in range(k):  # every symbol keeps a successor, so none is trimmed
-            if not any(rel[a]):
-                rel[a][int(rng.choice(np.flatnonzero(host.allowed[a])))] = True
-        spec = pl.sub_sft(tuple(tuple(row) for row in rel))
-        return spec, admissible_words(rel, L)
+        return _random_sub_sft(rng, host, L)
+    if kind == 3:
+        (a, words_a), (b, words_b) = _random_sub_sft(rng, host, L), _random_sub_sft(rng, host, L)
+        return pl.finite_union(a, b), sorted(set(words_a) | set(words_b))
     symbol = int(rng.integers(0, host.alphabet_size))
     # centered on a realized frequency, so the target is never empty
     target = words[int(rng.integers(0, len(words)))].count(symbol) / L
@@ -261,6 +276,67 @@ def test_weighted_cover_matches_dp_on_random_cases():
             lp = lp_weighted_cover(leaves, cost, N + m, L)
             assert abs(lp - w) <= 1e-9 * max(1.0, w)
             assert w == pytest.approx(interval_min_cover(leaves, cost, N + m, L), rel=1e-7)
+
+
+def test_string_and_centered_covers_match_oracle_on_random_cases():
+    # string covers (q = 2, 3) price a depth-d cylinder at horizon d - q + 1,
+    # so the engine subtracts trailing windows or extends the tail; centered
+    # covers price by the cylinder infimum. Both against the interval oracle.
+    rng = np.random.default_rng(47)
+    hosts = ((FULL2, 7), (GM, 8), (pl.full_shift(3), 5))
+    for _ in range(6):
+        for host, L in hosts:
+            depth = int(rng.integers(1, 4))
+            table = {
+                w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
+            }
+            f = pl.potential_from_table(host, depth, table)
+            spec, leaves = _random_target(rng, host, L, kinds=4)
+            s = float(rng.uniform(0.2, 1.0))
+
+            q = int(rng.integers(2, 4))
+            N = int(rng.integers(1, 3))
+            d_min = N + q - 1
+            got = pl.string_cover_value(host, spec, f, s, N, q, L)
+            cost = oracle_costs(host.allowed, table, depth, leaves, s, d_min, L, sigma=q - 1)
+            assert got == pytest.approx(interval_min_cover(leaves, cost, d_min, L), rel=1e-9)
+
+            d_min = int(rng.integers(1, 4))
+            got = math.exp(cover_min_log(host, spec, f, s, 0, d_min, L, centered=True))
+            cost = oracle_costs(host.allowed, table, depth, leaves, s, d_min, L, pick=inf_birkhoff)
+            assert got == pytest.approx(interval_min_cover(leaves, cost, d_min, L), rel=1e-9)
+
+
+def test_word_walks_run_at_depth_5000():
+    # every word walk folds iteratively built layers, so depth is bounded by
+    # time and memory, not by the interpreter's recursion limit
+    depth = 5000
+    table = {(0, 0): 0.3, (0, 1): -0.2, (1, 0): 0.1, (1, 1): 0.5}
+    f = pl.potential_from_table(FULL2, 2, table)
+    ce = pl.bowen_pressure(FULL2, pl.whole(), f, pl.Scale(1), 2, depth, tol=1e-4)
+    spectral = spectral_log_radius(transfer_weights(FULL2.allowed, table, 2))
+    assert abs(ce.midpoint - spectral) <= 1e-2
+
+    M = np.array([[table[(a, b)] for b in range(2)] for a in range(2)])
+    # log P_n at m = 1: a depth-n word fixes n - 1 windows and the last one
+    # is maximized over the next symbol (log-sum-exp transfer recurrence)
+    v = M.max(axis=1)
+    for _ in range(depth - 1):
+        v = np.logaddexp.reduce(M + v[None, :], axis=1)
+    got = log_partition_function(FULL2, pl.whole(), f, depth, pl.Scale(1))
+    assert got == pytest.approx(np.logaddexp.reduce(v), rel=1e-10)
+
+    # sup of f_n over [0]: max-plus recurrence over the n free symbols
+    v = np.zeros(2)
+    for _ in range(depth):
+        v = (M + v[None, :]).max(axis=1)
+    assert pl.sup_birkhoff_on_cylinder(FULL2, f, (0,), depth) == pytest.approx(v[0], rel=1e-12)
+
+    fixed_points = pl.finite_union(
+        pl.sub_sft(((True, False), (False, False))), pl.sub_sft(((False, False), (False, True)))
+    )
+    assert pl.count_target_words(FULL2, fixed_points, depth) == 2
+    assert pl.iter_target_words(FULL2, fixed_points, depth) == ((0,) * depth, (1,) * depth)
 
 
 def test_weighted_pressure_full_shift():

@@ -135,6 +135,11 @@ def test_sup_birkhoff_respects_forbidden_transitions():
     got = pl.sup_birkhoff_on_cylinder(GM, f, (1,), 2)
     assert got == sup_birkhoff(GM.allowed, table, 1, (1,), 2)
     assert got == 1.0
+    # the tail after a depth-1 word still follows the transition relation:
+    # 1 -> 0 -> 1 is the best admissible run, not 1 -> 1 -> 1
+    g = pl.potential_from_table(GM, 1, {(0,): 0.0, (1,): 1.0})
+    assert pl.sup_birkhoff_on_cylinder(GM, g, (1,), 3) == 2.0
+    assert pl.inf_birkhoff_on_cylinder(GM, f, (1,), 3) == 1.0
 
 
 def test_sup_and_inf_birkhoff_bracket_random_cases():
