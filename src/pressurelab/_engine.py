@@ -11,11 +11,24 @@ observation that a subtree's value depends on the word only through
 
 once the common factor exp(S) is pulled out, where S is the sum of the
 potential windows completed inside the word so far. ``symbolic.layers``
-builds the distinct (z, u) of every depth once, and each value is a fold
-from the deepest layer to the root, so the whole computation costs
-O(L * |states| * A) instead of O(A^L) and needs no recursion. Everything runs
-in log space so horizons of thousands of symbols neither overflow nor
+builds the distinct (z, u) of every depth once, without recursion, so the
+whole computation costs O(L * |states| * A) instead of O(A^L). Everything
+runs in log space so horizons of thousands of symbols neither overflow nor
 underflow.
+
+Each depth's arcs are stored as two numpy arrays of shape (max arity,
+states): the child index into the next layer and the window gain. A state
+with fewer children pads its column with gain -inf (child 0), which adds
+nothing to any log-sum-exp. One fold runs over these arrays in two
+directions:
+
+- Backward, for the minimal cover value. Values carry a trailing axis of K
+  exponents. Each layer gathers its children's values, log-sum-exps them
+  over the arity axis and takes the elementwise minimum with its ball
+  prices, so one pass from the leaves to the root prices K exponents.
+- Forward, for the partition functions. Each layer scatters its log prefix
+  sums, plus the arc gains, into its children, so one pass from the root
+  yields the leaf sum of every depth of a capacity window.
 
 Conventions used throughout:
 
@@ -34,7 +47,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .subsets import SubsetSpec, build_tracker, target_steps
 from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word, extreme_tail, layers
@@ -42,20 +57,23 @@ from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word, extreme
 Relation = Tuple[Tuple[bool, ...], ...]
 
 
-def _logsumexp(values: List[float]) -> float:
-    top = max(values)
-    if top == NEG_INF:
-        return NEG_INF
-    return top + math.log(sum(math.exp(v - top) for v in values))
+def _pack_arcs(rows: List[List[Tuple[float, int]]]) -> Tuple[np.ndarray, np.ndarray]:
+    """One layer's (gain, child) rows as padded (arity, states) arrays of
+    child indices and gains; absent arcs get child 0 and gain -inf."""
+    width = max(map(len, rows), default=0)
+    pad = [(NEG_INF, 0)] * width
+    arcs = np.array([row + pad[len(row):] for row in rows]).reshape(len(rows), width, 2).T
+    return np.ascontiguousarray(arcs[1], dtype=np.intp), np.ascontiguousarray(arcs[0])
 
 
 class _TreeProgram:
     """The tracked word tree to ``depth``, merged on (tracker state, last r symbols).
 
-    ``states[d]`` lists the distinct (z, u) of depth d and ``arcs[d][i]``
-    holds one (window gain, child index) pair per child of ``states[d][i]``,
-    in symbol order; the gain is the potential window the child's symbol
-    completes, if any (as r >= k - 1, u holds that window's other symbols).
+    ``states[d]`` lists the distinct (z, u) of depth d. Column i of
+    ``kids[d]`` and ``gains[d]`` holds one (child index, window gain) pair
+    per child of ``states[d][i]``, in symbol order; the gain is the
+    potential window the child's symbol completes, if any (as r >= k - 1, u
+    holds that window's other symbols).
     """
 
     def __init__(
@@ -84,8 +102,14 @@ class _TreeProgram:
                 for w, z2 in [(u + (b,), z2) for b, z2 in children]
             ]
 
-        self.states, self.arcs = layers((tracker.initial(), ()), step, depth)
+        self.states, arcs = layers((tracker.initial(), ()), step, depth, _pack_arcs)
+        self.kids = [kids for kids, _ in arcs]
+        self.gains = [gains for _, gains in arcs]
         self._tails: Dict[Tuple[Tuple[Tuple[int, ...], ...], Word, int], float] = {}
+
+    def accepted(self, d: int) -> np.ndarray:
+        """Mask of the depth-``d`` states the tracker accepts at depth d."""
+        return np.array([self.tracker.accepts(z, d) for z, _ in self.states[d]], dtype=bool)
 
     def term_adjust(self, d: int, u: Word, rels: Sequence[Relation]) -> float:
         """Correction turning the in-word window sum into extreme f_(d - sigma).
@@ -98,8 +122,9 @@ class _TreeProgram:
         h = d - self.sigma
         if h < 1:
             raise ValueError(f"depth {d} gives nonpositive horizon with sigma {self.sigma}")
-        in_word = max(0, d - k + 1)
-        steps = h - in_word
+        # f_h reads the first h + k - 1 symbols; a shorter word is extended by
+        # the missing ones, a longer one determines windows beyond the horizon
+        steps = h + k - 1 - d
         if steps > 0:
             ctx = u[-max(k - 1, 1):]
             vals = []
@@ -119,44 +144,44 @@ class _TreeProgram:
             return -total
         return 0.0
 
-    def fold(self, depth: int, values: List[float], clamp=None) -> float:
-        """Log-sum-exp layer ``depth``'s values up to the root; ``clamp(d,
-        values)``, if given, may lower each layer's values once summed."""
-        for d in range(depth - 1, -1, -1):
-            values = [
-                _logsumexp([g + values[j] for g, j in row]) if row else NEG_INF
-                for row in self.arcs[d]
-            ]
-            if clamp is not None:
-                values = clamp(d, values)
-        return values[0]
+    def fold_forward(self) -> List[np.ndarray]:
+        """Per layer, the log of the summed exp(window gains) over the paths
+        from the root to each state."""
+        prefix = [np.zeros(1)]
+        for d in range(len(self.kids)):
+            nxt = np.full(len(self.states[d + 1]), NEG_INF)
+            np.logaddexp.at(nxt, self.kids[d].ravel(), (self.gains[d] + prefix[-1]).ravel())
+            prefix.append(nxt)
+        return prefix
 
 
-def leaf_sum_program(
+def leaf_sum_logs(
     sft: Subshift,
     spec: SubsetSpec,
     f: LocallyConstantPotential,
     sigma: int,
-    depth: int,
+    depths: Sequence[int],
     want_max: bool = True,
-) -> Callable[[int], float]:
-    """The map d -> ``leaf_sum_log(sft, spec, f, sigma, d, want_max)`` for
-    sigma < d <= ``depth``: the tree is built once, each call folds it."""
-    if depth < 1:
+) -> List[float]:
+    """``leaf_sum_log(sft, spec, f, sigma, d, want_max)`` for each d in the
+    increasing ``depths``, all read from one forward pass over one tree."""
+    if depths[0] < 1:
         raise ValueError("depth must be at least 1")
-    if depth - sigma < 1:
+    if depths[0] - sigma < 1:
         raise ValueError("depth must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, want_max, depth)
+    prog = _TreeProgram(sft, spec, f, sigma, want_max, depths[-1])
+    prefix = prog.fold_forward()
     tracker = prog.tracker
-
-    def log_sum(d: int) -> float:
-        return prog.fold(d, [
+    out = []
+    for d in depths:
+        keep = prog.accepted(d)
+        adjust = [
             prog.term_adjust(d, u, tracker.extension_relations(z))
-            if tracker.accepts(z, d) else NEG_INF
-            for z, u in prog.states[d]
-        ])
-
-    return log_sum
+            for (z, u), ok in zip(prog.states[d], keep) if ok
+        ]
+        terms = prefix[d][keep] + np.array(adjust)
+        out.append(float(np.logaddexp.reduce(terms)) if terms.size else NEG_INF)
+    return out
 
 
 def leaf_sum_log(
@@ -174,59 +199,71 @@ def leaf_sum_log(
     value is the supremum of f_h over the points of the target in each
     cylinder. Returns -inf when no word is accepted.
     """
-    return leaf_sum_program(sft, spec, f, sigma, depth, want_max)(depth)
+    return leaf_sum_logs(sft, spec, f, sigma, (depth,), want_max)[0]
 
 
-def cover_program(
-    sft: Subshift,
-    spec: SubsetSpec,
-    f: LocallyConstantPotential,
-    sigma: int,
-    d_min: int,
-    d_max: int,
-    centered: bool = False,
-) -> Callable[[float], float]:
-    """The map s -> log of the minimal cover value over the cylinder tree.
+class CoverProgram:
+    """The map from exponents (s_1, ..., s_K) to the K log minimal cover
+    values over the cylinder tree.
 
     A cover may place a ball at any node of depth d in [d_min, d_max]; the
     ball costs exp(-s * (d - sigma) + F) with F the supremum (infimum when
     ``centered``) of f_(d - sigma) over the node's full cylinder, and it
     covers every accepted leaf at depth d_max below the node. Leaves that the
     tracker rejects need no covering. The value is -inf when nothing is
-    accepted (the empty cover costs zero); callers that consider that an
-    error should check emptiness beforehand.
+    accepted (the empty cover costs zero); ``empty`` tells callers that
+    consider that an error.
 
-    The tree and every ball's F are computed here, once; each call of the
-    returned map is one fold over the layers.
+    The tree and every ball's F are computed once, at construction; each
+    call is one backward fold over the layers for all its exponents.
     """
-    if d_min < 1 or d_min > d_max:
-        raise ValueError("need 1 <= d_min <= d_max")
-    if d_min - sigma < 1:
-        raise ValueError("d_min must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, not centered, d_max)
-    host_rels = (sft.allowed,)
-    ball = {
-        d: [prog.term_adjust(d, u, host_rels) for _, u in prog.states[d]]
-        for d in range(d_min, d_max + 1)
-    }
-    # an accepted leaf must take its ball, a rejected one needs none
-    leaves = [
-        math.inf if prog.tracker.accepts(z, d_max) else NEG_INF
-        for z, _ in prog.states[d_max]
-    ]
 
-    def log_value(s: float) -> float:
-        def cover_by_ball(d: int, values: List[float]) -> List[float]:
-            if d < d_min:
-                return values
-            price = -s * (d - sigma)
-            # exact ties resolve toward the shallower ball; the value is the
-            # same either way, this just pins down which cover the DP means
-            return [min(price + F, v) for v, F in zip(values, ball[d])]
+    def __init__(
+        self,
+        sft: Subshift,
+        spec: SubsetSpec,
+        f: LocallyConstantPotential,
+        sigma: int,
+        d_min: int,
+        d_max: int,
+        centered: bool = False,
+    ):
+        if d_min < 1 or d_min > d_max:
+            raise ValueError("need 1 <= d_min <= d_max")
+        if d_min - sigma < 1:
+            raise ValueError("d_min must exceed sigma")
+        self._tree = tree = _TreeProgram(sft, spec, f, sigma, not centered, d_max)
+        self._sigma, self._d_min = sigma, d_min
+        host_rels = (sft.allowed,)
+        self._ball = {
+            d: np.array([tree.term_adjust(d, u, host_rels) for _, u in tree.states[d]])[:, None]
+            for d in range(d_min, d_max + 1)
+        }
+        # an accepted leaf must take its ball, a rejected one needs none
+        accepted = tree.accepted(d_max)
+        self.empty = not accepted.any()
+        self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
 
-        return prog.fold(d_max, cover_by_ball(d_max, leaves), cover_by_ball)
+    def __call__(self, exponents: Sequence[float]) -> np.ndarray:
+        neg_s = -np.asarray(exponents, dtype=float)
+        kids, gains = self._tree.kids, self._tree.gains
+        values = self._leaves
+        for d in range(len(kids), -1, -1):
+            if d < len(kids):
+                if len(kids[d]):
+                    values = np.logaddexp.reduce(gains[d][:, :, None] + values[kids[d]], axis=0)
+                else:  # no state of this layer has a child
+                    values = np.full((kids[d].shape[1], len(neg_s)), NEG_INF)
+            if d >= self._d_min:
+                # a node takes its ball where that is cheaper than covering its
+                # children; exact ties resolve toward the shallower ball, which
+                # pins down which cover the DP means
+                values = np.minimum(neg_s * (d - self._sigma) + self._ball[d], values)
+        return values[0]
 
-    return log_value
+    def at(self, s: float) -> float:
+        """The log minimal cover value at the one exponent s."""
+        return float(self([s])[0])
 
 
 def cover_min_log(
@@ -239,5 +276,5 @@ def cover_min_log(
     d_max: int,
     centered: bool = False,
 ) -> float:
-    """log of the minimal cover value at one exponent (see ``cover_program``)."""
-    return cover_program(sft, spec, f, sigma, d_min, d_max, centered)(s)
+    """log of the minimal cover value at one exponent (see ``CoverProgram``)."""
+    return CoverProgram(sft, spec, f, sigma, d_min, d_max, centered).at(s)

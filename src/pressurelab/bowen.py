@@ -30,9 +30,9 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._engine import cover_min_log, cover_program
+from ._engine import CoverProgram
 from .errors import DepthTooShallow, EmptyTarget, ScaleTooCoarse
-from .subsets import SubsetSpec, count_target_words, validate_spec
+from .subsets import SubsetSpec, validate_spec
 from .symbolic import (
     LocallyConstantPotential,
     Scale,
@@ -164,9 +164,20 @@ def _check_window(N: int, scale: Scale, L: int) -> int:
     return d_min
 
 
-def _require_nonempty(sft: Subshift, Z: SubsetSpec, L: int) -> None:
-    if count_target_words(sft, Z, L) == 0:
+def _nonempty_program(
+    sft: Subshift,
+    Z: SubsetSpec,
+    f: LocallyConstantPotential,
+    sigma: int,
+    d_min: int,
+    L: int,
+    centered: bool = False,
+) -> CoverProgram:
+    """The cover program to depth L; EmptyTarget when no depth-L leaf is accepted."""
+    program = CoverProgram(sft, Z, f, sigma, d_min, L, centered)
+    if program.empty:
         raise EmptyTarget(f"target has no admissible words at depth {L}")
+    return program
 
 
 def _value_from_log(value: float) -> float:
@@ -196,8 +207,7 @@ def min_cover_value(
     """
     validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
-    _require_nonempty(sft, Z, L)
-    return _value_from_log(cover_min_log(sft, Z, f, s, sigma=0, d_min=d_min, d_max=L))
+    return _value_from_log(_nonempty_program(sft, Z, f, 0, d_min, L).at(s))
 
 
 def bowen_pressure(
@@ -212,9 +222,8 @@ def bowen_pressure(
     """Critical exponent of min_cover_value against threshold 1."""
     validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
-    _require_nonempty(sft, Z, L)
-    logv = cover_program(sft, Z, f, sigma=0, d_min=d_min, d_max=L)
-    return _bisect_critical(logv, tol, depth=L, N=N, scale=scale, method="bowen")
+    program = _nonempty_program(sft, Z, f, 0, d_min, L)
+    return _bisect_critical(program, tol, depth=L, N=N, scale=scale, method="bowen")
 
 
 def weighted_cover_value(
@@ -276,8 +285,7 @@ def string_cover_value(
     d_min = N + q - 1
     if L < d_min:
         raise DepthTooShallow(f"depth L={L} is below minimum string depth {d_min}")
-    _require_nonempty(sft, Z, L)
-    return _value_from_log(cover_min_log(sft, Z, f, s, sigma=q - 1, d_min=d_min, d_max=L))
+    return _value_from_log(_nonempty_program(sft, Z, f, q - 1, d_min, L).at(s))
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +369,8 @@ def check_chain(
     coarse = scale.coarsen(3)
     d_min_fine = _check_window(N, scale, L)
     d_min_coarse = N + coarse.m
-    _require_nonempty(sft, K, L)
 
-    centered_log = cover_min_log(
-        sft, K, f, s + delta, sigma=0, d_min=d_min_coarse, d_max=L, centered=True
-    )
+    centered_log = _nonempty_program(sft, K, f, 0, d_min_coarse, L, centered=True).at(s + delta)
     unweighted = min_cover_value(sft, K, f, s, N, scale, L)
     # the weighted (fractional) optimum equals the minimal cover value: the
     # covering matrix is an interval matrix, hence totally unimodular
@@ -405,9 +410,37 @@ def check_chain(
 # ---------------------------------------------------------------------------
 # bisection driver
 
+#: Bisection levels one batched evaluation looks ahead: 2**J - 1 midpoints.
+_LEVELS_PER_PASS = 4
+
+
+def _expansion(s: float, step: float, sign: float) -> List[float]:
+    """The next bracket-expansion probes from s, doubling the step each time."""
+    points = []
+    for _ in range(_LEVELS_PER_PASS):
+        s += sign * step
+        points.append(s)
+        step *= 2.0
+    return points
+
+
+def _midpoints(lo: float, hi: float, tol: float) -> List[float]:
+    """Every midpoint the next levels of bisecting [lo, hi] down to tol can probe."""
+    points: List[float] = []
+    brackets = [(lo, hi)]
+    for _ in range(_LEVELS_PER_PASS):
+        deeper = []
+        for a, b in brackets:
+            if b - a > tol:
+                mid = 0.5 * (a + b)
+                points.append(mid)
+                deeper += [(a, mid), (mid, b)]
+        brackets = deeper
+    return points
+
 
 def _bisect_critical(
-    log_value: Callable[[float], float],
+    log_values: Callable[[Sequence[float]], Sequence[float]],
     tol: float,
     depth: int,
     N: int,
@@ -415,28 +448,38 @@ def _bisect_critical(
     method: str,
     s_seed: float = 0.0,
 ) -> CriticalExponent:
-    """Bracket and bisect the s where log_value crosses 0 (value crosses 1).
+    """Bracket and bisect the s where the log value crosses 0 (value crosses 1).
 
-    log_value must be nonincreasing in s, which every cover value is (each
-    term decays in s). The bracket is expanded geometrically first, so no
-    prior estimate of the pressure is needed.
+    ``log_values`` maps a batch of exponents to their log values and must be
+    nonincreasing in s, which every cover value is (each term decays in s).
+    The bracket is expanded geometrically first, so no prior estimate of the
+    pressure is needed. The walk is the sequential one, probe by probe; a
+    probe whose value is not known yet evaluates, in one batch, every point
+    the walk can reach in the next few steps (the same floats, generated by
+    the same recursion), and ``history`` holds the walked probes only.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     history: List[Tuple[float, float]] = []
+    known: Dict[float, float] = {}
 
-    def probe(s: float) -> float:
-        v = log_value(s)
+    def probe(s: float, batch: Callable[[], List[float]]) -> float:
+        if s not in known:
+            points = batch()
+            known.update(zip(points, map(float, log_values(points))))
+        v = known[s]
         history.append((s, math.exp(v) if v < 700 else math.inf))
         return v
 
     lo = hi = s_seed
-    v = probe(s_seed)
+    v = probe(
+        s_seed, lambda: [s_seed] + _expansion(s_seed, 1.0, 1.0) + _expansion(s_seed, 1.0, -1.0)
+    )
     step = 1.0
     if v >= 0.0:
         while True:
             hi = lo + step
-            v_hi = probe(hi)
+            v_hi = probe(hi, lambda: _expansion(lo, step, 1.0))
             if v_hi < 0.0:
                 v_lo = v
                 break
@@ -447,7 +490,7 @@ def _bisect_critical(
     else:
         while True:
             lo = hi - step
-            v_lo = probe(lo)
+            v_lo = probe(lo, lambda: _expansion(hi, step, -1.0))
             if v_lo >= 0.0:
                 v_hi = v
                 break
@@ -458,7 +501,7 @@ def _bisect_critical(
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v_mid = probe(mid)
+        v_mid = probe(mid, lambda: _midpoints(lo, hi, tol))
         if v_mid >= 0.0:
             lo, v_lo = mid, v_mid
         else:

@@ -11,13 +11,12 @@ as a diagnostic; neither is claimed to converge beyond the window.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._engine import NEG_INF, leaf_sum_log, leaf_sum_program
+from ._engine import NEG_INF, leaf_sum_log, leaf_sum_logs
 from .errors import EmptyTarget, ScaleTooCoarse
 from .subsets import SubsetSpec, validate_spec
 from .symbolic import LocallyConstantPotential, Scale, Subshift, separated_word_length
@@ -79,25 +78,17 @@ def capacity_pressure(
     f: LocallyConstantPotential,
     scale: Scale,
     n_range: Sequence[int] | Tuple[int, int],
-    threads: int = 1,
 ) -> CapacityEstimate:
     """Fit the exponential growth rate of P_n over a window of horizons.
 
     ``n_range`` is either (n_lo, n_hi) (inclusive) or an explicit increasing
-    sequence with at least 4 entries. Distinct horizons are independent, so
-    they may be evaluated by a thread pool; aggregation is by ascending n
-    regardless of completion order, keeping the result deterministic.
+    sequence with at least 4 entries. One forward pass over one tree yields
+    P_n for every horizon of the window.
     """
     ns = _normalize_range(n_range)
     validate_spec(Z, sft)
     depths = [separated_word_length(n, scale) for n in ns]
-    # one tree for the whole window; P_n folds it from depth n + m - 1
-    log_sum = leaf_sum_program(sft, Z, f, sigma=scale.m - 1, depth=depths[-1])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            logs = list(pool.map(log_sum, depths))
-    else:
-        logs = [log_sum(d) for d in depths]
+    logs = leaf_sum_logs(sft, Z, f, sigma=scale.m - 1, depths=depths)
 
     pairs = [(n, v) for n, v in zip(ns, logs) if v != NEG_INF]
     empty = tuple(n for n, v in zip(ns, logs) if v == NEG_INF)

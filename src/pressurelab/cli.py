@@ -95,10 +95,7 @@ def _cmd_capacity(cfg: ExperimentConfig):
     results: Dict[str, object] = {}
     trace = None
     for scale in cfg.scales:
-        est = capacity_pressure(
-            cfg.system, cfg.subset, cfg.potential, scale, cfg.n_range,
-            threads=cfg.threads,
-        )
+        est = capacity_pressure(cfg.system, cfg.subset, cfg.potential, scale, cfg.n_range)
         results[_scale_key(scale)] = est
         if trace is None:
             filled = dict(est.p_n)

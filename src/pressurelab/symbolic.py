@@ -242,17 +242,25 @@ def enumerate_words(
     return tuple(out)
 
 
-def layers(start: State, step: Callable[[State], Iterable[Tuple[object, State]]], depth: int):
+def layers(
+    start: State,
+    step: Callable[[State], Iterable[Tuple[object, State]]],
+    depth: int,
+    pack: Callable[[List[List[Tuple[object, int]]]], object] = lambda rows: rows,
+):
     """The tree that ``step`` unfolds from ``start``, merged by state per depth.
 
     ``step(state)`` lists one (label, child state) pair per child, in order.
     Returns (states, edges): states[d] lists the distinct states d steps from
-    the start, in order of discovery, and edges[d][i] one (label, index into
-    states[d + 1]) pair per child of states[d][i]. Every dynamic program over
-    words here folds these layers; no recursion bounds their depth.
+    the start, in order of discovery, and edges[d] is ``pack(rows)``, where
+    rows[i] holds one (label, index into states[d + 1]) pair per child of
+    states[d][i]. ``pack`` keeps the rows by default; a caller that packs
+    them into arrays never holds more than one layer of rows at once. Every
+    dynamic program over words here folds these layers; no recursion bounds
+    their depth.
     """
     states: List[List[State]] = [[start]]
-    edges: List[List[List[Tuple[object, int]]]] = []
+    edges: List[object] = []
     for _ in range(depth):
         index: Dict[State, int] = {}
         rows = []
@@ -264,7 +272,7 @@ def layers(start: State, step: Callable[[State], Iterable[Tuple[object, State]]]
                     j = index[child] = len(index)
                 row.append((label, j))
             rows.append(row)
-        edges.append(rows)
+        edges.append(pack(rows))
         states.append(list(index))
     return states, edges
 

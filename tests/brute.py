@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 Word = Tuple[int, ...]
+Relation = Tuple[Tuple[bool, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,17 @@ def max_separated_set_size(
     return best
 
 
+def random_sub_relation(rng: np.random.Generator, allowed: Sequence[Sequence[bool]]) -> Relation:
+    """A random sub-relation of ``allowed`` (each arc kept with probability
+    0.7) in which every symbol keeps a successor, so none is trimmed."""
+    k = len(allowed)
+    rel = [[allowed[a][b] and rng.random() < 0.7 for b in range(k)] for a in range(k)]
+    for a in range(k):
+        if not any(rel[a]):
+            rel[a][int(rng.choice(np.flatnonzero(allowed[a])))] = True
+    return tuple(tuple(row) for row in rel)
+
+
 # ---------------------------------------------------------------------------
 # potentials and Birkhoff sums by literal evaluation
 
@@ -142,6 +154,27 @@ def inf_birkhoff(
     """Min Birkhoff n-sum over all admissible extensions of w, brute force."""
     negated = {v: -x for v, x in table.items()}
     return -sup_birkhoff(allowed, negated, depth, w, n)
+
+
+def partition_function(
+    words: Sequence[Word],
+    tails: Callable[[Word], Sequence[Relation]],
+    table: Dict[Word, float],
+    depth: int,
+    n: int,
+) -> float:
+    """P_n by literal evaluation: the sum over the words of exp(sup f_n).
+
+    ``tails(w)`` lists the relations w's continuations may follow (none when
+    w is outside the target); the supremum runs over every admissible
+    continuation in any of them.
+    """
+    total = 0.0
+    for w in words:
+        rels = tails(w)
+        if rels:
+            total += math.exp(max(sup_birkhoff(rel, table, depth, w, n) for rel in rels))
+    return total
 
 
 # ---------------------------------------------------------------------------

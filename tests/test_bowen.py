@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab._engine import cover_min_log
-from pressurelab.bowen import enlargement_cylinder
+from pressurelab._engine import CoverProgram, cover_min_log
+from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
+from pressurelab.subsets import count_target_words
 from brute import (
     admissible_words,
     all_words,
@@ -16,6 +17,7 @@ from brute import (
     interval_min_cover,
     lp_weighted_cover,
     oracle_costs,
+    random_sub_relation,
     spectral_log_radius,
     sup_birkhoff,
     transfer_weights,
@@ -224,12 +226,8 @@ def test_weighted_cover_far_above_crossing_is_small():
 
 
 def _random_sub_sft(rng, host, L):
-    k = host.alphabet_size
-    rel = [[host.allowed[a][b] and rng.random() < 0.7 for b in range(k)] for a in range(k)]
-    for a in range(k):  # every symbol keeps a successor, so none is trimmed
-        if not any(rel[a]):
-            rel[a][int(rng.choice(np.flatnonzero(host.allowed[a])))] = True
-    return pl.sub_sft(tuple(tuple(row) for row in rel)), admissible_words(rel, L)
+    rel = random_sub_relation(rng, host.allowed)
+    return pl.sub_sft(rel), admissible_words(rel, L)
 
 
 def _random_target(rng, host, L, kinds=3):
@@ -337,6 +335,161 @@ def test_word_walks_run_at_depth_5000():
     )
     assert pl.count_target_words(FULL2, fixed_points, depth) == 2
     assert pl.iter_target_words(FULL2, fixed_points, depth) == ((0,) * depth, (1,) * depth)
+
+
+def _sequential_bisection(log_value, tol, s_seed=0.0):
+    """Reference walk: expand, then bisect, one exponent per evaluation."""
+    walk = []
+
+    def probe(s):
+        v = log_value(s)
+        walk.append((s, v))
+        return v
+
+    lo = hi = s_seed
+    step = 1.0
+    if probe(s_seed) >= 0.0:
+        while True:
+            hi = lo + step
+            if probe(hi) < 0.0:
+                break
+            lo = hi
+            step *= 2.0
+            if step > 2 ** 40:
+                raise RuntimeError("no upper bracket")
+    else:
+        while True:
+            lo = hi - step
+            if probe(lo) >= 0.0:
+                break
+            hi = lo
+            step *= 2.0
+            if step > 2 ** 40:
+                raise RuntimeError("no lower bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, walk
+
+
+def _assert_batched_bisection_replays(log_value, tol, s_seed=0.0):
+    """The batched bisection walks exactly the reference's probes, in fewer
+    evaluations, and returns its bracket; returns the number of batches."""
+    batches = []
+
+    def log_values(points):
+        batches.append(len(points))
+        return [log_value(s) for s in points]
+
+    lo, hi, walk = _sequential_bisection(log_value, tol, s_seed)
+    ce = _bisect_critical(log_values, tol, 1, 1, pl.Scale(1), "bowen", s_seed=s_seed)
+    assert (ce.s_low, ce.s_high) == (lo, hi)
+    assert [s for s, _ in ce.history] == [s for s, _ in walk]
+    for (_, got), (_, v) in zip(ce.history, walk):
+        assert got == pytest.approx(math.exp(v) if v < 700 else math.inf, rel=1e-12)
+    return len(batches)
+
+
+def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
+    cases = [
+        (lambda s: 0.61 - s, 1e-4, 0.0),  # one upward expansion
+        (lambda s: 37.2 - s, 1e-4, 0.0),  # upward expansion beyond one batch
+        (lambda s: -20.7 - s, 1e-4, 0.0),  # downward expansion
+        (lambda s: 0.625 - s, 1e-4, 0.0),  # a probe lands exactly on the crossing
+        (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3, 0.0),  # a jump, not a crossing
+        (lambda s: 2.5 - 3.0 * s, 1e-7, 0.37),  # another seed, a finer tolerance
+        (lambda s: math.log(2) - s ** 3, 1e-5, -4.0),
+        (lambda s: 700.5 - 1000.0 * s, 1e-6, 0.0),  # values past exp's range
+    ]
+    for log_value, tol, s_seed in cases:
+        batches = _assert_batched_bisection_replays(log_value, tol, s_seed)
+        probes = len(_sequential_bisection(log_value, tol, s_seed)[2])
+        assert batches <= 1 + probes // 3
+    for log_value, side in ((lambda s: 1.0, "upper"), (lambda s: -1.0, "lower")):
+        with pytest.raises(RuntimeError, match=f"no {side} bracket"):
+            _sequential_bisection(log_value, 1e-4)
+        with pytest.raises(RuntimeError, match=f"no {side} bracket"):
+            _bisect_critical(
+                lambda ss: [log_value(s) for s in ss], 1e-4, 1, 1, pl.Scale(1), "bowen"
+            )
+
+
+def test_batched_bisection_replays_sequential_walk_on_cover_programs():
+    rng = np.random.default_rng(59)
+    kinds = set()
+    for host, L in ((FULL2, 9), (GM, 10), (pl.full_shift(3), 6)):
+        for _ in range(4):
+            depth = int(rng.integers(1, 3))
+            table = {
+                w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
+            }
+            f = pl.potential_from_table(host, depth, table)
+            spec, _ = _random_target(rng, host, L, kinds=4)
+            program = CoverProgram(host, spec, f, 0, 3, L)
+            if program.empty:
+                continue
+            kinds.add(spec.kind)
+            _assert_batched_bisection_replays(program.at, 1e-6)
+            ce = pl.bowen_pressure(host, spec, f, pl.Scale(1), 2, L, tol=1e-6)
+            lo, hi, _ = _sequential_bisection(program.at, 1e-6)
+            assert (ce.s_low, ce.s_high) == (lo, hi)
+    assert kinds == {"whole", "sub_sft", "frequency_level", "finite_union"}
+
+
+def test_cover_min_log_matches_batched_columns():
+    rng = np.random.default_rng(53)
+    for host, L in ((FULL2, 8), (GM, 9), (pl.full_shift(3), 5)):
+        for _ in range(4):
+            depth = int(rng.integers(1, 4))
+            table = {
+                w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
+            }
+            f = pl.potential_from_table(host, depth, table)
+            spec, _ = _random_target(rng, host, L, kinds=4)
+            sigma = int(rng.integers(0, 3))
+            d_min = sigma + int(rng.integers(1, 3))
+            centered = bool(rng.integers(0, 2))
+            exponents = rng.uniform(-1.0, 2.0, size=9).tolist()
+            batch = CoverProgram(host, spec, f, sigma, d_min, L, centered)(exponents)
+            assert batch.shape == (9,)
+            for s, v in zip(exponents, batch):
+                one = cover_min_log(host, spec, f, s, sigma, d_min, L, centered)
+                assert one == pytest.approx(float(v), rel=1e-12)
+
+
+def test_ball_price_extends_words_shorter_than_the_potential():
+    # a depth-1 ball under a depth-3 potential fixes no window: its price
+    # maximizes f_1 over both missing symbols of the first window
+    f3 = pl.full_shift(3)
+    rng = np.random.default_rng(61)
+    table = {w: float(rng.uniform(-1, 1)) for w in all_words(3, 3)}
+    f = pl.potential_from_table(f3, 3, table)
+    for s in (0.0, 0.7):
+        want = sum(math.exp(-s + sup_birkhoff(f3.allowed, table, 3, (a,), 1)) for a in range(3))
+        got = math.exp(cover_min_log(f3, pl.whole(), f, s, 0, 1, 1))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_empty_target_is_read_from_the_cover_program():
+    # no depth-8 word has a symbol-0 frequency within 0.01 of 0.9
+    empty = pl.frequency_level(0, 0.9, 0.01)
+    assert count_target_words(FULL2, empty, 8) == 0
+    message = "target has no admissible words at depth 8"
+    m4 = pl.Scale(4)
+    for call in (
+        lambda: pl.bowen_pressure(FULL2, empty, F0, pl.Scale(1), 2, 8),
+        lambda: pl.weighted_pressure(FULL2, empty, F0, pl.Scale(1), 2, 8),
+        lambda: pl.min_cover_value(FULL2, empty, F0, 0.5, 2, pl.Scale(1), 8),
+        lambda: pl.string_cover_value(FULL2, empty, F0, 0.5, 2, 2, 8),
+        lambda: pl.check_chain(FULL2, empty, F0, 0.5, 0.5, 2, m4, 8),
+    ):
+        with pytest.raises(pl.EmptyTarget, match=message):
+            call()
+    # depth 10 holds words with nine 0s, so the same target is not empty there
+    assert pl.min_cover_value(FULL2, empty, F0, 0.5, 2, pl.Scale(1), 10) > 0
 
 
 def test_weighted_pressure_full_shift():

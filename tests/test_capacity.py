@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from brute import admissible_words, sup_birkhoff
+from brute import admissible_words, partition_function, random_sub_relation, sup_birkhoff
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -108,8 +108,56 @@ def test_capacity_estimate_reports_window_values():
         assert v == pytest.approx(n * math.log(2), rel=1e-12)
 
 
-def test_capacity_threads_do_not_change_results():
-    est1 = pl.capacity_pressure(GM, pl.whole(), pl.zero_potential(GM), pl.Scale(1), (4, 20), threads=1)
-    est4 = pl.capacity_pressure(GM, pl.whole(), pl.zero_potential(GM), pl.Scale(1), (4, 20), threads=4)
-    assert est1.p_n == est4.p_n
-    assert est1.slope == est4.slope
+def _admissible(w, rel):
+    return all(rel[a][b] for a, b in zip(w, w[1:]))
+
+
+def _window_target(rng, host, kind):
+    """A target of the given kind (whole, sub-SFT, frequency, union) and the
+    relations each word's continuations may follow inside it."""
+    if kind == 0:
+        return pl.whole(), lambda w: [host.allowed]
+    if kind == 1:
+        rel = random_sub_relation(rng, host.allowed)
+        return pl.sub_sft(rel), lambda w: [rel] if _admissible(w, rel) else []
+    if kind == 2:
+        symbol = int(rng.integers(0, host.alphabet_size))
+        target, window = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.1, 0.3))
+        spec = pl.frequency_level(symbol, target, window)
+        return spec, lambda w: (
+            [host.allowed] if abs(w.count(symbol) - target * len(w)) <= window * len(w) else []
+        )
+    a, b = random_sub_relation(rng, host.allowed), random_sub_relation(rng, host.allowed)
+    spec = pl.finite_union(pl.sub_sft(a), pl.sub_sft(b))
+    return spec, lambda w: [rel for rel in (a, b) if _admissible(w, rel)]
+
+
+def test_capacity_window_matches_brute_partition_functions():
+    # one forward pass yields every P_n of the window; each must match the
+    # literal sum over the target's separated representatives
+    rng = np.random.default_rng(23)
+    for host, n_hi in ((FULL2, 6), (GM, 7), (pl.full_shift(3), 5)):
+        ns = range(1, n_hi + 1)
+        for kind in range(4):
+            for m in (1, 2, 3):  # sigma = m - 1 runs from 0 to 2
+                depth = int(rng.integers(1, 4))
+                table = {
+                    w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
+                }
+                f = pl.potential_from_table(host, depth, table)
+                spec, tails = _window_target(rng, host, kind)
+                oracle = {
+                    n: partition_function(
+                        admissible_words(host.allowed, n + m - 1), tails, table, depth, n
+                    )
+                    for n in ns
+                }
+                if sum(v > 0 for v in oracle.values()) < 2:
+                    with pytest.raises(pl.EmptyTarget):
+                        pl.capacity_pressure(host, spec, f, pl.Scale(m), (1, n_hi))
+                    continue
+                est = pl.capacity_pressure(host, spec, f, pl.Scale(m), (1, n_hi))
+                assert est.empty_n == tuple(n for n in ns if oracle[n] == 0)
+                assert [n for n, _ in est.p_n] == [n for n in ns if oracle[n] > 0]
+                for n, v in est.p_n:
+                    assert math.exp(v) == pytest.approx(oracle[n], rel=1e-10)
