@@ -82,14 +82,13 @@ class _TreeProgram:
         spec: SubsetSpec,
         f: LocallyConstantPotential,
         sigma: int,
-        want_max: bool,
         depth: int,
     ):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        self.host = sft
         self.f = f
         self.sigma = sigma
-        self.want_max = want_max
         self.tracker = tracker = build_tracker(spec, sft)
         k = f.depth
         r = max(1, k - 1, sigma)
@@ -105,14 +104,15 @@ class _TreeProgram:
         self.states, arcs = layers((tracker.initial(), ()), step, depth, _pack_arcs)
         self.kids = [kids for kids, _ in arcs]
         self.gains = [gains for _, gains in arcs]
-        self._tails: Dict[Tuple[Tuple[Tuple[int, ...], ...], Word, int], float] = {}
+        self._tails: Dict[Tuple[Tuple[Tuple[int, ...], ...], Word, int, bool], float] = {}
 
     def accepted(self, d: int) -> np.ndarray:
         """Mask of the depth-``d`` states the tracker accepts at depth d."""
         return np.array([self.tracker.accepts(z, d) for z, _ in self.states[d]], dtype=bool)
 
-    def term_adjust(self, d: int, u: Word, rels: Sequence[Relation]) -> float:
-        """Correction turning the in-word window sum into extreme f_(d - sigma).
+    def term_adjust(self, d: int, u: Word, rels: Sequence[Relation], want_max: bool) -> float:
+        """Correction turning the in-word window sum into the max (min when
+        not ``want_max``) of f_(d - sigma).
 
         Positive-step case extends over continuations; negative case removes
         trailing windows the horizon does not use; returns -inf if no
@@ -130,11 +130,11 @@ class _TreeProgram:
             vals = []
             for rel in rels:
                 succ = tuple(tuple(b for b, ok in enumerate(row) if ok) for row in rel)
-                key = (succ, ctx, steps)
+                key = (succ, ctx, steps, want_max)
                 if key not in self._tails:
-                    self._tails[key] = extreme_tail(succ, self.f, ctx, steps, self.want_max)
+                    self._tails[key] = extreme_tail(succ, self.f, ctx, steps, want_max)
                 vals.append(self._tails[key])
-            return max(vals) if self.want_max else min(vals)
+            return max(vals) if want_max else min(vals)
         if steps < 0:
             # subtract the last (-steps) windows, all determined by u
             total = 0.0
@@ -169,14 +169,14 @@ def leaf_sum_logs(
         raise ValueError("depth must be at least 1")
     if depths[0] - sigma < 1:
         raise ValueError("depth must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, want_max, depths[-1])
+    prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
     prefix = prog.fold_forward()
     tracker = prog.tracker
     out = []
     for d in depths:
         keep = prog.accepted(d)
         adjust = [
-            prog.term_adjust(d, u, tracker.extension_relations(z))
+            prog.term_adjust(d, u, tracker.extension_relations(z), want_max)
             for (z, u), ok in zip(prog.states[d], keep) if ok
         ]
         terms = prefix[d][keep] + np.array(adjust)
@@ -214,29 +214,25 @@ class CoverProgram:
     accepted (the empty cover costs zero); ``empty`` tells callers that
     consider that an error.
 
-    The tree and every ball's F are computed once, at construction; each
-    call is one backward fold over the layers for all its exponents.
+    The program prices the balls of a tree built to d_max once, at
+    construction; programs with other windows or pricing can share the
+    tree. Each call is one backward fold over the layers for all its
+    exponents.
     """
 
-    def __init__(
-        self,
-        sft: Subshift,
-        spec: SubsetSpec,
-        f: LocallyConstantPotential,
-        sigma: int,
-        d_min: int,
-        d_max: int,
-        centered: bool = False,
-    ):
+    def __init__(self, tree: _TreeProgram, d_min: int, centered: bool = False):
+        d_max, sigma = len(tree.kids), tree.sigma
         if d_min < 1 or d_min > d_max:
             raise ValueError("need 1 <= d_min <= d_max")
         if d_min - sigma < 1:
             raise ValueError("d_min must exceed sigma")
-        self._tree = tree = _TreeProgram(sft, spec, f, sigma, not centered, d_max)
+        self._tree = tree
         self._sigma, self._d_min = sigma, d_min
-        host_rels = (sft.allowed,)
+        host_rels = (tree.host.allowed,)
         self._ball = {
-            d: np.array([tree.term_adjust(d, u, host_rels) for _, u in tree.states[d]])[:, None]
+            d: np.array(
+                [tree.term_adjust(d, u, host_rels, not centered) for _, u in tree.states[d]]
+            )[:, None]
             for d in range(d_min, d_max + 1)
         }
         # an accepted leaf must take its ball, a rejected one needs none
@@ -277,4 +273,4 @@ def cover_min_log(
     centered: bool = False,
 ) -> float:
     """log of the minimal cover value at one exponent (see ``CoverProgram``)."""
-    return CoverProgram(sft, spec, f, sigma, d_min, d_max, centered).at(s)
+    return CoverProgram(_TreeProgram(sft, spec, f, sigma, d_max), d_min, centered).at(s)

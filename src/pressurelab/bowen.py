@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._engine import CoverProgram
+from ._engine import CoverProgram, _TreeProgram
 from .errors import DepthTooShallow, EmptyTarget, ScaleTooCoarse
 from .subsets import SubsetSpec, validate_spec
 from .symbolic import (
@@ -164,19 +164,11 @@ def _check_window(N: int, scale: Scale, L: int) -> int:
     return d_min
 
 
-def _nonempty_program(
-    sft: Subshift,
-    Z: SubsetSpec,
-    f: LocallyConstantPotential,
-    sigma: int,
-    d_min: int,
-    L: int,
-    centered: bool = False,
-) -> CoverProgram:
-    """The cover program to depth L; EmptyTarget when no depth-L leaf is accepted."""
-    program = CoverProgram(sft, Z, f, sigma, d_min, L, centered)
+def _nonempty_program(tree: _TreeProgram, d_min: int, centered: bool = False) -> CoverProgram:
+    """The cover program on ``tree``; EmptyTarget when no leaf is accepted."""
+    program = CoverProgram(tree, d_min, centered)
     if program.empty:
-        raise EmptyTarget(f"target has no admissible words at depth {L}")
+        raise EmptyTarget(f"target has no admissible words at depth {len(tree.kids)}")
     return program
 
 
@@ -207,7 +199,7 @@ def min_cover_value(
     """
     validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
-    return _value_from_log(_nonempty_program(sft, Z, f, 0, d_min, L).at(s))
+    return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, 0, L), d_min).at(s))
 
 
 def bowen_pressure(
@@ -222,7 +214,7 @@ def bowen_pressure(
     """Critical exponent of min_cover_value against threshold 1."""
     validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
-    program = _nonempty_program(sft, Z, f, 0, d_min, L)
+    program = _nonempty_program(_TreeProgram(sft, Z, f, 0, L), d_min)
     return _bisect_critical(program, tol, depth=L, N=N, scale=scale, method="bowen")
 
 
@@ -285,7 +277,7 @@ def string_cover_value(
     d_min = N + q - 1
     if L < d_min:
         raise DepthTooShallow(f"depth L={L} is below minimum string depth {d_min}")
-    return _value_from_log(_nonempty_program(sft, Z, f, q - 1, d_min, L).at(s))
+    return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, q - 1, L), d_min).at(s))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +362,10 @@ def check_chain(
     d_min_fine = _check_window(N, scale, L)
     d_min_coarse = N + coarse.m
 
-    centered_log = _nonempty_program(sft, K, f, 0, d_min_coarse, L, centered=True).at(s + delta)
-    unweighted = min_cover_value(sft, K, f, s, N, scale, L)
+    # one word tree serves both sides; only the ball prices differ
+    tree = _TreeProgram(sft, K, f, 0, L)
+    centered_log = _nonempty_program(tree, d_min_coarse, centered=True).at(s + delta)
+    unweighted = _value_from_log(_nonempty_program(tree, d_min_fine).at(s))
     # the weighted (fractional) optimum equals the minimal cover value: the
     # covering matrix is an interval matrix, hence totally unimodular
     weighted = unweighted

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ._engine import NEG_INF, leaf_sum_log, leaf_sum_logs
-from .errors import EmptyTarget, ScaleTooCoarse
+from .errors import EmptyTarget
 from .subsets import SubsetSpec, validate_spec
 from .symbolic import LocallyConstantPotential, Scale, Subshift, separated_word_length
 

@@ -45,7 +45,6 @@ from .measure import (
     measure_pressure_mc,
     sample_orbit,
 )
-from .subsets import whole
 from .transfer import MarkovMeasure, bernoulli_measure, equilibrium_measure, markov_measure
 
 Trace = Optional[Tuple[Tuple[str, str], List[Sequence]]]
@@ -148,10 +147,7 @@ def _cmd_measure(cfg: ExperimentConfig):
         results["exact"] = {"unavailable": type(e).__name__}
     trace = None
     for scale in cfg.scales:
-        mc = measure_pressure_mc(
-            mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed,
-            threads=cfg.threads,
-        )
+        mc = measure_pressure_mc(mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed)
         results[_scale_key(scale)] = mc
         if trace is None:
             first_seed = int(
@@ -258,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=".", help="output directory")
         sub.add_argument("--seed", type=int, default=None, help="override config seed")
         sub.add_argument(
-            "--threads", type=int, default=None, help="override config threads"
+            "--threads", type=int, default=None,
+            help="accepted for compatibility; has no effect",
         )
         sub.add_argument(
             "--svg", action="store_true", help="also render the trace as an SVG plot"

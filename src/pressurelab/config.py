@@ -17,18 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._version import __version__
 from .bowen import CriticalExponent
 from .capacity import CapacityEstimate
 from .errors import InadmissibleWord, ScaleTooCoarse, SchemaError
-from .harness import (
-    AgreementReport,
-    GibbsReport,
-    PropertyReport,
-    UnionReport,
-    VariationalReport,
-)
-from .measure import LocalPressureTrace, MCPressureEstimate
 from .subsets import SubsetSpec, finite_union, frequency_level, sub_sft, validate_spec, whole
 from .symbolic import (
     LocallyConstantPotential,
@@ -39,7 +30,7 @@ from .symbolic import (
     full_shift,
     potential_from_table,
 )
-from .transfer import MarkovMeasure, PressureValue
+from .transfer import MarkovMeasure
 
 COMMANDS = (
     "pressure exact",
@@ -542,35 +533,6 @@ def json_ready(obj):
             "m": obj.scale.m,
             "p_n": [[n, json_ready(v)] for n, v in obj.p_n],
             "empty_n": list(obj.empty_n),
-        }
-    if isinstance(obj, PressureValue):
-        return {
-            "value": json_ready(obj.value),
-            "tolerance": json_ready(obj.tolerance),
-            "method": obj.method,
-        }
-    if isinstance(obj, MCPressureEstimate):
-        return {
-            "mean": json_ready(obj.mean),
-            "stderr": json_ready(obj.stderr),
-            "samples": obj.samples,
-            "excluded": obj.excluded,
-            "seed": obj.seed,
-            "per_orbit": [json_ready(v) for v in obj.per_orbit],
-        }
-    if isinstance(obj, LocalPressureTrace):
-        return {
-            "values": [[n, json_ready(v)] for n, v in obj.values],
-            "liminf_estimate": json_ready(obj.liminf_estimate),
-            "zero_measure_n": list(obj.zero_measure_n),
-        }
-    if isinstance(obj, GibbsReport):
-        return {
-            "pressure": json_ready(obj.pressure),
-            "rows": [json_ready(r) for r in obj.rows],
-            "control": json_ready(obj.control),
-            "passed": obj.passed,
-            "params": json_ready(obj.params),
         }
     if isinstance(obj, Scale):
         return obj.m

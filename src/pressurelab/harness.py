@@ -37,7 +37,6 @@ from .transfer import (
     equilibrium_measure,
     markov_measure,
     spectral_pressure,
-    stationary_distribution,
 )
 
 _GRID_EPS = 1e-6
@@ -445,7 +444,7 @@ def verify_gibbs_bound(
     mu = equilibrium_measure(sub, f_sub)
 
     ns = list(range(n_lo, n_hi + 1))
-    base = [_worst_log_ratio(sub, mu, f_sub, n, scale) for n in ns]
+    base = _worst_log_ratios(sub, mu, f_sub, ns, scale)
 
     def row_for(s: float) -> Dict[str, float]:
         shifted = [r + n * s for n, r in zip(ns, base)]
@@ -483,46 +482,54 @@ def verify_gibbs_bound(
     )
 
 
-def _worst_log_ratio(
+def _worst_log_ratios(
     sub: Subshift,
     mu: MarkovMeasure,
     f: LocallyConstantPotential,
-    n: int,
+    ns: Sequence[int],
     scale: Scale,
-) -> float:
-    """max over center words w of length n+m of log mu([w]) - sup_[w] f_n.
+) -> List[float]:
+    """For each horizon n of the increasing ``ns``, the max over center
+    words w of length n+m of log mu([w]) - sup_[w] f_n.
 
-    Exact Viterbi pass; needs f.depth <= m + 1 so the word determines its
-    own n-term sum (true for the depth <= 2 potentials the transfer side
-    supports whenever m >= 1).
+    One max-plus forward pass weighs every window up to horizon max(ns);
+    each horizon continues from its step by the m - k + 1 remaining
+    transitions of log P alone. Needs f.depth <= m + 1 so the word
+    determines its own n-term sum.
     """
     k = f.depth
     if k > scale.m + 1:
         raise ValueError("potential depth exceeds m + 1; sup f_n not word-determined")
-    if k > 2:
-        raise ValueError("ratio scan supports potential depth <= 2")
-    length = n + scale.m
     c = sub.alphabet_size
     with np.errstate(divide="ignore"):
         logP = np.where(mu.transition > 0, np.log(mu.transition), -math.inf)
         logpi = np.where(mu.initial > 0, np.log(mu.initial), -math.inf)
-    V = [logpi[a] - (f.value((a,)) if k == 1 else 0.0) for a in range(c)]
-    for t in range(length - 1):
+
+    def step(V: List[float], weigh: bool) -> List[float]:
         nxt = [-math.inf] * c
         for a in range(c):
             if V[a] == -math.inf:
                 continue
             for b in sub.successors[a]:
                 gain = logP[a, b]
-                if k == 2 and t < n:
-                    gain -= f.value((a, b))
-                elif k == 1 and t + 1 < n:
-                    gain -= f.value((b,))
+                if weigh:
+                    gain -= f.value((a, b) if k == 2 else (b,))
                 cand = V[a] + gain
                 if cand > nxt[b]:
                     nxt[b] = cand
-        V = nxt
-    return max(V)
+        return nxt
+
+    # weighed[t] has taken t steps and holds the first t + 2 - k windows
+    weighed = [[logpi[a] - (f.value((a,)) if k == 1 else 0.0) for a in range(c)]]
+    for _ in range(ns[-1] + k - 2):
+        weighed.append(step(weighed[-1], True))
+    out = []
+    for n in ns:
+        V = weighed[n + k - 2]
+        for _ in range(scale.m - k + 1):
+            V = step(V, False)
+        out.append(max(V))
+    return out
 
 
 # ---------------------------------------------------------------------------

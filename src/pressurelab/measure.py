@@ -9,10 +9,9 @@ and checks it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -192,8 +191,9 @@ def measure_pressure_mc(
     """Monte Carlo estimate of the integrated local pressure.
 
     Orbits are drawn from mu with per-orbit seeds derived deterministically
-    from the master seed, so the result depends only on (inputs, seed): the
-    thread count changes scheduling, never the sample set or the mean.
+    from the master seed, so the result depends only on (inputs, seed).
+    ``threads`` is accepted for compatibility and has no effect: the orbits
+    run one after another (a thread pool measured slower under the GIL).
     """
     if samples < 1:
         raise ValueError("need at least one sample orbit")
@@ -203,15 +203,10 @@ def measure_pressure_mc(
         samples, dtype=np.uint64
     )
 
-    def one(i: int) -> float:
-        orbit = sample_orbit(mu, n_max, scale, int(child_seeds[i]))
-        return local_pressure(mu, f, orbit, scale, ns).liminf_estimate
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(one, range(samples)))
-    else:
-        estimates = [one(i) for i in range(samples)]
+    estimates = []
+    for child in child_seeds:
+        orbit = sample_orbit(mu, n_max, scale, int(child))
+        estimates.append(local_pressure(mu, f, orbit, scale, ns).liminf_estimate)
 
     kept = [v for v in estimates if math.isfinite(v)]
     excluded = samples - len(kept)

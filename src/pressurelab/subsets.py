@@ -4,7 +4,8 @@ A SubsetSpec names a subset of the host shift space; at working depth L it is
 realized as the set of admissible length-L words consistent with it (an outer
 approximation). Four kinds are supported:
 
-- ``whole``: the entire host space.
+- ``whole``: the entire host space, tracked as the sub-SFT of the host
+  relation itself.
 - ``sub_sft``: points whose transitions stay inside a sub-relation forever.
   The sub-relation is trimmed to its forward-alive part at build time, since
   symbols without infinite continuations cannot occur in any point.
@@ -22,7 +23,7 @@ can no longer lead to any accepted leaf and the branch may be pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EnumerationBudgetExceeded
 from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word, layers
@@ -166,23 +167,6 @@ class Tracker:
         raise NotImplementedError
 
 
-class _WholeTracker(Tracker):
-    def __init__(self, sft: Subshift):
-        self._rel = sft.allowed
-
-    def initial(self):
-        return 0
-
-    def step(self, state, prev, symbol):
-        return 0
-
-    def accepts(self, state, depth):
-        return True
-
-    def extension_relations(self, state):
-        return (self._rel,)
-
-
 class _SubSftTracker(Tracker):
     def __init__(self, sft: Subshift, spec: SubsetSpec):
         self._rel = trim_forward(spec.allowed)
@@ -258,7 +242,9 @@ class _UnionTracker(Tracker):
 def build_tracker(spec: SubsetSpec, sft: Subshift) -> Tracker:
     validate_spec(spec, sft)
     if spec.kind == "whole":
-        return _WholeTracker(sft)
+        # the host itself as a sub-SFT: its relation strands no symbol, so
+        # trimming leaves it unchanged
+        return _SubSftTracker(sft, SubsetSpec("sub_sft", allowed=sft.allowed))
     if spec.kind == "sub_sft":
         return _SubSftTracker(sft, spec)
     if spec.kind == "frequency_level":
@@ -276,19 +262,31 @@ def target_steps(sft: Subshift, tracker: Tracker, z, prev: Optional[int]):
     return [(b, z2) for b in symbols if (z2 := tracker.step(z, prev, b)) is not None]
 
 
-def count_target_words(sft: Subshift, spec: SubsetSpec, depth: int) -> int:
-    """Exact count of admissible depth-``depth`` words consistent with the spec."""
+def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):
+    """The spec's words to ``depth`` as a layered DAG, with counts.
+
+    Returns (edges, counts): edges[d][i] lists one (symbol, index into layer
+    d + 1) pair per child of state i at depth d, where a state is a (tracker
+    state, last symbol) pair; counts[d][i] is the number of accepted
+    depth-``depth`` words through that state.
+    """
+    if depth < 0:
+        raise ValueError("word length must be nonnegative")
     tracker = build_tracker(spec, sft)
-    # states are (tracker state, last symbol); a count fold over their layers
     states, edges = layers(
         (tracker.initial(), None),
         lambda state: [(b, (z2, b)) for b, z2 in target_steps(sft, tracker, *state)],
         depth,
     )
-    counts = [int(tracker.accepts(z, depth)) for z, _ in states[depth]]
+    counts = [[int(tracker.accepts(z, depth)) for z, _ in states[depth]]]
     for rows in reversed(edges):
-        counts = [sum(counts[j] for _, j in row) for row in rows]
-    return counts[0]
+        counts.append([sum(counts[-1][j] for _, j in row) for row in rows])
+    return edges, counts[::-1]
+
+
+def count_target_words(sft: Subshift, spec: SubsetSpec, depth: int) -> int:
+    """Exact count of admissible depth-``depth`` words consistent with the spec."""
+    return _word_dag(sft, spec, depth)[1][0][0]
 
 
 def iter_target_words(
@@ -299,21 +297,15 @@ def iter_target_words(
 ) -> Tuple[Word, ...]:
     """All depth-``depth`` words consistent with the spec, lexicographically.
 
-    Counts first through the tracker automaton and raises
-    EnumerationBudgetExceeded before materializing anything too large.
+    Counts first over the word DAG and raises EnumerationBudgetExceeded
+    before materializing anything too large. The words then grow one layer
+    at a time, in order, along the branches that reach an accepted word.
     """
-    total = count_target_words(sft, spec, depth)
+    edges, counts = _word_dag(sft, spec, depth)
+    total = counts[0][0]
     if total > budget:
         raise EnumerationBudgetExceeded(total, budget)
-    tracker = build_tracker(spec, sft)
-    out: List[Word] = []
-    stack = [((), tracker.initial())]
-    while stack:
-        word, z = stack.pop()
-        if len(word) == depth:
-            if tracker.accepts(z, depth):
-                out.append(word)
-            continue
-        children = target_steps(sft, tracker, z, word[-1] if word else None)
-        stack.extend(reversed([(word + (b,), z2) for b, z2 in children]))
-    return tuple(out)
+    level = [((), 0)] if total else []
+    for d in range(depth):
+        level = [(w + (b,), j) for w, i in level for b, j in edges[d][i] if counts[d + 1][j]]
+    return tuple(w for w, _ in level)

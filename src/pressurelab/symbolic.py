@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from .errors import (
-    EnumerationBudgetExceeded,
-    InadmissibleWord,
-    InsufficientDepth,
-    ScaleTooCoarse,
-)
+from .errors import InadmissibleWord, InsufficientDepth, ScaleTooCoarse
 
 Word = Tuple[int, ...]
 State = TypeVar("State")
@@ -65,16 +60,6 @@ class Subshift:
             tuple(b for b in range(self.alphabet_size) if row[b])
             for row in self.allowed
         )
-
-    @cached_property
-    def predecessors(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(
-            tuple(a for a in range(self.alphabet_size) if self.allowed[a][b])
-            for b in range(self.alphabet_size)
-        )
-
-    def is_allowed(self, a: int, b: int) -> bool:
-        return self.allowed[a][b]
 
     def is_admissible(self, word: Sequence[int]) -> bool:
         if any(not (0 <= a < self.alphabet_size) for a in word):
@@ -166,10 +151,6 @@ class LocallyConstantPotential:
                 f"window {window!r} is outside the potential's domain"
             ) from None
 
-    @cached_property
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.table.values())
-
 
 def zero_potential(sft: Subshift) -> LocallyConstantPotential:
     return constant_potential(sft, 0.0)
@@ -204,17 +185,9 @@ def potential_from_table(
 
 def count_words(sft: Subshift, n: int) -> int:
     """Exact number of admissible words of length n (exact integers)."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    if n == 0:
-        return 1
-    counts = [1] * sft.alphabet_size
-    for _ in range(n - 1):
-        counts = [
-            sum(counts[b] for b in sft.successors[a])
-            for a in range(sft.alphabet_size)
-        ]
-    return sum(counts)
+    from .subsets import count_target_words, whole  # local import to avoid a cycle
+
+    return count_target_words(sft, whole(), n)
 
 
 def enumerate_words(
@@ -225,21 +198,9 @@ def enumerate_words(
     Counts first and refuses to materialize more than ``budget`` words.
     Length 0 yields the empty-word singleton.
     """
-    total = count_words(sft, n)
-    if total > budget:
-        raise EnumerationBudgetExceeded(total, budget)
-    if n == 0:
-        return ((),)
-    out = []
-    stack = [(a,) for a in reversed(range(sft.alphabet_size))]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            out.append(w)
-            continue
-        for b in reversed(sft.successors[w[-1]]):
-            stack.append(w + (b,))
-    return tuple(out)
+    from .subsets import iter_target_words, whole  # local import to avoid a cycle
+
+    return iter_target_words(sft, whole(), n, budget)
 
 
 def layers(

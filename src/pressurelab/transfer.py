@@ -11,18 +11,17 @@ uniformly bounded ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import math
 
 import numpy as np
 
-from .errors import InadmissibleWord, ReducibleSystem
+from .errors import ReducibleSystem
 from .symbolic import (
     LocallyConstantPotential,
     Subshift,
-    Word,
     enumerate_words,
     is_strongly_connected,
     sup_birkhoff_on_cylinder,
@@ -95,12 +94,6 @@ class MarkovMeasure:
 
     def invariance_defect(self) -> float:
         return float(np.max(np.abs(self.initial @ self.transition - self.initial)))
-
-    def is_invariant(self, tol: float = 1e-9) -> bool:
-        return self.invariance_defect() <= tol
-
-    def support_relation(self) -> Tuple[Tuple[bool, ...], ...]:
-        return tuple(tuple(bool(x) for x in row) for row in self.transition > 0.0)
 
 
 def bernoulli_measure(p: Sequence[float], label: str = "") -> MarkovMeasure:

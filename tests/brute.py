@@ -177,6 +177,25 @@ def partition_function(
     return total
 
 
+def worst_log_ratio(
+    allowed: Sequence[Sequence[bool]],
+    initial: Sequence[float],
+    transition: np.ndarray,
+    table: Dict[Word, float],
+    depth: int,
+    n: int,
+    m: int,
+) -> float:
+    """max over admissible words w of length n + m of log mu([w]) - f_n(w),
+    by enumeration (mu the Markov measure, f_n read off w itself)."""
+    best = -math.inf
+    for w in admissible_words(allowed, n + m):
+        mass = initial[w[0]] * math.prod(transition[a][b] for a, b in zip(w, w[1:]))
+        if mass > 0:
+            best = max(best, math.log(mass) - birkhoff(table, depth, w, n))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # exhaustive cover search
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab._engine import CoverProgram, cover_min_log
+from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
 from pressurelab.subsets import count_target_words
@@ -428,7 +428,7 @@ def test_batched_bisection_replays_sequential_walk_on_cover_programs():
             }
             f = pl.potential_from_table(host, depth, table)
             spec, _ = _random_target(rng, host, L, kinds=4)
-            program = CoverProgram(host, spec, f, 0, 3, L)
+            program = CoverProgram(_TreeProgram(host, spec, f, 0, L), 3)
             if program.empty:
                 continue
             kinds.add(spec.kind)
@@ -453,7 +453,7 @@ def test_cover_min_log_matches_batched_columns():
             d_min = sigma + int(rng.integers(1, 3))
             centered = bool(rng.integers(0, 2))
             exponents = rng.uniform(-1.0, 2.0, size=9).tolist()
-            batch = CoverProgram(host, spec, f, sigma, d_min, L, centered)(exponents)
+            batch = CoverProgram(_TreeProgram(host, spec, f, sigma, L), d_min, centered)(exponents)
             assert batch.shape == (9,)
             for s, v in zip(exponents, batch):
                 one = cover_min_log(host, spec, f, s, sigma, d_min, L, centered)

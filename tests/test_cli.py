@@ -385,10 +385,12 @@ def _src_env() -> dict:
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing the package must not load it
+    # scipy is a test-only dependency, and no code path runs a thread pool;
+    # importing the package must load neither
     code = (
         "import pressurelab, sys; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'concurrent.futures' or m.startswith('concurrent.futures.')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,

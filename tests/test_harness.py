@@ -1,8 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 import pressurelab as pl
+from brute import random_sub_relation, worst_log_ratio
+from pressurelab.harness import _worst_log_ratios
+from pressurelab.symbolic import is_strongly_connected
+from pressurelab.transfer import MarkovMeasure
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -124,6 +129,41 @@ def test_gibbs_bound_golden_mean():
     # the beta = 0.1 row sits near exponent 0.38
     ss = sorted(row["s"] for row in rep.rows)
     assert ss[0] == pytest.approx(LOG_PHI - 0.1, abs=5e-3)
+
+
+def test_gibbs_ratio_pass_matches_brute_force_every_horizon():
+    # random irreducible sub-SFTs, depth-1/2 potentials, m = 1..3; the
+    # equilibrium measure, or a chain started from symbol 0 alone so that
+    # some cylinders have measure zero
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 30:
+        k = int(rng.integers(2, 4))
+        rel = random_sub_relation(rng, pl.full_shift(k).allowed)
+        if not is_strongly_connected(rel):
+            continue
+        sub = pl.Subshift(k, rel)
+        depth = int(rng.integers(1, 3))
+        m = int(rng.integers(1, 4))
+        table = {w: float(rng.uniform(-0.6, 0.6)) for w in pl.enumerate_words(sub, depth)}
+        f = pl.potential_from_table(sub, depth, table)
+        mu = pl.equilibrium_measure(sub, f)
+        if checked % 2:
+            mu = MarkovMeasure(mu.transition, np.eye(k)[0])
+        ns = list(range(1, 9 - m))
+        got = _worst_log_ratios(sub, mu, f, ns, pl.Scale(m))
+        assert len(got) == len(ns)
+        for n, value in zip(ns, got):
+            want = worst_log_ratio(rel, mu.initial, mu.transition, table, depth, n, m)
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        checked += 1
+
+
+def test_gibbs_ratio_pass_rejects_undetermined_sums():
+    f2 = pl.potential_from_table(FULL2, 2, {w: 0.0 for w in pl.enumerate_words(FULL2, 2)})
+    mu = pl.equilibrium_measure(FULL2, f2)
+    with pytest.raises(ValueError, match="exceeds m"):
+        _worst_log_ratios(FULL2, mu, f2, [1, 2], pl.Scale(0))
 
 
 def test_property_suite_random_trials_green():

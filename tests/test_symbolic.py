@@ -30,6 +30,24 @@ def test_word_counts_golden_mean_against_filter():
     assert pl.count_words(GM, 10) == 144
 
 
+def test_negative_word_length_is_rejected():
+    # the tracker fold first: a walker that loops on a negative depth would
+    # hang here instead of failing
+    with pytest.raises(ValueError, match="nonnegative"):
+        pl.count_target_words(FULL2, pl.whole(), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pl.iter_target_words(FULL2, pl.whole(), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pl.count_words(GM, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pl.enumerate_words(GM, -2)
+
+
+def test_zero_length_words_are_the_empty_word():
+    assert pl.count_words(GM, 0) == 1
+    assert pl.enumerate_words(GM, 0) == ((),)
+
+
 def test_enumerate_words_matches_filter_oracle():
     for n in range(1, 7):
         assert sorted(pl.enumerate_words(GM, n)) == sorted(
