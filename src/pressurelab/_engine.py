@@ -10,16 +10,18 @@ observation that a subtree's value depends on the word only through
 - the last r symbols u, with r = max(1, k - 1, sigma),
 
 once the common factor exp(S) is pulled out, where S is the sum of the
-potential windows completed inside the word so far. ``symbolic.layers``
-builds the distinct (z, u) of every depth once, without recursion, so the
+potential windows completed inside the word so far. ``subsets.WordLayers``
+builds the distinct (u, z) of every depth once, without recursion, so the
 whole computation costs O(L * |states| * A) instead of O(A^L). Everything
 runs in log space so horizons of thousands of symbols neither overflow nor
 underflow.
 
-Each depth's arcs are stored as two numpy arrays of shape (max arity,
-states): the child index into the next layer and the window gain. A state
-with fewer children pads its column with gain -inf (child 0), which adds
-nothing to any log-sum-exp. One fold runs over these arrays in two
+Each depth's arcs are two numpy arrays of shape (max arity, states): the
+child index into the next layer and the window gain, read from one (suffix
+x symbol) table. A state with fewer children pads its column with gain
+-inf (child 0), which adds nothing to any log-sum-exp. Ball prices and
+capacity tail corrections depend on a node only through u (see below), so
+they are per-suffix tables too. One fold runs over these arrays in two
 directions:
 
 - Backward, for the minimal cover value. Values carry a trailing axis of K
@@ -41,7 +43,8 @@ Conventions used throughout:
 - With t = k - 1 - sigma, a depth-d node determines all but t of the h
   windows: t > 0 tail windows are extremized over admissible continuations,
   and t < 0 means the word determines more windows than the horizon needs,
-  so the trailing ones are subtracted from the running sum.
+  so the trailing ones are subtracted from the running sum. t is fixed per
+  program, and both corrections read only the last r symbols.
 """
 
 from __future__ import annotations
@@ -51,29 +54,19 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .subsets import SubsetSpec, build_tracker, target_steps
-from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word, extreme_tail, layers
+from .subsets import SubsetSpec, WordLayers, build_tracker
+from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, extreme_tail
 
 Relation = Tuple[Tuple[bool, ...], ...]
 
 
-def _pack_arcs(rows: List[List[Tuple[float, int]]]) -> Tuple[np.ndarray, np.ndarray]:
-    """One layer's (gain, child) rows as padded (arity, states) arrays of
-    child indices and gains; absent arcs get child 0 and gain -inf."""
-    width = max(map(len, rows), default=0)
-    pad = [(NEG_INF, 0)] * width
-    arcs = np.array([row + pad[len(row):] for row in rows]).reshape(len(rows), width, 2).T
-    return np.ascontiguousarray(arcs[1], dtype=np.intp), np.ascontiguousarray(arcs[0])
-
-
 class _TreeProgram:
-    """The tracked word tree to ``depth``, merged on (tracker state, last r symbols).
+    """The tracked word tree to ``depth``, merged on (last r symbols, tracker state).
 
-    ``states[d]`` lists the distinct (z, u) of depth d. Column i of
-    ``kids[d]`` and ``gains[d]`` holds one (child index, window gain) pair
-    per child of ``states[d][i]``, in symbol order; the gain is the
-    potential window the child's symbol completes, if any (as r >= k - 1, u
-    holds that window's other symbols).
+    ``layers`` holds the tree (see ``subsets.WordLayers``), with
+    r = max(1, k - 1, sigma). ``gains[d]`` lines up with ``kids[d]``: the
+    potential window each arc's symbol completes, if any (as r >= k - 1,
+    the suffix holds that window's other symbols), and -inf on the pads.
     """
 
     def __init__(
@@ -89,67 +82,59 @@ class _TreeProgram:
         self.host = sft
         self.f = f
         self.sigma = sigma
-        self.tracker = tracker = build_tracker(spec, sft)
+        self.tracker = build_tracker(spec, sft)
         k = f.depth
-        r = max(1, k - 1, sigma)
-
-        def step(state):
-            z, u = state
-            children = target_steps(sft, tracker, z, u[-1] if u else None)
-            return [
-                ((f.value(w[-k:]) if len(w) >= k else 0.0), (z2, w[-r:]))
-                for w, z2 in [(u + (b,), z2) for b, z2 in children]
-            ]
-
-        self.states, arcs = layers((tracker.initial(), ()), step, depth, _pack_arcs)
-        self.kids = [kids for kids, _ in arcs]
-        self.gains = [gains for _, gains in arcs]
-        self._tails: Dict[Tuple[Tuple[Tuple[int, ...], ...], Word, int, bool], float] = {}
+        self.layers = tree = WordLayers(self.tracker, max(1, k - 1, sigma), depth)
+        gain = np.zeros(tree.next.shape)
+        for (i, b), j in np.ndenumerate(tree.next):
+            if j >= 0 and len(tree.words[i]) >= k - 1:
+                gain[i, b] = f.value((tree.words[i] + (b,))[-k:])
+        self.kids = tree.kids
+        self.gains = tree.per_layer(
+            lambda suffix, _, syms: np.where(syms >= 0, gain[suffix, syms], NEG_INF)
+        )
+        self._prices: Dict[Tuple[Relation, bool], np.ndarray] = {}
 
     def accepted(self, d: int) -> np.ndarray:
         """Mask of the depth-``d`` states the tracker accepts at depth d."""
-        return np.array([self.tracker.accepts(z, d) for z, _ in self.states[d]], dtype=bool)
+        return self.tracker.accepts(self.layers.state[d], d)
 
-    def term_adjust(self, d: int, u: Word, rels: Sequence[Relation], want_max: bool) -> float:
-        """Correction turning the in-word window sum into the max (min when
-        not ``want_max``) of f_(d - sigma).
+    def prices(self, rel: Relation, want_max: bool) -> np.ndarray:
+        """Per suffix, the correction turning the in-word window sum of a
+        node ending in it into the max (min when not ``want_max``) of
+        f_(d - sigma) over continuations that follow ``rel``.
 
-        Positive-step case extends over continuations; negative case removes
-        trailing windows the horizon does not use; returns -inf if no
-        admissible continuation exists in any offered relation.
+        With steps = k - 1 - sigma > 0 the missing windows are extremized
+        over continuations (-inf when none exists); with steps < 0 the
+        trailing windows the horizon does not use are subtracted (NaN for
+        suffixes too short to be priced, which only depths d <= sigma have).
         """
-        k = self.f.depth
-        h = d - self.sigma
-        if h < 1:
-            raise ValueError(f"depth {d} gives nonpositive horizon with sigma {self.sigma}")
-        # f_h reads the first h + k - 1 symbols; a shorter word is extended by
-        # the missing ones, a longer one determines windows beyond the horizon
-        steps = h + k - 1 - d
-        if steps > 0:
-            ctx = u[-max(k - 1, 1):]
-            vals = []
-            for rel in rels:
+        key = (rel, want_max)
+        if key not in self._prices:
+            f, words = self.f, self.layers.words
+            k, steps = f.depth, f.depth - 1 - self.sigma
+            if steps > 0:
                 succ = tuple(tuple(b for b, ok in enumerate(row) if ok) for row in rel)
-                key = (succ, ctx, steps, want_max)
-                if key not in self._tails:
-                    self._tails[key] = extreme_tail(succ, self.f, ctx, steps, want_max)
-                vals.append(self._tails[key])
-            return max(vals) if want_max else min(vals)
-        if steps < 0:
-            # subtract the last (-steps) windows, all determined by u
-            total = 0.0
-            L = len(u)
-            for j in range(-steps):
-                total += self.f.value(u[L - k - j : L - j])
-            return -total
-        return 0.0
+                ctxs = [u[-max(k - 1, 1):] for u in words]
+                tails = {ctx: extreme_tail(succ, f, ctx, steps, want_max) for ctx in set(ctxs)}
+                prices = [tails[ctx] for ctx in ctxs]
+            elif steps < 0:
+                prices = [
+                    -sum(f.value(u[len(u) - k - j : len(u) - j]) for j in range(-steps))
+                    if len(u) >= self.sigma else math.nan
+                    for u in words
+                ]
+            else:
+                prices = [0.0] * len(words)
+            self._prices[key] = np.array(prices)
+        return self._prices[key]
 
     def fold_forward(self) -> List[np.ndarray]:
         """Per layer, the log of the summed exp(window gains) over the paths
         from the root to each state."""
         prefix = [np.zeros(1)]
         for d in range(len(self.kids)):
-            nxt = np.full(len(self.states[d + 1]), NEG_INF)
+            nxt = np.full(len(self.layers.suffix[d + 1]), NEG_INF)
             np.logaddexp.at(nxt, self.kids[d].ravel(), (self.gains[d] + prefix[-1]).ravel())
             prefix.append(nxt)
         return prefix
@@ -161,25 +146,23 @@ def leaf_sum_logs(
     f: LocallyConstantPotential,
     sigma: int,
     depths: Sequence[int],
-    want_max: bool = True,
 ) -> List[float]:
-    """``leaf_sum_log(sft, spec, f, sigma, d, want_max)`` for each d in the
-    increasing ``depths``, all read from one forward pass over one tree."""
+    """``leaf_sum_log(sft, spec, f, sigma, d)`` for each d in the increasing
+    ``depths``, all read from one forward pass over one tree."""
     if depths[0] < 1:
         raise ValueError("depth must be at least 1")
     if depths[0] - sigma < 1:
         raise ValueError("depth must exceed sigma")
     prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
     prefix = prog.fold_forward()
-    tracker = prog.tracker
+    prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
     out = []
     for d in depths:
         keep = prog.accepted(d)
-        adjust = [
-            prog.term_adjust(d, u, tracker.extension_relations(z), want_max)
-            for (z, u), ok in zip(prog.states[d], keep) if ok
-        ]
-        terms = prefix[d][keep] + np.array(adjust)
+        suffix, state = prog.layers.suffix[d][keep], prog.layers.state[d][keep]
+        # the tail runs over every part the word has not left
+        tails = np.where(state >= 0, prices[:, suffix].T, NEG_INF).max(axis=1)
+        terms = prefix[d][keep] + tails
         out.append(float(np.logaddexp.reduce(terms)) if terms.size else NEG_INF)
     return out
 
@@ -190,16 +173,15 @@ def leaf_sum_log(
     f: LocallyConstantPotential,
     sigma: int,
     depth: int,
-    want_max: bool = True,
 ) -> float:
-    """log of the sum over accepted depth-``depth`` words of exp(extreme f_h).
+    """log of the sum over accepted depth-``depth`` words of exp(sup f_h).
 
     h = depth - sigma. Tail windows beyond the word are extremized over
     continuations inside the target (per the tracker), so for a sub-SFT the
     value is the supremum of f_h over the points of the target in each
     cylinder. Returns -inf when no word is accepted.
     """
-    return leaf_sum_logs(sft, spec, f, sigma, (depth,), want_max)[0]
+    return leaf_sum_logs(sft, spec, f, sigma, (depth,))[0]
 
 
 class CoverProgram:
@@ -228,13 +210,9 @@ class CoverProgram:
             raise ValueError("d_min must exceed sigma")
         self._tree = tree
         self._sigma, self._d_min = sigma, d_min
-        host_rels = (tree.host.allowed,)
-        self._ball = {
-            d: np.array(
-                [tree.term_adjust(d, u, host_rels, not centered) for _, u in tree.states[d]]
-            )[:, None]
-            for d in range(d_min, d_max + 1)
-        }
+        price = tree.prices(tree.host.allowed, not centered)
+        suffix = tree.layers.suffix
+        self._ball = {d: price[suffix[d]][:, None] for d in range(d_min, d_max + 1)}
         # an accepted leaf must take its ball, a rejected one needs none
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()

@@ -69,7 +69,7 @@ def log_partition_function(
         raise ValueError("time horizon n must be at least 1")
     validate_spec(Z, sft)
     depth = separated_word_length(n, scale)  # raises ScaleTooCoarse for m = 0
-    return leaf_sum_log(sft, Z, f, sigma=scale.m - 1, depth=depth, want_max=True)
+    return leaf_sum_log(sft, Z, f, sigma=scale.m - 1, depth=depth)
 
 
 def capacity_pressure(

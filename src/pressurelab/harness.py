@@ -670,11 +670,10 @@ def random_invariant_agreement(seed: int, trials: int = 20) -> AgreementReport:
 
 
 def _random_relation_with_loop(k: int, rng: np.random.Generator):
-    while True:
-        rel = rng.random((k, k)) < 0.75
-        a0 = int(rng.integers(k))
-        rel[a0, a0] = True
-        return tuple(tuple(bool(x) for x in row) for row in rel)
+    rel = rng.random((k, k)) < 0.75
+    a0 = int(rng.integers(k))
+    rel[a0, a0] = True
+    return tuple(tuple(bool(x) for x in row) for row in rel)
 
 
 def _thin_relation(rel, rng: np.random.Generator):

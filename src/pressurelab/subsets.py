@@ -15,18 +15,26 @@ approximation). Four kinds are supported:
   occurrences in the length-L word. Not compact and not invariant, which is
   exactly why it is here.
 
-Each spec compiles to a small tracker automaton that the cover/partition
-engines drive one symbol at a time. A ``None`` tracker state means the word
-can no longer lead to any accepted leaf and the branch may be pruned.
+Every spec compiles to one ``TargetAutomaton``: nested unions flatten to a
+list of parts, and each part is a relation with an optional tagged symbol
+whose frequency must end in a window. A tracker state holds one integer per
+part: -1 once the word has left the part, otherwise the count of its tagged
+symbol (0 for a part that tags none). A word that has left every part leads
+to no accepted leaf, and its branch is pruned. ``WordLayers`` grows the
+target's word tree over the higher-block presentation of the host (Lind &
+Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995, 2.3): a
+node is the index of its last r symbols plus its tracker state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import EnumerationBudgetExceeded
-from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word, layers
+from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word
 
 FREQUENCY_GUARD = 1e-9  # absorbs float noise in |count - alpha*L| <= eta*L
 
@@ -141,144 +149,156 @@ def trim_forward(relation: Tuple[Tuple[bool, ...], ...]) -> Tuple[Tuple[bool, ..
     return tuple(tuple(row) for row in rel)
 
 
-class Tracker:
-    """Base tracker: feeds one symbol at a time, accepts at leaf depth."""
-
-    def initial(self):
-        raise NotImplementedError
-
-    def step(self, state, prev: Optional[int], symbol: int):
-        """Next state, or None when no accepted leaf is reachable any more."""
-        raise NotImplementedError
-
-    def accepts(self, state, depth: int) -> bool:
-        raise NotImplementedError
-
-    def extension_relations(self, state) -> Tuple[Tuple[Tuple[bool, ...], ...], ...]:
-        """Relations to use when extremizing Birkhoff tails beyond a word.
-
-        The supremum of f_n over the part of the target inside a cylinder
-        extremizes undetermined tail windows over continuations that stay in
-        the target; for a sub-SFT that is its own (trimmed) relation, while
-        the whole space and frequency sets put no constraint on the tail.
-        A union contributes one relation per still-alive part and the engine
-        takes the outer extreme across them.
-        """
-        raise NotImplementedError
+def _parts(spec: SubsetSpec) -> List[SubsetSpec]:
+    """The spec's non-union parts, nested unions flattened in order."""
+    if spec.kind == "finite_union":
+        return [q for p in spec.parts for q in _parts(p)]
+    return [spec]
 
 
-class _SubSftTracker(Tracker):
-    def __init__(self, sft: Subshift, spec: SubsetSpec):
-        self._rel = trim_forward(spec.allowed)
-        self._alive = tuple(any(row) for row in self._rel)
+class TargetAutomaton:
+    """A spec compiled to parts that each follow one relation.
 
-    def initial(self):
-        return 0
-
-    def step(self, state, prev, symbol):
-        if prev is None:
-            return 0 if self._alive[symbol] else None
-        if self._rel[prev][symbol]:
-            return 0
-        return None
-
-    def accepts(self, state, depth):
-        return True
-
-    def extension_relations(self, state):
-        return (self._rel,)
-
-
-class _FrequencyTracker(Tracker):
-    def __init__(self, sft: Subshift, spec: SubsetSpec):
-        self._symbol = spec.symbol
-        self._target = spec.target
-        self._window = spec.window
-        self._rel = sft.allowed
-
-    def initial(self):
-        return 0
-
-    def step(self, state, prev, symbol):
-        return state + (1 if symbol == self._symbol else 0)
-
-    def accepts(self, state, depth):
-        return abs(state - self._target * depth) <= self._window * depth + FREQUENCY_GUARD
-
-    def extension_relations(self, state):
-        return (self._rel,)
-
-
-class _UnionTracker(Tracker):
-    def __init__(self, sft: Subshift, spec: SubsetSpec):
-        self._parts = tuple(build_tracker(p, sft) for p in spec.parts)
-
-    def initial(self):
-        return tuple(t.initial() for t in self._parts)
-
-    def step(self, state, prev, symbol):
-        nxt = tuple(
-            None if s is None else t.step(s, prev, symbol)
-            for t, s in zip(self._parts, state)
-        )
-        if all(s is None for s in nxt):
-            return None
-        return nxt
-
-    def accepts(self, state, depth):
-        return any(
-            s is not None and t.accepts(s, depth)
-            for t, s in zip(self._parts, state)
-        )
-
-    def extension_relations(self, state):
-        rels = []
-        for t, s in zip(self._parts, state):
-            if s is not None:
-                rels.extend(t.extension_relations(s))
-        return tuple(rels)
-
-
-def build_tracker(spec: SubsetSpec, sft: Subshift) -> Tracker:
-    validate_spec(spec, sft)
-    if spec.kind == "whole":
-        # the host itself as a sub-SFT: its relation strands no symbol, so
-        # trimming leaves it unchanged
-        return _SubSftTracker(sft, SubsetSpec("sub_sft", allowed=sft.allowed))
-    if spec.kind == "sub_sft":
-        return _SubSftTracker(sft, spec)
-    if spec.kind == "frequency_level":
-        return _FrequencyTracker(sft, spec)
-    return _UnionTracker(sft, spec)
-
-
-def target_steps(sft: Subshift, tracker: Tracker, z, prev: Optional[int]):
-    """(symbol, next tracker state) per admissible symbol after ``prev``.
-
-    ``prev`` is None at the root. Symbols come in increasing order, and
-    those after which no accepted leaf is reachable any more are skipped.
+    ``relations[p]`` is part p's relation: the host's for ``whole`` and
+    ``frequency_level``, the trimmed sub-relation for ``sub_sft``. It is
+    also the relation that continuations of a word inside the part follow.
+    ``windows[p]`` is (target, window) for a frequency part, else None.
+    ``moves[p, a, b]`` is True when part p admits symbol b after a; row
+    ``a = k`` (k the alphabet size) holds the symbols a word may start
+    with. ``tags[p, b]`` is 1 when part p counts symbol b.
     """
-    symbols = range(sft.alphabet_size) if prev is None else sft.successors[prev]
-    return [(b, z2) for b in symbols if (z2 := tracker.step(z, prev, b)) is not None]
+
+    def __init__(self, sft: Subshift, spec: SubsetSpec):
+        k = sft.alphabet_size
+        parts = _parts(spec)
+        self.relations = tuple(
+            trim_forward(p.allowed) if p.kind == "sub_sft" else sft.allowed for p in parts
+        )
+        self.windows = tuple(
+            (p.target, p.window) if p.kind == "frequency_level" else None for p in parts
+        )
+        rel = np.array(self.relations, dtype=bool).reshape(len(parts), k, k)
+        self.moves = np.concatenate([rel, rel.any(axis=2)[:, None, :]], axis=1)
+        tagged = [p.symbol if p.kind == "frequency_level" else -1 for p in parts]
+        self.tags = (np.arange(k) == np.array(tagged)[:, None]).astype(np.int64)
+
+    def accepts(self, states: np.ndarray, depth: int) -> np.ndarray:
+        """Mask of the tracker states (one row each) accepted at ``depth``."""
+        ok = states >= 0
+        for p, window in enumerate(self.windows):
+            if window is not None:
+                alpha, eta = window
+                ok[:, p] &= np.abs(states[:, p] - alpha * depth) <= eta * depth + FREQUENCY_GUARD
+        return ok.any(axis=1)
+
+
+def build_tracker(spec: SubsetSpec, sft: Subshift) -> TargetAutomaton:
+    validate_spec(spec, sft)
+    return TargetAutomaton(sft, spec)
+
+
+class WordLayers:
+    """The target's words to ``depth``, merged per depth on (suffix, tracker state).
+
+    A node's suffix is its last r symbols (the whole word while it is
+    shorter): ``words`` lists every suffix the target's words can have, and
+    ``next[i, b]`` is the suffix after appending b to ``words[i]``, or -1
+    where no part admits b there. ``suffix[d]`` and ``state[d]`` give the
+    suffix index and the tracker state (one row) of each depth-d node, in
+    order of first discovery: parents in order, each parent's children in
+    symbol order. Column i of ``kids[d]`` and ``syms[d]`` holds the child
+    index and the symbol of each child of node i, in symbol order, padded
+    with child 0 and symbol -1.
+
+    Each layer takes one gather for the children's suffixes, one step of
+    every part, one ``np.unique`` to merge equal children and one scatter
+    to pack the arcs. When a depth's nodes equal an earlier depth's, every
+    later layer repeats with that period, and the layers are reused (the
+    same array objects) instead of built again.
+    """
+
+    def __init__(self, target: TargetAutomaton, r: int, depth: int):
+        parts, _, k = target.moves.shape
+        reach = target.moves.any(axis=0).tolist()
+        words: List[Word] = [()]
+        index = {(): 0}
+        nxt = []
+        for u in words:  # grows while it is read
+            row = [-1] * k
+            for b in range(k):
+                if reach[u[-1] if u else k][b]:
+                    w = (u + (b,))[-r:]
+                    if w not in index:
+                        index[w] = len(words)
+                        words.append(w)
+                    row[b] = index[w]
+            nxt.append(row)
+        self.words, self.next = words, np.array(nxt, dtype=np.intp).reshape(len(words), k)
+        moves = target.moves[:, [u[-1] if u else k for u in words]].transpose(1, 0, 2)
+        self.suffix = [np.zeros(1, dtype=np.intp)]
+        self.state = [np.zeros((1, parts), dtype=np.int64)]
+        self.kids: List[np.ndarray] = []
+        self.syms: List[np.ndarray] = []
+        seen: Dict[bytes, int] = {}
+        for d in range(depth):
+            suffix, state = self.suffix[d], self.state[d]
+            key = suffix.tobytes() + state.tobytes()
+            if key in seen:  # every later layer repeats with period d - e
+                e = seen[key]
+                for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
+                    seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
+                break
+            seen[key] = d
+            allowed = moves[suffix] & (state >= 0)[:, :, None]
+            stepped = np.where(allowed, state[:, :, None] + target.tags, -1)
+            live = allowed.any(axis=1)
+            parent, symbol = np.nonzero(live)
+            child_suffix = self.next[suffix[parent], symbol]
+            child_state = stepped[parent, :, symbol]
+            # one integer per distinct (suffix, state), kept below 2**62
+            code, size = child_suffix, len(words)
+            for column in child_state.T + 1:
+                span = int(column.max(initial=0)) + 1
+                if size * span >= 2 ** 62:
+                    code, size = np.unique(code, return_inverse=True)[1], len(code)
+                code, size = code * span + column, size * span
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.argsort(order)
+            slot = (np.cumsum(live, axis=1) - 1)[parent, symbol]
+            width = int(live.sum(axis=1).max(initial=0))
+            kids = np.zeros((width, len(suffix)), dtype=np.intp)
+            kids[slot, parent] = rank[inverse]
+            syms = np.full((width, len(suffix)), -1, dtype=np.intp)
+            syms[slot, parent] = symbol
+            self.kids.append(kids)
+            self.syms.append(syms)
+            self.suffix.append(child_suffix[first[order]])
+            self.state.append(child_state[first[order]])
+
+    def per_layer(self, build: Callable[[np.ndarray, np.ndarray, np.ndarray], object]) -> list:
+        """``build(suffix, kids, syms)`` for every depth, called once per
+        distinct layer and shared by the depths that repeat it."""
+        made: Dict[int, object] = {}
+        for suffix, kids, syms in zip(self.suffix, self.kids, self.syms):
+            if id(kids) not in made:
+                made[id(kids)] = build(suffix, kids, syms)
+        return [made[id(kids)] for kids in self.kids]
 
 
 def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):
-    """The spec's words to ``depth`` as a layered DAG, with counts.
-
-    Returns (edges, counts): edges[d][i] lists one (symbol, index into layer
-    d + 1) pair per child of state i at depth d, where a state is a (tracker
-    state, last symbol) pair; counts[d][i] is the number of accepted
-    depth-``depth`` words through that state.
-    """
+    """(edges, counts): edges[d][i] lists one (symbol, child index) pair per
+    child of node i of the spec's depth-d word layer (suffix = last symbol);
+    counts[d][i] is the exact number of accepted depth-``depth`` words
+    through that node."""
     if depth < 0:
         raise ValueError("word length must be nonnegative")
-    tracker = build_tracker(spec, sft)
-    states, edges = layers(
-        (tracker.initial(), None),
-        lambda state: [(b, (z2, b)) for b, z2 in target_steps(sft, tracker, *state)],
-        depth,
-    )
-    counts = [[int(tracker.accepts(z, depth)) for z, _ in states[depth]]]
+    target = build_tracker(spec, sft)
+    tree = WordLayers(target, 1, depth)
+    edges = tree.per_layer(lambda _, kids, syms: [
+        [(b, j) for b, j in zip(s, c) if b >= 0] for s, c in zip(syms.T.tolist(), kids.T.tolist())
+    ])
+    counts = [target.accepts(tree.state[depth], depth).astype(int).tolist()]
     for rows in reversed(edges):
         counts.append([sum(counts[-1][j] for _, j in row) for row in rows])
     return edges, counts[::-1]

@@ -207,21 +207,18 @@ def layers(
     start: State,
     step: Callable[[State], Iterable[Tuple[object, State]]],
     depth: int,
-    pack: Callable[[List[List[Tuple[object, int]]]], object] = lambda rows: rows,
 ):
     """The tree that ``step`` unfolds from ``start``, merged by state per depth.
 
     ``step(state)`` lists one (label, child state) pair per child, in order.
     Returns (states, edges): states[d] lists the distinct states d steps from
-    the start, in order of discovery, and edges[d] is ``pack(rows)``, where
-    rows[i] holds one (label, index into states[d + 1]) pair per child of
-    states[d][i]. ``pack`` keeps the rows by default; a caller that packs
-    them into arrays never holds more than one layer of rows at once. Every
-    dynamic program over words here folds these layers; no recursion bounds
-    their depth.
+    the start, in order of discovery, and edges[d][i] holds one (label,
+    index into states[d + 1]) pair per child of states[d][i]. The fold in
+    ``extreme_tail`` runs over these layers, so no recursion bounds its
+    depth.
     """
     states: List[List[State]] = [[start]]
-    edges: List[object] = []
+    edges: List[List[List[Tuple[object, int]]]] = []
     for _ in range(depth):
         index: Dict[State, int] = {}
         rows = []
@@ -233,7 +230,7 @@ def layers(
                     j = index[child] = len(index)
                 row.append((label, j))
             rows.append(row)
-        edges.append(pack(rows))
+        edges.append(rows)
         states.append(list(index))
     return states, edges
 

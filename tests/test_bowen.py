@@ -230,27 +230,36 @@ def _random_sub_sft(rng, host, L):
     return pl.sub_sft(rel), admissible_words(rel, L)
 
 
-def _random_target(rng, host, L, kinds=3):
-    """A random target on host with its depth-L words, enumerated literally.
-
-    Kinds 0-2 are whole, sub-SFT and frequency targets; ``kinds=4`` adds
-    unions of two sub-SFTs.
-    """
-    words = admissible_words(host.allowed, L)
-    kind = int(rng.integers(0, kinds))
-    if kind == 0:
-        return pl.whole(), words
-    if kind == 1:
-        return _random_sub_sft(rng, host, L)
-    if kind == 3:
-        (a, words_a), (b, words_b) = _random_sub_sft(rng, host, L), _random_sub_sft(rng, host, L)
-        return pl.finite_union(a, b), sorted(set(words_a) | set(words_b))
+def _random_frequency(rng, host, L, words):
     symbol = int(rng.integers(0, host.alphabet_size))
     # centered on a realized frequency, so the target is never empty
     target = words[int(rng.integers(0, len(words)))].count(symbol) / L
     window = float(rng.uniform(0.05, 0.2))
     spec = pl.frequency_level(symbol, target, window)
     return spec, [w for w in words if abs(w.count(symbol) / L - target) <= window]
+
+
+def _random_target(rng, host, L, kinds=range(3)):
+    """A random target on host with its depth-L words, enumerated literally.
+
+    The kind is drawn from ``kinds``: 0-2 are whole, sub-SFT and frequency
+    targets, 3 a union of two sub-SFTs, and 4 a frequency part beside a
+    nested union of two sub-SFTs. A union accepts a word when any part does.
+    """
+    words = admissible_words(host.allowed, L)
+    kind = kinds[int(rng.integers(0, len(kinds)))]
+    if kind == 0:
+        return pl.whole(), words
+    if kind == 1:
+        return _random_sub_sft(rng, host, L)
+    if kind == 2:
+        return _random_frequency(rng, host, L, words)
+    (a, words_a), (b, words_b) = _random_sub_sft(rng, host, L), _random_sub_sft(rng, host, L)
+    if kind == 3:
+        return pl.finite_union(a, b), sorted(set(words_a) | set(words_b))
+    freq, words_f = _random_frequency(rng, host, L, words)
+    spec = pl.finite_union(freq, pl.finite_union(a, b))
+    return spec, sorted(set(words_f) | set(words_a) | set(words_b))
 
 
 def test_weighted_cover_matches_dp_on_random_cases():
@@ -289,7 +298,7 @@ def test_string_and_centered_covers_match_oracle_on_random_cases():
                 w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
             }
             f = pl.potential_from_table(host, depth, table)
-            spec, leaves = _random_target(rng, host, L, kinds=4)
+            spec, leaves = _random_target(rng, host, L, kinds=range(4))
             s = float(rng.uniform(0.2, 1.0))
 
             q = int(rng.integers(2, 4))
@@ -427,7 +436,7 @@ def test_batched_bisection_replays_sequential_walk_on_cover_programs():
                 w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
             }
             f = pl.potential_from_table(host, depth, table)
-            spec, _ = _random_target(rng, host, L, kinds=4)
+            spec, _ = _random_target(rng, host, L, kinds=range(4))
             program = CoverProgram(_TreeProgram(host, spec, f, 0, L), 3)
             if program.empty:
                 continue
@@ -448,7 +457,7 @@ def test_cover_min_log_matches_batched_columns():
                 w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
             }
             f = pl.potential_from_table(host, depth, table)
-            spec, _ = _random_target(rng, host, L, kinds=4)
+            spec, _ = _random_target(rng, host, L, kinds=range(4))
             sigma = int(rng.integers(0, 3))
             d_min = sigma + int(rng.integers(1, 3))
             centered = bool(rng.integers(0, 2))
@@ -458,6 +467,69 @@ def test_cover_min_log_matches_batched_columns():
             for s, v in zip(exponents, batch):
                 one = cover_min_log(host, spec, f, s, sigma, d_min, L, centered)
                 assert one == pytest.approx(float(v), rel=1e-12)
+
+
+def test_nested_unions_with_a_frequency_part_match_oracles():
+    # finite_union(frequency, finite_union(sub-SFT, sub-SFT)) flattens to three
+    # parts; the oracles accept a word when any part accepts it
+    rng = np.random.default_rng(67)
+    for host, L in ((FULL2, 7), (GM, 8), (pl.full_shift(3), 5)):
+        for _ in range(8):
+            depth = int(rng.integers(1, 4))
+            table = {
+                w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
+            }
+            f = pl.potential_from_table(host, depth, table)
+            spec, leaves = _random_target(rng, host, L, kinds=(4,))
+            assert count_target_words(host, spec, L) == len(leaves)
+            assert list(pl.iter_target_words(host, spec, L)) == leaves
+            s = float(rng.uniform(0.2, 1.0))
+            N, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            got = pl.min_cover_value(host, spec, f, s, N, pl.Scale(m), L)
+            cost = oracle_costs(host.allowed, table, depth, leaves, s, N + m, L)
+            assert got == pytest.approx(interval_min_cover(leaves, cost, N + m, L), rel=1e-9)
+
+            q = int(rng.integers(2, 4))
+            got = pl.string_cover_value(host, spec, f, s, 1, q, L)
+            cost = oracle_costs(host.allowed, table, depth, leaves, s, q, L, sigma=q - 1)
+            assert got == pytest.approx(interval_min_cover(leaves, cost, q, L), rel=1e-9)
+
+            got = math.exp(cover_min_log(host, spec, f, s, 0, 2, L, centered=True))
+            cost = oracle_costs(host.allowed, table, depth, leaves, s, 2, L, pick=inf_birkhoff)
+            assert got == pytest.approx(interval_min_cover(leaves, cost, 2, L), rel=1e-9)
+
+            program = CoverProgram(_TreeProgram(host, spec, f, 0, L), 3)
+            _assert_batched_bisection_replays(program.at, 1e-6)
+
+
+def test_recurring_layers_are_built_once():
+    # whole and sub-SFT targets repeat their layers after a few depths, some
+    # with period 2; every repeat reuses the arrays of the first occurrence
+    tree = _TreeProgram(FULL2, pl.whole(), F0, 0, 1100)
+    assert len(tree.kids) == 1100
+    assert len({id(kids) for kids in tree.kids}) <= 3
+    flip = pl.sub_sft(((False, True), (True, False)))
+    tree = _TreeProgram(FULL2, flip, F0, 0, 301)
+    last = [[tree.layers.words[i] for i in tree.layers.suffix[d]] for d in (1, 2, 3)]
+    assert last == [[(0,), (1,)], [(1,), (0,)], [(0,), (1,)]]
+    assert len({id(kids) for kids in tree.kids}) == 3
+    # the tag count of a frequency target grows, so no layer repeats
+    band = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, 40)
+    assert len({id(kids) for kids in band.kids}) == 40
+
+
+def test_many_counted_parts_count_exactly():
+    # eight frequency parts make the joint (suffix, state) code pass 2**62 at
+    # depth 300, so the layer builder compresses it while merging states
+    L = 300
+    parts = [pl.frequency_level(p % 2, 0.1 + 0.1 * (p // 2), 0.01) for p in range(8)]
+
+    def accepted(zeros):
+        counts = (zeros, L - zeros)
+        return any(abs(counts[p.symbol] - p.target * L) <= p.window * L + 1e-9 for p in parts)
+
+    want = sum(math.comb(L, zeros) for zeros in range(L + 1) if accepted(zeros))
+    assert count_target_words(FULL2, pl.finite_union(*parts), L) == want
 
 
 def test_ball_price_extends_words_shorter_than_the_potential():

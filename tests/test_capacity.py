@@ -113,8 +113,9 @@ def _admissible(w, rel):
 
 
 def _window_target(rng, host, kind):
-    """A target of the given kind (whole, sub-SFT, frequency, union) and the
-    relations each word's continuations may follow inside it."""
+    """A target of the given kind (whole, sub-SFT, frequency, union, or a
+    frequency part beside a nested union) and the relations each word's
+    continuations may follow inside it."""
     if kind == 0:
         return pl.whole(), lambda w: [host.allowed]
     if kind == 1:
@@ -127,9 +128,38 @@ def _window_target(rng, host, kind):
         return spec, lambda w: (
             [host.allowed] if abs(w.count(symbol) - target * len(w)) <= window * len(w) else []
         )
-    a, b = random_sub_relation(rng, host.allowed), random_sub_relation(rng, host.allowed)
-    spec = pl.finite_union(pl.sub_sft(a), pl.sub_sft(b))
-    return spec, lambda w: [rel for rel in (a, b) if _admissible(w, rel)]
+    if kind == 3:
+        a, b = random_sub_relation(rng, host.allowed), random_sub_relation(rng, host.allowed)
+        spec = pl.finite_union(pl.sub_sft(a), pl.sub_sft(b))
+        return spec, lambda w: [rel for rel in (a, b) if _admissible(w, rel)]
+    # a word is accepted when any part accepts it; its tails then run over
+    # every part it has not left, and the frequency part never leaves
+    freq, freq_tails = _window_target(rng, host, 2)
+    union, union_tails = _window_target(rng, host, 3)
+    return pl.finite_union(freq, union), lambda w: (
+        [host.allowed] + union_tails(w) if freq_tails(w) or union_tails(w) else []
+    )
+
+
+def _check_window_against_brute(rng, host, n_hi, kind, m):
+    ns = range(1, n_hi + 1)
+    depth = int(rng.integers(1, 4))
+    table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
+    f = pl.potential_from_table(host, depth, table)
+    spec, tails = _window_target(rng, host, kind)
+    oracle = {
+        n: partition_function(admissible_words(host.allowed, n + m - 1), tails, table, depth, n)
+        for n in ns
+    }
+    if sum(v > 0 for v in oracle.values()) < 2:
+        with pytest.raises(pl.EmptyTarget):
+            pl.capacity_pressure(host, spec, f, pl.Scale(m), (1, n_hi))
+        return
+    est = pl.capacity_pressure(host, spec, f, pl.Scale(m), (1, n_hi))
+    assert est.empty_n == tuple(n for n in ns if oracle[n] == 0)
+    assert [n for n, _ in est.p_n] == [n for n in ns if oracle[n] > 0]
+    for n, v in est.p_n:
+        assert math.exp(v) == pytest.approx(oracle[n], rel=1e-10)
 
 
 def test_capacity_window_matches_brute_partition_functions():
@@ -137,27 +167,13 @@ def test_capacity_window_matches_brute_partition_functions():
     # literal sum over the target's separated representatives
     rng = np.random.default_rng(23)
     for host, n_hi in ((FULL2, 6), (GM, 7), (pl.full_shift(3), 5)):
-        ns = range(1, n_hi + 1)
         for kind in range(4):
             for m in (1, 2, 3):  # sigma = m - 1 runs from 0 to 2
-                depth = int(rng.integers(1, 4))
-                table = {
-                    w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)
-                }
-                f = pl.potential_from_table(host, depth, table)
-                spec, tails = _window_target(rng, host, kind)
-                oracle = {
-                    n: partition_function(
-                        admissible_words(host.allowed, n + m - 1), tails, table, depth, n
-                    )
-                    for n in ns
-                }
-                if sum(v > 0 for v in oracle.values()) < 2:
-                    with pytest.raises(pl.EmptyTarget):
-                        pl.capacity_pressure(host, spec, f, pl.Scale(m), (1, n_hi))
-                    continue
-                est = pl.capacity_pressure(host, spec, f, pl.Scale(m), (1, n_hi))
-                assert est.empty_n == tuple(n for n in ns if oracle[n] == 0)
-                assert [n for n, _ in est.p_n] == [n for n in ns if oracle[n] > 0]
-                for n, v in est.p_n:
-                    assert math.exp(v) == pytest.approx(oracle[n], rel=1e-10)
+                _check_window_against_brute(rng, host, n_hi, kind, m)
+
+
+def test_capacity_window_on_nested_unions_with_a_frequency_part():
+    rng = np.random.default_rng(29)
+    for host, n_hi in ((FULL2, 6), (GM, 7), (pl.full_shift(3), 5)):
+        for m in (1, 2, 3, 1, 2, 3):
+            _check_window_against_brute(rng, host, n_hi, 4, m)

@@ -5,7 +5,6 @@ import pytest
 
 import pressurelab as pl
 from brute import (
-    admissible_words,
     markov_entropy,
     spectral_log_radius,
     transfer_weights,
