@@ -15,8 +15,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ._version import __version__
 from .bowen import bowen_pressure, check_chain, weighted_pressure
 from .capacity import capacity_pressure
@@ -39,12 +37,7 @@ from .harness import (
     verify_unions,
     verify_variational,
 )
-from .measure import (
-    exact_invariant_pressure,
-    local_pressure,
-    measure_pressure_mc,
-    sample_orbit,
-)
+from .measure import _pressure_mc, exact_invariant_pressure
 from .transfer import MarkovMeasure, bernoulli_measure, equilibrium_measure, markov_measure
 
 Trace = Optional[Tuple[Tuple[str, str], List[Sequence]]]
@@ -147,16 +140,10 @@ def _cmd_measure(cfg: ExperimentConfig):
         results["exact"] = {"unavailable": type(e).__name__}
     trace = None
     for scale in cfg.scales:
-        mc = measure_pressure_mc(mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed)
+        mc, first = _pressure_mc(mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed)
         results[_scale_key(scale)] = mc
         if trace is None:
-            first_seed = int(
-                np.random.SeedSequence(cfg.seed).generate_state(1, dtype=np.uint64)[0]
-            )
-            n_max = max(cfg.n_range) if len(cfg.n_range) > 2 else cfg.n_range[-1]
-            orbit = sample_orbit(mu, n_max, scale, first_seed)
-            tr = local_pressure(mu, cfg.potential, orbit, scale, cfg.n_range)
-            trace = (("n", "local_pressure"), list(tr.values))
+            trace = (("n", "local_pressure"), list(first.values))
     return results, trace, True
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import List, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -95,43 +94,56 @@ def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
     return p
 
 
-def log_cylinder_prefix_measures(mu: MarkovMeasure, w: Word) -> List[float]:
-    """log mu([w[:d]]) for d = 1..len(w), computed incrementally.
-
-    Zero-measure prefixes (and everything deeper) report -inf.
-    """
-    out: List[float] = []
-    acc = 0.0
-    prev: Optional[int] = None
-    for b in w:
-        if acc != -math.inf:
-            step = float(mu.initial[b]) if prev is None else float(
-                mu.transition[prev, b]
-            )
-            acc = acc + math.log(step) if step > 0.0 else -math.inf
-        out.append(acc)
-        prev = b
-    return out
-
-
 def sample_orbit(
     mu: MarkovMeasure, n_max: int, scale: Scale, seed: int
 ) -> OrbitSample:
-    """Draw the first n_max + m symbols of a mu-random point."""
+    """Draw the first n_max + m symbols of a mu-random point.
+
+    One ``rng.random(n_max + m)`` draw from ``default_rng(seed)`` feeds the
+    orbit by inverse CDF: draw 0 picks from the initial row, draw t from the
+    transition row of symbol t - 1. One searchsorted per row turns the draws
+    into a (draw x state) next-symbol table, and the chain walks that table.
+    These are the comparisons a symbol-by-symbol walk makes, so the orbits
+    match it bit for bit. A draw that ties a row's last cumulative value
+    within rounding lands one past the end and is clamped to k - 1.
+    """
     length = bowen_ball_word_length(n_max, scale)
-    rng = np.random.default_rng(seed)
-    init_cdf = np.cumsum(mu.initial)
-    trans_cdf = np.cumsum(mu.transition, axis=1)
-    draws = rng.random(length)
-    symbols = [int(np.searchsorted(init_cdf, draws[0], side="right"))]
-    for t in range(1, length):
-        row = trans_cdf[symbols[-1]]
-        symbols.append(int(np.searchsorted(row, draws[t], side="right")))
-    # guard against searchsorted landing one past the end when a draw ties
-    # the final cumulative value to within float rounding
-    k = mu.n_states
-    word = tuple(min(s, k - 1) for s in symbols)
-    return OrbitSample(word=word, source=mu, seed=seed)
+    draws = np.random.default_rng(seed).random(length)
+    last = mu.n_states - 1
+    s = min(int(np.searchsorted(np.cumsum(mu.initial), draws[0], side="right")), last)
+    columns = [
+        np.minimum(np.searchsorted(row, draws[1:], side="right"), last).tolist()
+        for row in np.cumsum(mu.transition, axis=1)
+    ]
+    word = [s]
+    for nxt in zip(*columns):  # nxt[a]: the symbol this draw picks after a
+        s = nxt[s]
+        word.append(s)
+    return OrbitSample(word=tuple(word), source=mu, seed=seed)
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else -math.inf
+
+
+def _birkhoff_sums(f: LocallyConstantPotential, w: np.ndarray, n: int) -> np.ndarray:
+    """f_1(w), ..., f_n(w), summed left to right like birkhoff_sum.
+
+    Windows get integer labels, one symbol column at a time (relabelled
+    densely after each, so no label overflows). Each distinct window is
+    looked up once, in order of first occurrence, so a window outside the
+    table raises InadmissibleWord at the same window as a left-to-right walk.
+    """
+    span = int(w.max() - w.min()) + 1  # label * span + symbol is one-to-one
+    labels = w[:n]
+    for j in range(1, f.depth):
+        labels = np.unique(labels, return_inverse=True)[1] * span + w[j : j + n]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    values = np.empty(len(first))
+    # stable reuses np.unique's merge sort; quicksort pages in another kernel
+    for i in np.argsort(first, kind="stable").tolist():
+        values[i] = f.value(tuple(w[first[i] : first[i] + f.depth].tolist()))
+    return np.cumsum(values[inverse])
 
 
 def local_pressure(
@@ -145,6 +157,9 @@ def local_pressure(
 
     The ball at horizon n and scale 2^-m is the cylinder of the first n + m
     symbols of x. Works for any Markov measure; invariance plays no role.
+    Ball logs and Birkhoff sums are prefix sums over the word, accumulated
+    left to right. f is evaluated only up to the last horizon whose ball has
+    positive measure: windows past it are never looked up.
     """
     word = x.word if isinstance(x, OrbitSample) else tuple(x)
     ns = _normalize_range(n_range, minimum_points=1)
@@ -155,27 +170,27 @@ def local_pressure(
             f"orbit of length {len(word)} is too short for horizon {n_max} "
             f"at scale m={scale.m} (needs {need})"
         )
-    prefix_logs = log_cylinder_prefix_measures(mu, word)
-    # f_1(x), f_2(x), ... summed left to right like birkhoff_sum, on demand
-    k = f.depth
-    running = accumulate(f.value(word[i : i + k]) for i in range(n_max))
-    f_n: List[float] = []
-    values: List[Tuple[int, float]] = []
-    flagged: List[int] = []
-    for n in ns:
-        log_ball = prefix_logs[bowen_ball_word_length(n, scale) - 1]
-        if log_ball == -math.inf:
-            values.append((n, math.inf))
-            flagged.append(n)
-            continue
-        f_n.extend(islice(running, n - len(f_n)))
-        values.append((n, (f_n[-1] - log_ball) / n))
-    tail_from = ns[len(ns) // 2]
-    liminf = min(v for n, v in values if n >= tail_from)
+    w = np.array(word[:need], dtype=np.int64)
+    ball = w[: n_max + scale.m]
+    # log mu([ball[:d]]) for every d, one math.log per matrix entry, summed left
+    # to right; a null step stays -inf, so the charged horizons come first
+    steps = np.empty(len(ball))
+    steps[0] = _log(float(mu.initial[ball[0]]))
+    logs = np.array([[_log(p) for p in row] for row in mu.transition.tolist()])
+    steps[1:] = logs[ball[:-1], ball[1:]]
+    horizons = np.array(ns)
+    log_ball = np.cumsum(steps)[horizons + scale.m - 1]
+    charged = int(np.count_nonzero(log_ball != -math.inf))
+    values = np.full(len(ns), math.inf)
+    if charged:
+        f_n = _birkhoff_sums(f, w, ns[charged - 1])
+        head = horizons[:charged]
+        values[:charged] = (f_n[head - 1] - log_ball[:charged]) / head
+    values = values.tolist()
     return LocalPressureTrace(
-        values=tuple(values),
-        liminf_estimate=liminf,
-        zero_measure_n=tuple(flagged),
+        values=tuple(zip(ns, values)),
+        liminf_estimate=min(values[len(ns) // 2 :]),
+        zero_measure_n=ns[charged:],
     )
 
 
@@ -191,40 +206,38 @@ def measure_pressure_mc(
     """Monte Carlo estimate of the integrated local pressure.
 
     Orbits are drawn from mu with per-orbit seeds derived deterministically
-    from the master seed, so the result depends only on (inputs, seed).
-    ``threads`` is accepted for compatibility and has no effect: the orbits
-    run one after another (a thread pool measured slower under the GIL).
+    from the master seed, so the result depends only on (inputs, seed). The
+    orbits run one after another, each drawn once by sample_orbit and traced
+    once by local_pressure. ``threads`` is accepted for compatibility and
+    has no effect (a thread pool measured slower under the GIL).
     """
+    return _pressure_mc(mu, f, scale, n_range, samples, seed)[0]
+
+
+def _pressure_mc(mu, f, scale, n_range, samples, seed):
+    """measure_pressure_mc's estimate, and the whole trace of its first orbit."""
     if samples < 1:
         raise ValueError("need at least one sample orbit")
     ns = _normalize_range(n_range, minimum_points=1)
-    n_max = ns[-1]
-    child_seeds = np.random.SeedSequence(seed).generate_state(
-        samples, dtype=np.uint64
+    seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
+    traces = (
+        local_pressure(mu, f, sample_orbit(mu, ns[-1], scale, child), scale, ns)
+        for child in seeds.tolist()
     )
-
-    estimates = []
-    for child in child_seeds:
-        orbit = sample_orbit(mu, n_max, scale, int(child))
-        estimates.append(local_pressure(mu, f, orbit, scale, ns).liminf_estimate)
-
+    first = next(traces)
+    estimates = [first.liminf_estimate] + [t.liminf_estimate for t in traces]
     kept = [v for v in estimates if math.isfinite(v)]
-    excluded = samples - len(kept)
     if not kept:
         raise RuntimeError(
             "every sampled orbit hit a zero-measure ball; the measure does "
             "not charge the sampled words"
         )
-    mean = float(np.mean(kept))
     stderr = float(np.std(kept, ddof=1) / math.sqrt(len(kept))) if len(kept) > 1 else 0.0
-    return MCPressureEstimate(
-        mean=mean,
-        stderr=stderr,
-        samples=samples,
-        excluded=excluded,
-        seed=seed,
-        per_orbit=tuple(estimates),
+    estimate = MCPressureEstimate(
+        mean=float(np.mean(kept)), stderr=stderr, samples=samples,
+        excluded=samples - len(kept), seed=seed, per_orbit=tuple(estimates),
     )
+    return estimate, first
 
 
 def exact_invariant_pressure(

@@ -156,6 +156,75 @@ def inf_birkhoff(
     return -sup_birkhoff(allowed, negated, depth, w, n)
 
 
+# ---------------------------------------------------------------------------
+# orbit sampling and local pressure, one symbol at a time
+
+
+def sample_orbit_symbolwise(
+    initial: np.ndarray, transition: np.ndarray, length: int, seed: int
+) -> Word:
+    """A Markov orbit drawn by inverse CDF, one searchsorted per symbol.
+
+    One ``rng.random(length)`` draw: draw 0 picks from the initial row,
+    draw t from the transition row of symbol t - 1; a final symbol that
+    lands one past the end (a draw tying the last CDF value) is clamped.
+    """
+    rng = np.random.default_rng(seed)
+    init_cdf = np.cumsum(initial)
+    trans_cdf = np.cumsum(transition, axis=1)
+    draws = rng.random(length)
+    symbols = [int(np.searchsorted(init_cdf, draws[0], side="right"))]
+    for t in range(1, length):
+        row = trans_cdf[symbols[-1]]
+        symbols.append(int(np.searchsorted(row, draws[t], side="right")))
+    k = len(initial)
+    return tuple(min(s, k - 1) for s in symbols)
+
+
+def local_pressure_symbolwise(
+    initial: np.ndarray,
+    transition: np.ndarray,
+    table: Dict[Word, float],
+    depth: int,
+    word: Word,
+    m: int,
+    ns: Sequence[int],
+) -> Tuple[Tuple[Tuple[int, float], ...], float, Tuple[int, ...]]:
+    """(values, liminf, zero-measure horizons) of the local pressure trace.
+
+    Cylinder logs and Birkhoff sums are accumulated left to right in Python
+    floats; the Birkhoff sum is extended only up to horizons whose ball has
+    positive measure, so windows beyond them are never looked up (a missing
+    window raises KeyError).
+    """
+    prefix_logs = []
+    acc = 0.0
+    prev = None
+    for b in word:
+        if acc != -math.inf:
+            step = float(initial[b]) if prev is None else float(transition[prev, b])
+            acc = acc + math.log(step) if step > 0.0 else -math.inf
+        prefix_logs.append(acc)
+        prev = b
+    running = itertools.accumulate(
+        table[tuple(word[i : i + depth])] for i in range(ns[-1])
+    )
+    f_n: List[float] = []
+    values = []
+    flagged = []
+    for n in ns:
+        log_ball = prefix_logs[n + m - 1]
+        if log_ball == -math.inf:
+            values.append((n, math.inf))
+            flagged.append(n)
+            continue
+        f_n.extend(itertools.islice(running, n - len(f_n)))
+        values.append((n, (f_n[-1] - log_ball) / n))
+    tail_from = ns[len(ns) // 2]
+    liminf = min(v for n, v in values if n >= tail_from)
+    return tuple(values), liminf, tuple(flagged)
+
+
 def partition_function(
     words: Sequence[Word],
     tails: Callable[[Word], Sequence[Relation]],

@@ -153,6 +153,24 @@ def test_min_cover_window_behavior():
     assert deep[-1] < 1e-5
 
 
+def test_min_cover_is_exactly_nonincreasing_in_depth():
+    # whole and sub-SFT targets are prefix-closed: the depth-L prefixes of
+    # the depth-L' target words are depth-L target words, and the window
+    # [N + m, L] sits inside [N + m, L'], so a depth-L cover is a depth-L'
+    # cover for every L' >= L; the minimum can only fall, not even by a bit
+    gm_inside = pl.sub_sft(((True, True), (True, False)))
+    cases = [(gm_inside, F0), (pl.whole(), F10)]
+    for Z, f in cases:
+        for s in (0.2, 0.45, math.log(2), 1.0, 1.4):
+            for N, m in ((2, 1), (1, 2), (3, 0)):
+                vals = [
+                    pl.min_cover_value(FULL2, Z, f, s, N, pl.Scale(m), L)
+                    for L in range(N + m, 19)
+                ]
+                for L, (a, b) in enumerate(zip(vals, vals[1:]), start=N + m):
+                    assert b <= a, (Z, s, N, m, L, a, b)
+
+
 def test_min_cover_decays_for_large_exponent():
     got = pl.min_cover_value(FULL2, pl.whole(), F0, 50.0, 2, pl.Scale(1), 8)
     assert got < 1e-60

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from brute import markov_entropy
+from brute import (
+    all_words,
+    local_pressure_symbolwise,
+    markov_entropy,
+    sample_orbit_symbolwise,
+)
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -97,6 +102,132 @@ def test_sample_orbit_matches_marginals():
             counts[c] += 1
     freq = counts / counts.sum()
     assert abs(freq[0] - 0.2) < 0.02
+
+
+def _random_markov(rng, k):
+    """A Markov measure with some zero transition and initial entries."""
+    P = rng.uniform(0.0, 1.0, size=(k, k)) * (rng.random((k, k)) > 0.3)
+    P[np.arange(k), rng.integers(0, k, size=k)] += 0.05
+    pi = rng.uniform(0.0, 1.0, size=k) * (rng.random(k) > 0.3)
+    pi[rng.integers(0, k)] += 0.05
+    return pl.MarkovMeasure(P / P.sum(axis=1, keepdims=True), pi / pi.sum())
+
+
+def _random_horizons(rng):
+    """An explicit horizon list, a [lo, hi] window, or a two-point list."""
+    lo = int(rng.integers(1, 40))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return sorted(int(n) for n in rng.choice(np.arange(1, 80), size=6, replace=False))
+    if kind == 1:
+        return [lo, lo + int(rng.integers(4, 60))]
+    return [lo, lo + int(rng.integers(1, 4))]
+
+
+def _oracle_trace(mu, f, word, m, n_range):
+    ns = list(range(n_range[0], n_range[1] + 1)) if (
+        len(n_range) == 2 and n_range[1] - n_range[0] >= 4
+    ) else list(n_range)
+    values, liminf, flagged = local_pressure_symbolwise(
+        mu.initial, mu.transition, f.table, f.depth, word, m, ns
+    )
+    return pl.LocalPressureTrace(values, liminf, flagged)
+
+
+def test_orbits_and_traces_match_symbolwise_oracles():
+    rng = np.random.default_rng(20261018)
+    zero_balls = 0
+    for _ in range(120):
+        k = int(rng.integers(2, 5))
+        mu = _random_markov(rng, k)
+        depth = int(rng.integers(1, 4))
+        m = int(rng.integers(0, 4))
+        f = pl.LocallyConstantPotential(
+            depth, {w: float(rng.normal()) for w in all_words(k, depth)}
+        )
+        n_range = _random_horizons(rng)
+        # long enough for the potential's last window at every scale
+        n_max = n_range[-1] + max(0, depth - 1 - m)
+        seed = int(rng.integers(0, 2**63))
+        orbit = pl.sample_orbit(mu, n_max, pl.Scale(m), seed)
+        assert orbit.word == sample_orbit_symbolwise(
+            mu.initial, mu.transition, n_max + m, seed
+        )
+        got = pl.local_pressure(mu, f, orbit, pl.Scale(m), n_range)
+        assert got == _oracle_trace(mu, f, orbit.word, m, n_range)
+        # a word mu need not charge: its deep balls have measure zero
+        word = tuple(int(b) for b in rng.integers(0, k, size=n_max + m))
+        got = pl.local_pressure(mu, f, word, pl.Scale(m), n_range)
+        assert got == _oracle_trace(mu, f, word, m, n_range)
+        zero_balls += bool(got.zero_measure_n)
+    assert zero_balls > 20
+
+
+class _FixedDraws:
+    """Stands in for a numpy Generator whose random() returns given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws.copy()
+
+
+def test_sample_orbit_clamps_a_final_draw_tying_the_last_cdf_value(monkeypatch):
+    # cumsum of ten 0.1 entries ends at 0.9999999999999999, not 1.0; a draw
+    # equal to it lands one past the last symbol and is clamped to k - 1
+    P = np.full((10, 10), 0.1)
+    mu = pl.MarkovMeasure(P, np.full(10, 0.1))
+    top = float(np.cumsum(mu.initial)[-1])
+    assert top < 1.0
+    for draws in ([top], [0.1, 0.5, top], [0.0, 0.1, 0.35, top]):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(draws))
+        got = pl.sample_orbit(mu, len(draws), pl.Scale(0), seed=0).word
+        assert got == sample_orbit_symbolwise(mu.initial, mu.transition, len(draws), 0)
+        assert got[-1] == 9
+        assert got[1:-1] == tuple(int(10 * d + 1e-9) for d in draws[1:-1])
+
+
+def test_sample_orbit_clamps_a_tie_before_the_last_symbol(monkeypatch):
+    # the symbol-by-symbol walk indexed past the table here; the next-symbol
+    # table clamps every draw, so the orbit continues from k - 1 (a draw
+    # equal to an inner CDF value picks the next symbol up)
+    mu = pl.MarkovMeasure(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws([0.5, 1.0, 0.2, 0.5]))
+    assert pl.sample_orbit(mu, 4, pl.Scale(0), seed=0).word == (1, 1, 0, 1)
+
+
+def test_local_pressure_raises_for_a_missing_window_under_a_charged_ball():
+    mu = pl.bernoulli_measure([0.5, 0.5])
+    f = pl.potential_from_table(GM, 2, {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3})
+    # the ball at n = 10 is charged and its Birkhoff sum reads (1, 1)
+    x = (0, 0, 0, 1, 1) + (0,) * 20
+    with pytest.raises(pl.InadmissibleWord):
+        pl.local_pressure(mu, f, x, pl.Scale(1), [2, 10, 12])
+    # at m = 0 the last window of horizon 4 reaches one symbol past the ball
+    with pytest.raises(pl.InadmissibleWord):
+        pl.local_pressure(mu, f, x, pl.Scale(0), [2, 4])
+    assert pl.local_pressure(mu, f, x, pl.Scale(0), [2, 3]).zero_measure_n == ()
+    # of two missing windows, the error names the first along the orbit
+    table = {w: 0.0 for w in all_words(3, 2) if w not in ((1, 2), (2, 0))}
+    f3 = pl.LocallyConstantPotential(2, table)
+    x = (0, 0, 2, 0, 1, 2) + (0,) * 10
+    with pytest.raises(pl.InadmissibleWord, match=r"\(2, 0\)"):
+        pl.local_pressure(pl.bernoulli_measure([0.2, 0.3, 0.5]), f3, x, pl.Scale(1), [8])
+
+
+def test_local_pressure_reads_no_window_past_the_last_charged_ball():
+    parry = pl.equilibrium_measure(GM, pl.zero_potential(GM))
+    f = pl.potential_from_table(GM, 2, {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3})
+    # (1, 1) at positions 20-21 kills every ball from n = 20 on at m = 1;
+    # the windows reading it lie past the last charged horizon, n = 10
+    x = (0,) * 20 + (1, 1) + (0,) * 20
+    got = pl.local_pressure(parry, f, x, pl.Scale(1), [5, 10, 30, 35])
+    assert got.zero_measure_n == (30, 35)
+    assert [n for n, v in got.values if math.isfinite(v)] == [5, 10]
+    assert got.values[2][1] == got.values[3][1] == math.inf
+    assert got == _oracle_trace(parry, f, x, 1, [5, 10, 30, 35])
 
 
 def test_exact_invariant_pressure_uniform():
