@@ -54,10 +54,49 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .subsets import SubsetSpec, WordLayers, build_tracker
-from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, extreme_tail
+from .subsets import SubsetSpec, WordLayers, build_tracker, whole
+from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word
 
 Relation = Tuple[Tuple[bool, ...], ...]
+
+
+def _window_gains(
+    words: Sequence[Word], live: np.ndarray, f: LocallyConstantPotential
+) -> np.ndarray:
+    """Per arc (i, b) marked in ``live``, the potential window that appending
+    symbol b to ``words[i]`` completes (0 while the word is shorter than a
+    window); -inf off the arcs."""
+    k = f.depth
+    gain = np.full(live.shape, NEG_INF)
+    for i, b in np.argwhere(live).tolist():
+        gain[i, b] = f.value((words[i] + (b,))[-k:]) if len(words[i]) >= k - 1 else 0.0
+    return gain
+
+
+def extreme_tails(
+    sft: Subshift, f: LocallyConstantPotential, rel: Relation, steps: int, want_max: bool
+) -> Dict[Word, float]:
+    """Per context, the max (min when not ``want_max``) over its
+    ``steps``-symbol continuations that follow ``rel`` of the sum of the
+    potential windows those symbols complete; -inf where none exists.
+
+    The contexts are the suffix table of the host's word layers with
+    r = max(k - 1, 1) (see ``subsets.WordLayers``): every admissible word of
+    at most r symbols, the empty one included, which may start with any
+    symbol that has a successor in ``rel``. One backward fold of ``steps``
+    layers over that table, masked to the arcs of ``rel``, prices every
+    context at once, so no recursion bounds ``steps``.
+    """
+    table = WordLayers(build_tracker(whole(), sft), max(f.depth - 1, 1), 0)
+    moves = np.vstack([rel, np.any(rel, axis=1)])  # last row: the empty context
+    live = (table.next >= 0) & moves[[u[-1] if u else len(rel) for u in table.words]]
+    gain, ends = _window_gains(table.words, live, f), live.any(axis=1)
+    pick, pad = (np.max, NEG_INF) if want_max else (np.min, math.inf)
+    values = np.zeros(len(table.words))
+    for _ in range(steps):  # off the arcs, index -1 reads a value the mask drops
+        arcs = np.where(live, gain + values[table.next], pad)
+        values = np.where(ends, pick(arcs, axis=1), NEG_INF)
+    return dict(zip(table.words, values.tolist()))
 
 
 class _TreeProgram:
@@ -85,10 +124,7 @@ class _TreeProgram:
         self.tracker = build_tracker(spec, sft)
         k = f.depth
         self.layers = tree = WordLayers(self.tracker, max(1, k - 1, sigma), depth)
-        gain = np.zeros(tree.next.shape)
-        for (i, b), j in np.ndenumerate(tree.next):
-            if j >= 0 and len(tree.words[i]) >= k - 1:
-                gain[i, b] = f.value((tree.words[i] + (b,))[-k:])
+        gain = _window_gains(tree.words, tree.next >= 0, f)
         self.kids = tree.kids
         self.gains = tree.per_layer(
             lambda suffix, _, syms: np.where(syms >= 0, gain[suffix, syms], NEG_INF)
@@ -113,11 +149,9 @@ class _TreeProgram:
         if key not in self._prices:
             f, words = self.f, self.layers.words
             k, steps = f.depth, f.depth - 1 - self.sigma
-            if steps > 0:
-                succ = tuple(tuple(b for b, ok in enumerate(row) if ok) for row in rel)
-                ctxs = [u[-max(k - 1, 1):] for u in words]
-                tails = {ctx: extreme_tail(succ, f, ctx, steps, want_max) for ctx in set(ctxs)}
-                prices = [tails[ctx] for ctx in ctxs]
+            if steps > 0:  # then r = k - 1, so every suffix is a tail context
+                tails = extreme_tails(self.host, f, rel, steps, want_max)
+                prices = [tails[u] for u in words]
             elif steps < 0:
                 prices = [
                     -sum(f.value(u[len(u) - k - j : len(u) - j]) for j in range(-steps))

@@ -452,7 +452,7 @@ def _bisect_critical(
     the walk can reach in the next few steps (the same floats, generated by
     the same recursion), and ``history`` holds the walked probes only.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     history: List[Tuple[float, float]] = []
     known: Dict[float, float] = {}

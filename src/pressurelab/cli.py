@@ -38,6 +38,7 @@ from .harness import (
     verify_variational,
 )
 from .measure import _pressure_mc, exact_invariant_pressure
+from .symbolic import Scale
 from .transfer import MarkovMeasure, bernoulli_measure, equilibrium_measure, markov_measure
 
 Trace = Optional[Tuple[Tuple[str, str], List[Sequence]]]
@@ -47,14 +48,24 @@ def run(command: str, cfg: ExperimentConfig) -> Tuple[Dict[str, object], Trace, 
     """Execute one command; returns (report dict, optional trace, passed).
 
     The report is fully serializable; the trace is (header, rows) for the
-    CSV emitter. ``passed`` is the verification outcome for verify commands
-    and True for plain computations that complete.
+    CSV emitter, read off the first scale. ``passed`` is the verification
+    outcome for verify commands (False when any scale fails) and True for
+    plain computations that complete.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     started = time.perf_counter()
-    handler = _HANDLERS[command.split(" ", 1)[1] if command.startswith("verify") else command]
-    results, trace, passed = handler(cfg)
+    results, at_scale, header = _HANDLERS[command](cfg)
+    trace = None
+    for scale in cfg.scales if at_scale else ():
+        results[f"m={scale.m}"], rows = at_scale(cfg, scale)
+        if trace is None and header is not None:
+            trace = (header, rows)
+    # verification reports carry their outcome; computed values count as passed
+    passed = all(
+        rep.get("passed", True) if isinstance(rep, dict) else getattr(rep, "passed", True)
+        for rep in results.values()
+    )
     report = {
         "command": command,
         "version": __version__,
@@ -67,8 +78,14 @@ def run(command: str, cfg: ExperimentConfig) -> Tuple[Dict[str, object], Trace, 
     return report, trace, passed
 
 
-def _scale_key(scale) -> str:
-    return f"m={scale.m}"
+# A handler maps a config to (the results that do not depend on the scale,
+# the call made at each scale or None, the trace header or None). The call
+# returns (the scale's report, its trace rows).
+
+
+def _per_scale(call, header: Optional[Tuple[str, str]] = None):
+    """The handler whose results are only the per-scale reports of ``call``."""
+    return lambda cfg: ({}, call, header)
 
 
 def _cmd_exact(cfg: ExperimentConfig):
@@ -80,44 +97,23 @@ def _cmd_exact(cfg: ExperimentConfig):
         "core_symbols": list(symbols),
         "core_size": sub.alphabet_size,
     }
-    return results, None, True
+    return results, None, None
 
 
-def _cmd_capacity(cfg: ExperimentConfig):
-    results: Dict[str, object] = {}
-    trace = None
-    for scale in cfg.scales:
-        est = capacity_pressure(cfg.system, cfg.subset, cfg.potential, scale, cfg.n_range)
-        results[_scale_key(scale)] = est
-        if trace is None:
-            filled = dict(est.p_n)
-            for n in est.empty_n:
-                filled[n] = float("-inf")
-            rows = [(n, filled[n]) for n in sorted(filled)]
-            trace = (("n", "log_partition_function"), rows)
-    return results, trace, True
+def _cmd_capacity(cfg: ExperimentConfig, scale: Scale):
+    est = capacity_pressure(cfg.system, cfg.subset, cfg.potential, scale, cfg.n_range)
+    filled = {**dict(est.p_n), **dict.fromkeys(est.empty_n, float("-inf"))}
+    return est, sorted(filled.items())
 
 
-def _cmd_bowen(cfg: ExperimentConfig):
-    return _critical_exponent_command(cfg, bowen_pressure)
+def _cmd_bowen(cfg: ExperimentConfig, scale: Scale):
+    ce = bowen_pressure(cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L, tol=cfg.tol)
+    return ce, sorted(ce.history)
 
 
-def _cmd_weighted(cfg: ExperimentConfig):
-    return _critical_exponent_command(cfg, weighted_pressure)
-
-
-def _critical_exponent_command(cfg: ExperimentConfig, driver):
-    results: Dict[str, object] = {}
-    trace = None
-    for scale in cfg.scales:
-        ce = driver(
-            cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L, tol=cfg.tol
-        )
-        results[_scale_key(scale)] = ce
-        if trace is None:
-            rows = sorted(ce.history)
-            trace = (("s", "cover_value"), rows)
-    return results, trace, True
+def _cmd_weighted(cfg: ExperimentConfig, scale: Scale):
+    ce = weighted_pressure(cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L, tol=cfg.tol)
+    return ce, sorted(ce.history)
 
 
 def _build_measure(cfg: ExperimentConfig) -> MarkovMeasure:
@@ -138,86 +134,56 @@ def _cmd_measure(cfg: ExperimentConfig):
         results["exact"] = {"value": exact_invariant_pressure(mu, cfg.potential)}
     except PressureLabError as e:
         results["exact"] = {"unavailable": type(e).__name__}
-    trace = None
-    for scale in cfg.scales:
+
+    def at_scale(cfg: ExperimentConfig, scale: Scale):
         mc, first = _pressure_mc(mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed)
-        results[_scale_key(scale)] = mc
-        if trace is None:
-            trace = (("n", "local_pressure"), list(first.values))
-    return results, trace, True
+        return mc, list(first.values)
+
+    return results, at_scale, ("n", "local_pressure")
 
 
-def _cmd_chain(cfg: ExperimentConfig):
-    results: Dict[str, object] = {}
-    passed = True
-    for scale in cfg.scales:
-        rep = check_chain(
-            cfg.system, cfg.subset, cfg.potential, cfg.s, cfg.delta, cfg.N,
-            scale, cfg.L,
-        )
-        results[_scale_key(scale)] = rep
-        passed = passed and rep["passed"]
-    return results, None, passed
+def _cmd_chain(cfg: ExperimentConfig, scale: Scale):
+    return check_chain(
+        cfg.system, cfg.subset, cfg.potential, cfg.s, cfg.delta, cfg.N, scale, cfg.L,
+    ), None
 
 
-def _cmd_variational(cfg: ExperimentConfig):
-    results: Dict[str, object] = {}
-    passed = True
-    for scale in cfg.scales:
-        rep = verify_variational(
-            cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L,
-            cfg.tol, measure_grid=cfg.measure_grid, seed=cfg.seed,
-        )
-        results[_scale_key(scale)] = rep
-        passed = passed and rep.passed
-    return results, None, passed
+def _cmd_variational(cfg: ExperimentConfig, scale: Scale):
+    return verify_variational(
+        cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L,
+        cfg.tol, measure_grid=cfg.measure_grid, seed=cfg.seed,
+    ), None
 
 
-def _cmd_unions(cfg: ExperimentConfig):
-    results: Dict[str, object] = {}
-    passed = True
-    for scale in cfg.scales:
-        rep = verify_unions(
-            cfg.system, list(cfg.subset.parts), cfg.potential, scale,
-            cfg.N, cfg.L, tol=cfg.tol,
-        )
-        results[_scale_key(scale)] = rep
-        passed = passed and rep.passed
-    return results, None, passed
+def _cmd_unions(cfg: ExperimentConfig, scale: Scale):
+    return verify_unions(
+        cfg.system, list(cfg.subset.parts), cfg.potential, scale,
+        cfg.N, cfg.L, tol=cfg.tol,
+    ), None
 
 
-def _cmd_gibbs(cfg: ExperimentConfig):
-    results: Dict[str, object] = {}
-    passed = True
-    trace = None
-    for scale in cfg.scales:
-        rep = verify_gibbs_bound(
-            cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L,
-            betas=cfg.betas,
-        )
-        results[_scale_key(scale)] = rep
-        passed = passed and rep.passed
-        if trace is None:
-            trace = (("n", "log_max_ratio"), list(rep.trace))
-    return results, trace, passed
+def _cmd_gibbs(cfg: ExperimentConfig, scale: Scale):
+    rep = verify_gibbs_bound(
+        cfg.system, cfg.subset, cfg.potential, scale, cfg.N, cfg.L, betas=cfg.betas,
+    )
+    return rep, list(rep.trace)
 
 
 def _cmd_properties(cfg: ExperimentConfig):
-    rep = property_suite(cfg.seed, cfg.trials)
-    return {"properties": rep}, None, rep.passed
+    return {"properties": property_suite(cfg.seed, cfg.trials)}, None, None
 
 
 _HANDLERS = {
     "pressure exact": _cmd_exact,
-    "pressure capacity": _cmd_capacity,
-    "pressure bowen": _cmd_bowen,
-    "pressure weighted": _cmd_weighted,
+    "pressure capacity": _per_scale(_cmd_capacity, ("n", "log_partition_function")),
+    "pressure bowen": _per_scale(_cmd_bowen, ("s", "cover_value")),
+    "pressure weighted": _per_scale(_cmd_weighted, ("s", "cover_value")),
     "pressure measure": _cmd_measure,
-    "chain": _cmd_chain,
-    "variational": _cmd_variational,
-    "unions": _cmd_unions,
-    "gibbs": _cmd_gibbs,
-    "properties": _cmd_properties,
+    "verify chain": _per_scale(_cmd_chain),
+    "verify variational": _per_scale(_cmd_variational),
+    "verify unions": _per_scale(_cmd_unions),
+    "verify gibbs": _per_scale(_cmd_gibbs, ("n", "log_max_ratio")),
+    "verify properties": _cmd_properties,
 }
 
 
@@ -228,15 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     groups = parser.add_subparsers(dest="group", required=True)
-    p = groups.add_parser("pressure", help="compute one pressure notion")
-    p.add_argument(
-        "subcommand", choices=["exact", "capacity", "bowen", "weighted", "measure"]
-    )
-    v = groups.add_parser("verify", help="run one verification")
-    v.add_argument(
-        "subcommand", choices=["chain", "variational", "unions", "gibbs", "properties"]
-    )
-    for sub in (p, v):
+    helps = {"pressure": "compute one pressure notion", "verify": "run one verification"}
+    for group, about in helps.items():
+        sub = groups.add_parser(group, help=about)
+        names = [c.split(" ")[1] for c in COMMANDS if c.startswith(group + " ")]
+        sub.add_argument("subcommand", choices=names)
         sub.add_argument("--config", required=True, help="path to a JSON config")
         sub.add_argument("--out", default=".", help="output directory")
         sub.add_argument("--seed", type=int, default=None, help="override config seed")

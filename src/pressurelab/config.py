@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,19 +33,6 @@ from .symbolic import (
 )
 from .transfer import MarkovMeasure
 
-COMMANDS = (
-    "pressure exact",
-    "pressure capacity",
-    "pressure bowen",
-    "pressure weighted",
-    "pressure measure",
-    "verify chain",
-    "verify variational",
-    "verify unions",
-    "verify gibbs",
-    "verify properties",
-)
-
 _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "pressure exact": ("system", "potential"),
     "pressure capacity": ("system", "potential", "scales", "n_range"),
@@ -57,6 +45,8 @@ _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "verify gibbs": ("system", "potential", "scales", "N", "L"),
     "verify properties": (),
 }
+
+COMMANDS = tuple(_REQUIRED)
 
 
 @dataclass
@@ -264,8 +254,8 @@ def _parse_potential(node, system, problems) -> Optional[LocallyConstantPotentia
         return None
     if "constant" in node:
         c = node["constant"]
-        if not isinstance(c, (int, float)):
-            problems.append(("potential.constant", "must be a number"))
+        if not _is_finite(c):
+            problems.append(("potential.constant", "must be a finite number"))
             return None
         return constant_potential(system, float(c))
     depth = node.get("depth")
@@ -292,8 +282,8 @@ def _parse_potential(node, system, problems) -> Optional[LocallyConstantPotentia
             raise InadmissibleWord(
                 f"potential key {key!r} names a forbidden word of the system"
             )
-        if not isinstance(value, (int, float)):
-            problems.append((f"potential.table.{key}", "value must be a number"))
+        if not _is_finite(value):
+            problems.append((f"potential.table.{key}", "value must be a finite number"))
             continue
         table[word] = float(value)
     try:
@@ -356,7 +346,7 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
         if not isinstance(target, (int, float)) or not 0 <= target <= 1:
             problems.append((f"{path}.target", "must be a frequency in [0, 1]"))
             return None
-        if not isinstance(window, (int, float)) or window <= 0:
+        if not _is_finite(window) or window <= 0:
             problems.append((f"{path}.window", "must be a positive half-width"))
             return None
         return frequency_level(symbol, float(target), float(window), label=label)
@@ -399,9 +389,9 @@ def _parse_betas(node, problems) -> Tuple[float, ...]:
     if node is None:
         return (0.05, 0.1)
     if not isinstance(node, list) or not node or any(
-        not isinstance(b, (int, float)) or b <= 0 for b in node
+        not _is_finite(b) or b <= 0 for b in node
     ):
-        problems.append(("betas", "must be a nonempty list of positive numbers"))
+        problems.append(("betas", "must be a nonempty list of positive finite numbers"))
         return (0.05, 0.1)
     return tuple(float(b) for b in node)
 
@@ -417,11 +407,8 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
         return {"kind": "equilibrium"}
     if kind == "bernoulli":
         p = node.get("p")
-        if not isinstance(p, list) or any(not isinstance(x, (int, float)) for x in p):
-            problems.append(("measure.p", "must be a probability vector"))
-            return None
-        if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-9:
-            problems.append(("measure.p", "entries must be >= 0 and sum to 1"))
+        if not _is_distribution(p):
+            problems.append(("measure.p", "entries must be finite, >= 0 and sum to 1"))
             return None
         if system is not None and len(p) != system.alphabet_size:
             problems.append(("measure.p", "length must equal alphabet_size"))
@@ -439,7 +426,7 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
             problems.append(("measure.transition", "must be alphabet_size x alphabet_size"))
             return None
         for i, r in enumerate(T):
-            if any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
+            if not _is_distribution(r):
                 problems.append((f"measure.transition[{i}]", "row must be >= 0 and sum to 1"))
                 return None
         out: Dict[str, object] = {
@@ -448,18 +435,25 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
         }
         init = node.get("initial")
         if init is not None:
-            if (
-                not isinstance(init, list)
-                or len(init) != k
-                or any(not isinstance(x, (int, float)) or x < 0 for x in init)
-                or abs(sum(init) - 1.0) > 1e-9
-            ):
+            if not _is_distribution(init) or len(init) != k:
                 problems.append(("measure.initial", "must be a probability vector"))
                 return None
             out["initial"] = [float(x) for x in init]
         return out
     problems.append(("measure.kind", 'must be "bernoulli", "markov", or "equilibrium"'))
     return None
+
+
+def _is_finite(v) -> bool:
+    """True for a JSON number a float holds (json accepts NaN and Infinity)."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and abs(v) <= sys.float_info.max
+
+
+def _is_distribution(v) -> bool:
+    """True for a list of finite numbers >= 0 that sum to 1 within 1e-9."""
+    entries = isinstance(v, list) and all(_is_finite(x) and x >= 0 for x in v)
+    return entries and abs(sum(v) - 1.0) <= 1e-9
 
 
 def _opt_int(data, key, problems, minimum=None, default=None):
@@ -479,8 +473,8 @@ def _opt_float(data, key, problems, default=None, positive=False):
     if key not in data:
         return default
     v = data[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        problems.append((key, "must be a number"))
+    if not _is_finite(v):
+        problems.append((key, "must be a finite number"))
         return default
     if positive and v <= 0:
         problems.append((key, "must be positive"))

@@ -220,8 +220,11 @@ def _pressure_mc(mu, f, scale, n_range, samples, seed):
         raise ValueError("need at least one sample orbit")
     ns = _normalize_range(n_range, minimum_points=1)
     seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
+    # local_pressure reads max(n_max + m, n_max + depth - 1) symbols; a longer
+    # draw only extends the orbit, so shallower potentials see the same one
+    n_draw = ns[-1] + max(0, f.depth - 1 - scale.m)
     traces = (
-        local_pressure(mu, f, sample_orbit(mu, ns[-1], scale, child), scale, ns)
+        local_pressure(mu, f, sample_orbit(mu, n_draw, scale, child), scale, ns)
         for child in seeds.tolist()
     )
     first = next(traces)

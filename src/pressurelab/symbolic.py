@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import InadmissibleWord, InsufficientDepth, ScaleTooCoarse
 
 Word = Tuple[int, ...]
-State = TypeVar("State")
 
 NEG_INF = float("-inf")
 
@@ -203,67 +202,6 @@ def enumerate_words(
     return iter_target_words(sft, whole(), n, budget)
 
 
-def layers(
-    start: State,
-    step: Callable[[State], Iterable[Tuple[object, State]]],
-    depth: int,
-):
-    """The tree that ``step`` unfolds from ``start``, merged by state per depth.
-
-    ``step(state)`` lists one (label, child state) pair per child, in order.
-    Returns (states, edges): states[d] lists the distinct states d steps from
-    the start, in order of discovery, and edges[d][i] holds one (label,
-    index into states[d + 1]) pair per child of states[d][i]. The fold in
-    ``extreme_tail`` runs over these layers, so no recursion bounds its
-    depth.
-    """
-    states: List[List[State]] = [[start]]
-    edges: List[List[List[Tuple[object, int]]]] = []
-    for _ in range(depth):
-        index: Dict[State, int] = {}
-        rows = []
-        for state in states[-1]:
-            row = []
-            for label, child in step(state):
-                j = index.get(child)
-                if j is None:
-                    j = index[child] = len(index)
-                row.append((label, j))
-            rows.append(row)
-        edges.append(rows)
-        states.append(list(index))
-    return states, edges
-
-
-def extreme_tail(
-    successors: Sequence[Sequence[int]], f: LocallyConstantPotential, ctx: Word, steps: int,
-    want_max: bool,
-) -> float:
-    """Max (min) over the ``steps``-symbol continuations of ``ctx`` allowed by
-    ``successors`` of the sum of the potential windows those symbols complete.
-
-    ``ctx`` is the word so far, or its last max(k - 1, 1) symbols once that
-    long; an empty one may start with any symbol that has a successor.
-    Returns -inf when no continuation of that length exists.
-    """
-    k = f.depth
-    keep = max(k - 1, 1)
-
-    def step(c: Word):
-        symbols = successors[c[-1]] if c else [a for a, nxt in enumerate(successors) if nxt]
-        return [
-            ((f.value(w[-k:]) if len(w) >= k else 0.0), w[-keep:])
-            for w in [c + (b,) for b in symbols]
-        ]
-
-    states, edges = layers(ctx, step, steps)
-    pick = max if want_max else min
-    values = [0.0] * len(states[-1])
-    for rows in reversed(edges):
-        values = [pick([g + values[j] for g, j in row]) if row else NEG_INF for row in rows]
-    return values[0]
-
-
 # ---------------------------------------------------------------------------
 # metric bridges
 
@@ -329,9 +267,11 @@ def _extreme_birkhoff(
     need = n + k - 1
     if len(w) >= need:
         return birkhoff_sum(f, w[:need], n)
+    from ._engine import extreme_tails  # local import to avoid a cycle
+
     base = birkhoff_sum(f, w, len(w) - k + 1) if len(w) >= k else 0.0
-    ctx = w[-max(k - 1, 1):]
-    return base + extreme_tail(sft.successors, f, ctx, need - len(w), want_max)
+    tails = extreme_tails(sft, f, sft.allowed, need - len(w), want_max)
+    return base + tails[w[-max(k - 1, 1):]]
 
 
 def sup_birkhoff_on_cylinder(
@@ -360,56 +300,19 @@ def inf_birkhoff_on_cylinder(
 def strongly_connected_components(
     adjacency: Sequence[Sequence[bool]],
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Tarjan's SCC algorithm, iterative, on a boolean adjacency matrix.
+    """The strongly connected components of a boolean adjacency matrix.
 
-    Components come out sorted by smallest member for determinism.
+    a and b share a component when each reaches the other, read off the
+    reflexive reachability closure (Warshall, JACM 1962). Components come
+    out sorted by smallest member for determinism.
     """
     n = len(adjacency)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list = []
-    components = []
-    counter = [0]
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, iter([b for b in range(n) if adjacency[root][b]]))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for b in it:
-                if index_of[b] == -1:
-                    index_of[b] = low[b] = counter[0]
-                    counter[0] += 1
-                    stack.append(b)
-                    on_stack[b] = True
-                    work.append((b, iter([c for c in range(n) if adjacency[b][c]])))
-                    advanced = True
-                    break
-                elif on_stack[b]:
-                    low[v] = min(low[v], index_of[b])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                components.append(tuple(sorted(comp)))
-    return tuple(sorted(components))
+    reach = [{b for b in range(n) if a == b or adjacency[a][b]} for a in range(n)]
+    for c in range(n):  # every symbol that reaches c reaches what c reaches
+        for a in range(n):
+            if c in reach[a]:
+                reach[a] |= reach[c]
+    return tuple(sorted({tuple(sorted(b for b in reach[a] if a in reach[b])) for a in range(n)}))
 
 
 def is_strongly_connected(adjacency: Sequence[Sequence[bool]]) -> bool:

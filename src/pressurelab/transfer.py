@@ -83,10 +83,11 @@ class MarkovMeasure:
             raise ValueError("initial row has wrong length")
         if np.any(P < -1e-15) or np.any(pi < -1e-15):
             raise ValueError("probabilities must be nonnegative")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("transition rows must sum to 1 within 1e-12")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("initial row must sum to 1 within 1e-12")
+        # a NaN entry makes its sum NaN, which fails every <=
+        if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12:
+            raise ValueError("transition rows must be finite and sum to 1 within 1e-12")
+        if not abs(pi.sum() - 1.0) <= 1e-12:
+            raise ValueError("initial row must be finite and sum to 1 within 1e-12")
 
     @property
     def n_states(self) -> int:

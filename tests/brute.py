@@ -157,6 +157,114 @@ def inf_birkhoff(
 
 
 # ---------------------------------------------------------------------------
+# the retired per-context tail walker and Tarjan's SCCs, kept as oracles
+
+
+def merged_layers(start, step: Callable, depth: int):
+    """The tree that ``step`` unfolds from ``start``, merged by state per depth.
+
+    ``step(state)`` lists one (label, child state) pair per child, in order.
+    Returns (states, edges): states[d] lists the distinct states d steps from
+    the start, in order of discovery, and edges[d][i] holds one (label,
+    index into states[d + 1]) pair per child of states[d][i].
+    """
+    states: List[list] = [[start]]
+    edges: List[List[List[Tuple[object, int]]]] = []
+    for _ in range(depth):
+        index: Dict[object, int] = {}
+        rows = []
+        for state in states[-1]:
+            row = []
+            for label, child in step(state):
+                j = index.get(child)
+                if j is None:
+                    j = index[child] = len(index)
+                row.append((label, j))
+            rows.append(row)
+        edges.append(rows)
+        states.append(list(index))
+    return states, edges
+
+
+def extreme_tail_walk(
+    successors: Sequence[Sequence[int]], f, ctx: Word, steps: int, want_max: bool
+) -> float:
+    """Max (min) over the ``steps``-symbol continuations of ``ctx`` allowed by
+    ``successors`` of the sum of the potential windows those symbols complete,
+    by a fold over the layers ``merged_layers`` grows from ``ctx`` alone.
+
+    An empty ``ctx`` may start with any symbol that has a successor; -inf
+    when no continuation of that length exists.
+    """
+    k = f.depth
+    keep = max(k - 1, 1)
+
+    def step(c: Word):
+        symbols = successors[c[-1]] if c else [a for a, nxt in enumerate(successors) if nxt]
+        return [
+            ((f.value(w[-k:]) if len(w) >= k else 0.0), w[-keep:])
+            for w in [c + (b,) for b in symbols]
+        ]
+
+    states, edges = merged_layers(ctx, step, steps)
+    pick = max if want_max else min
+    values = [0.0] * len(states[-1])
+    for rows in reversed(edges):
+        values = [pick([g + values[j] for g, j in row]) if row else -math.inf for row in rows]
+    return values[0]
+
+
+def tarjan_components(adjacency: Sequence[Sequence[bool]]) -> Tuple[Tuple[int, ...], ...]:
+    """Tarjan's SCC algorithm, iterative, components sorted by smallest member."""
+    n = len(adjacency)
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list = []
+    components = []
+    counter = [0]
+
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, iter([b for b in range(n) if adjacency[root][b]]))]
+        index_of[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for b in it:
+                if index_of[b] == -1:
+                    index_of[b] = low[b] = counter[0]
+                    counter[0] += 1
+                    stack.append(b)
+                    on_stack[b] = True
+                    work.append((b, iter([c for c in range(n) if adjacency[b][c]])))
+                    advanced = True
+                    break
+                elif on_stack[b]:
+                    low[v] = min(low[v], index_of[b])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index_of[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    comp.append(u)
+                    if u == v:
+                        break
+                components.append(tuple(sorted(comp)))
+    return tuple(sorted(components))
+
+
+# ---------------------------------------------------------------------------
 # orbit sampling and local pressure, one symbol at a time
 
 

@@ -715,3 +715,10 @@ def test_chain_degenerate_point_shift():
 def test_chain_requires_fine_scale():
     with pytest.raises(pl.ScaleTooCoarse):
         pl.check_chain(FULL2, pl.whole(), F0, s=0.5, delta=0.5, N=4, scale=pl.Scale(2), L=10)
+
+
+def test_bisection_rejects_a_nan_tolerance():
+    # NaN compares false with everything, so `tol <= 0` let it through and
+    # the bisection stopped at once on the bracket [0, 1]
+    with pytest.raises(ValueError, match="tol"):
+        pl.bowen_pressure(FULL2, pl.whole(), pl.zero_potential(FULL2), pl.Scale(1), 2, 8, tol=math.nan)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pressurelab
-from pressurelab.cli import main
+from pressurelab.cli import main, run
 from pressurelab.config import parse_config
 from pressurelab.errors import InadmissibleWord, ScaleTooCoarse, SchemaError
 
@@ -121,6 +121,54 @@ def test_parse_config_rejects_bad_measure():
     with pytest.raises(SchemaError) as exc:
         parse_config(cfg, "pressure measure")
     assert any(path == "measure.p" for path, _ in exc.value.problems)
+
+
+NAN, INF = float("nan"), float("inf")
+_BOWEN = {"system": {"alphabet_size": 2}, "potential": {"constant": 0.0}, "scales": [1], "N": 2, "L": 8}
+_MEASURE = dict(_BOWEN, n_range=[10, 20], measure={"kind": "bernoulli", "p": [0.5, 0.5]})
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    [
+        ("pressure bowen", dict(_BOWEN, tol=NAN), "tol"),
+        ("pressure bowen", dict(_BOWEN, tol=INF), "tol"),
+        ("pressure bowen", dict(_BOWEN, tol=10 ** 400), "tol"),  # no float holds it
+        ("verify chain", dict(_BOWEN, scales=[3], subset={"kind": "whole"}, s=NAN, delta=0.5), "s"),
+        ("verify chain", dict(_BOWEN, scales=[3], subset={"kind": "whole"}, s=0.5, delta=INF), "delta"),
+        ("verify gibbs", dict(_BOWEN, betas=[0.05, NAN]), "betas"),
+        ("pressure bowen", dict(_BOWEN, potential={"constant": NAN}), "potential.constant"),
+        ("pressure bowen", dict(_BOWEN, potential={"depth": 1, "table": {"0": 0.0, "1": -INF}}),
+         "potential.table.1"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "frequency_level", "symbol": 0,
+                                                "target": 0.5, "window": NAN}), "subset.window"),
+        ("pressure measure", dict(_MEASURE, measure={"kind": "bernoulli", "p": [NAN, 1.0]}),
+         "measure.p"),
+        ("pressure measure", dict(_MEASURE, measure={"kind": "markov",
+                                                     "transition": [[0.5, 0.5], [NAN, NAN]]}),
+         "measure.transition[1]"),
+        ("pressure measure", dict(_MEASURE, measure={"kind": "markov",
+                                                     "transition": [["a", 1], [0.5, 0.5]]}),
+         "measure.transition[0]"),
+        ("pressure measure", dict(_MEASURE, measure={"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                                                     "initial": [NAN, 1.0]}), "measure.initial"),
+    ],
+)
+def test_parse_config_rejects_non_finite_numbers(command, cfg, path):
+    # json reads NaN, Infinity and integers no float holds; no check may let
+    # them through, and none may crash on a string
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(cfg), command)
+    assert path in [p for p, _ in exc.value.problems]
+
+
+def test_cli_nan_tolerance_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan_tol.json"
+    path.write_text(json.dumps(dict(_BOWEN, tol=NAN)))
+    code, _, err = _run(["pressure", "bowen", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(err)["problems"] == [["tol", "must be a finite number"]]
+    assert not (tmp_path / "pressure_bowen_report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +370,70 @@ def test_cli_reports_are_deterministic(tmp_path, capsys):
         assert ca == cb
 
 
+def _run_config(tmp_path, capsys, command, cfg, tag):
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / tag
+    code, _, _ = _run(command.split() + ["--config", str(path), "--out", str(out_dir)], capsys)
+    stem = command.replace(" ", "_")
+    report = json.loads((out_dir / f"{stem}_report.json").read_text())
+    trace = out_dir / f"{stem}_trace.csv"
+    return code, report, trace.read_bytes() if trace.exists() else None
+
+
+def test_cli_runs_every_scale_in_config_order(tmp_path, capsys):
+    # scales listed out of order: one results entry per scale, in config
+    # order after the scale-free results (the report file sorts its keys),
+    # each equal to that scale run alone; the trace is the first scale's
+    capacity = json.loads((CONFIGS / "capacity_full2.json").read_text())
+    measure = {
+        "system": {"alphabet_size": 2},
+        "potential": {"depth": 2, "table": {"00": 0.1, "01": -0.2, "10": 0.3, "11": 0.0}},
+        "n_range": [20, 40],
+        "samples": 3,
+        "measure": {"kind": "bernoulli", "p": [0.3, 0.7]},
+    }
+    for command, cfg, head in (
+        ("pressure capacity", capacity, []),
+        ("pressure measure", measure, ["measure", "exact"]),
+    ):
+        in_process = run(command, parse_config(dict(cfg, scales=[3, 1]), command))[0]
+        assert list(in_process["results"]) == head + ["m=3", "m=1"]
+        code, both, trace = _run_config(tmp_path, capsys, command, dict(cfg, scales=[3, 1]), "both")
+        assert code == 0 and both["passed"] is True
+        singles = {}
+        for m in (3, 1):
+            _, alone, singles[m] = _run_config(tmp_path, capsys, command, dict(cfg, scales=[m]), f"m{m}")
+            assert both["results"][f"m={m}"] == alone["results"][f"m={m}"]
+            for key in head:
+                assert both["results"][key] == alone["results"][key]
+        assert trace == singles[3] != singles[1]
+
+
+def test_cli_verify_fails_when_any_scale_fails(tmp_path, capsys, monkeypatch):
+    # no shipped verification changes its outcome between small scales, so
+    # the verifier is wrapped to fail at m = 2 only
+    import dataclasses
+
+    import pressurelab.cli as cli
+
+    real = cli.verify_unions
+
+    def fails_at_m2(sft, parts, f, scale, *args, **kwargs):
+        rep = real(sft, parts, f, scale, *args, **kwargs)
+        return dataclasses.replace(rep, passed=scale.m != 2)
+
+    monkeypatch.setattr(cli, "verify_unions", fails_at_m2)
+    cfg = json.loads((CONFIGS / "unions_fixed_points.json").read_text())
+    for scales, passed in (([1, 3], True), ([1, 2], False), ([2, 1], False)):
+        code, report, _ = _run_config(tmp_path, capsys, "verify unions", dict(cfg, scales=scales), "u")
+        assert code == (0 if passed else 2)
+        assert report["passed"] is passed
+        assert {key: rep["passed"] for key, rep in report["results"].items()} == {
+            f"m={m}": m != 2 for m in scales
+        }
+
+
 def test_cli_measure_threads_do_not_change_results(tmp_path, capsys):
     cfg = {
         "system": {"alphabet_size": 2},
@@ -398,6 +510,22 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these functions by name, so deleting or
+    # renaming one breaks `perfbench/run.py --trace 1` and no library test
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, func in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"pressurelab.{module}"), func, None)), (
+            module, func,
+        )
 
 
 def _declared_entry_point(name: str) -> str:

@@ -316,3 +316,20 @@ def test_mc_estimate_seed_changes_orbits():
     a = pl.measure_pressure_mc(mu, F0, pl.Scale(2), (300, 400), samples=8, seed=1)
     b = pl.measure_pressure_mc(mu, F0, pl.Scale(2), (300, 400), samples=8, seed=2)
     assert a.per_orbit != b.per_orbit
+
+
+def test_mc_estimate_draws_the_windows_of_a_deep_potential():
+    # a depth-3 potential at m = 1 reads n_max + 2 symbols, one past the
+    # ball, so each orbit is drawn that long; the longer draw extends the
+    # n_max + m symbols a shallower potential sees
+    mu = pl.bernoulli_measure([0.5, 0.5])
+    f = pl.potential_from_table(FULL2, 3, {w: 0.1 * sum(w) - 0.2 * w[0] for w in all_words(2, 3)})
+    est = pl.measure_pressure_mc(mu, f, pl.Scale(1), (50, 60), 3, 0)
+    seeds = np.random.SeedSequence(0).generate_state(3, dtype=np.uint64).tolist()
+    orbits = [pl.sample_orbit(mu, 61, pl.Scale(1), s) for s in seeds]
+    assert est.excluded == 0
+    assert est.per_orbit == tuple(
+        pl.local_pressure(mu, f, x, pl.Scale(1), (50, 60)).liminf_estimate for x in orbits
+    )
+    for s, x in zip(seeds, orbits):
+        assert x.word[:61] == pl.sample_orbit(mu, 60, pl.Scale(1), s).word

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import pressurelab as pl
@@ -6,11 +7,16 @@ from brute import (
     all_words,
     ball_agreement_length,
     birkhoff,
+    extreme_tail_walk,
     max_separated_set_size,
     metric,
     orbit_metric,
     sup_birkhoff,
+    tarjan_components,
 )
+from pressurelab._engine import extreme_tails
+from pressurelab.subsets import trim_forward
+from pressurelab.symbolic import is_strongly_connected, strongly_connected_components
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -159,8 +165,6 @@ def test_sup_birkhoff_respects_forbidden_transitions():
 
 
 def test_sup_and_inf_birkhoff_bracket_random_cases():
-    import numpy as np
-
     rng = np.random.default_rng(42)
     for _ in range(25):
         table = {
@@ -232,3 +236,49 @@ def test_frequency_level_words_by_filter():
         w for w in all_words(2, 6) if abs(w.count(0) / 6 - 0.5) <= 0.1 + 1e-12
     )
     assert got == expected
+
+
+def _random_host(rng: np.random.Generator, k: int) -> pl.Subshift:
+    while True:
+        rel = rng.random((k, k)) < 0.6
+        if rel.any(axis=0).all() and rel.any(axis=1).all():
+            return pl.Subshift(k, tuple(map(tuple, rel.tolist())))
+
+
+def test_extreme_tails_match_the_per_context_walk():
+    # the suffix-table fold against the retired walker, which grew a merged
+    # tree from each context alone: every context, exactly
+    rng = np.random.default_rng(2024)
+    for trial in range(80):
+        k = int(rng.integers(2, 4))
+        host = _random_host(rng, k) if trial % 3 else (FULL2 if k == 2 else GM)
+        depth = int(rng.integers(1, 5))
+        f = pl.potential_from_table(
+            host, depth, {w: float(rng.normal()) for w in pl.enumerate_words(host, depth)}
+        )
+        sub = tuple(
+            tuple(bool(ok and rng.random() < 0.6) for ok in row) for row in host.allowed
+        )
+        contexts = {
+            w for n in range(max(depth - 1, 1) + 1) for w in admissible_words(host.allowed, n)
+        }
+        for rel in (host.allowed, trim_forward(sub)):
+            successors = [[b for b, ok in enumerate(row) if ok] for row in rel]
+            for steps in range(7):
+                for want_max in (True, False):
+                    tails = extreme_tails(host, f, rel, steps, want_max)
+                    assert set(tails) == contexts
+                    for ctx, got in tails.items():
+                        assert got == extreme_tail_walk(successors, f, ctx, steps, want_max)
+
+
+def test_strongly_connected_components_match_tarjan():
+    rng = np.random.default_rng(7)
+    graphs = [[], [[False]], [[True]]] + [
+        (rng.random((n, n)) < rng.uniform(0.05, 0.6)).tolist()
+        for n in rng.integers(0, 8, size=300)
+    ]
+    for adjacency in graphs:
+        expected = tarjan_components(adjacency)
+        assert strongly_connected_components(adjacency) == expected
+        assert is_strongly_connected(adjacency) == (len(expected) == 1)

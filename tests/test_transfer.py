@@ -162,3 +162,11 @@ def test_bernoulli_and_markov_constructors_validate():
     assert mu.invariance_defect() <= 1e-12
     ber = pl.bernoulli_measure([0.3, 0.7])
     assert np.allclose(ber.transition, [[0.3, 0.7], [0.3, 0.7]])
+
+
+def test_markov_measure_rejects_nan_probabilities():
+    # NaN fails every < and > check, so it needs its own
+    with pytest.raises(ValueError, match="finite"):
+        pl.MarkovMeasure(np.array([[math.nan, math.nan], [0.5, 0.5]]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        pl.MarkovMeasure(np.full((2, 2), 0.5), np.array([math.nan, 1.0]))
