@@ -61,10 +61,6 @@ class Ball:
                 f"center word has length {len(self.center_word)}, ball wants {expect}"
             )
 
-    @property
-    def cylinder(self) -> Word:
-        return self.center_word
-
 
 @dataclass(frozen=True)
 class WeightedCover:
@@ -80,10 +76,6 @@ class WeightedCover:
             raise ValueError("cover must contain at least one ball")
         if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
             raise ValueError("weights must be positive and finite")
-
-    @property
-    def min_n(self) -> int:
-        return min(b.n for b in self.balls)
 
 
 def unweighted_cover(balls: Sequence[Ball]) -> WeightedCover:
@@ -462,7 +454,7 @@ def _bisect_critical(
             points = batch()
             known.update(zip(points, map(float, log_values(points))))
         v = known[s]
-        history.append((s, math.exp(v) if v < 700 else math.inf))
+        history.append((s, _value_from_log(v)))
         return v
 
     lo = hi = s_seed
@@ -508,7 +500,7 @@ def _bisect_critical(
         depth=depth,
         N=N,
         scale=scale,
-        value_at_low=math.exp(v_lo) if v_lo < 700 else math.inf,
+        value_at_low=_value_from_log(v_lo),
         value_at_high=math.exp(v_hi),
         method=method,
         history=tuple(history),

@@ -31,7 +31,7 @@ from .symbolic import (
     full_shift,
     potential_from_table,
 )
-from .transfer import MarkovMeasure
+from .transfer import _SUM_TOL, MarkovMeasure
 
 _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "pressure exact": ("system", "potential"),
@@ -413,6 +413,10 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
         if system is not None and len(p) != system.alphabet_size:
             problems.append(("measure.p", "length must equal alphabet_size"))
             return None
+        charged = [a for a, x in enumerate(p) if x > 0]
+        if system is not None and not all(system.allowed[a][b] for a in charged for b in charged):
+            problems.append(("measure.p", "charges a block the system forbids"))
+            return None
         return {"kind": "bernoulli", "p": [float(x) for x in p]}
     if kind == "markov":
         T = node.get("transition")
@@ -428,6 +432,9 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
         for i, r in enumerate(T):
             if not _is_distribution(r):
                 problems.append((f"measure.transition[{i}]", "row must be >= 0 and sum to 1"))
+                return None
+            if system is not None and any(x > 0 and not ok for x, ok in zip(r, system.allowed[i])):
+                problems.append((f"measure.transition[{i}]", "charges an arc the system forbids"))
                 return None
         out: Dict[str, object] = {
             "kind": "markov",
@@ -451,9 +458,10 @@ def _is_finite(v) -> bool:
 
 
 def _is_distribution(v) -> bool:
-    """True for a list of finite numbers >= 0 that sum to 1 within 1e-9."""
+    """True for a list of finite numbers >= 0 whose sum is 1 within the
+    tolerance MarkovMeasure applies, summed the way it sums."""
     entries = isinstance(v, list) and all(_is_finite(x) and x >= 0 for x in v)
-    return entries and abs(sum(v) - 1.0) <= 1e-9
+    return entries and abs(np.sum(np.asarray(v, dtype=float)) - 1.0) <= _SUM_TOL
 
 
 def _opt_int(data, key, problems, minimum=None, default=None):

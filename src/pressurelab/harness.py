@@ -9,7 +9,7 @@ Every report is a deterministic function of (inputs, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,11 +174,8 @@ def _embed_measure(
     """
     P = np.eye(alphabet_size)
     pi = np.zeros(alphabet_size)
-    for i, a in enumerate(symbols):
-        pi[a] = mu.initial[i]
-        P[a, :] = 0.0
-        for j, b in enumerate(symbols):
-            P[a, b] = mu.transition[i, j]
+    pi[list(symbols)] = mu.initial
+    P[np.ix_(symbols, symbols)] = mu.transition  # overwrites the core's self-loops
     return MarkovMeasure(P, pi, label=mu.label)
 
 
@@ -186,12 +183,9 @@ def _dirichlet_markov(sub: Subshift, rng: np.random.Generator) -> MarkovMeasure:
     """Random row-stochastic matrix supported exactly on the component."""
     c = sub.alphabet_size
     P = np.zeros((c, c))
-    for i in range(c):
-        succ = sub.successors[i]
+    for i, succ in enumerate(sub.successors):
         row = rng.dirichlet(np.ones(len(succ)))
-        row = (row + _GRID_EPS) / (1.0 + len(succ) * _GRID_EPS)
-        for j, b in enumerate(succ):
-            P[i, b] = row[j]
+        P[i, list(succ)] = (row + _GRID_EPS) / (1.0 + len(succ) * _GRID_EPS)
     return markov_measure(P)
 
 
@@ -275,15 +269,15 @@ def verify_variational(
             passed=True,
         )
 
+    # on the core: its symbols keep their host order, so every sum runs over
+    # the same terms in the same order as on the host embedding
     sub, symbols, f_sub, spectral = _invariant_core(sft, K, f)
     eq_sub = equilibrium_measure(sub, f_sub)
-    eq_full = _embed_measure(eq_sub, symbols, sft.alphabet_size)
-    eq_value = exact_invariant_pressure(eq_full, f)
-
-    grid_values: List[float] = []
-    for _ in range(measure_grid):
-        mu = _embed_measure(_dirichlet_markov(sub, rng), symbols, sft.alphabet_size)
-        grid_values.append(exact_invariant_pressure(mu, f))
+    eq_value = exact_invariant_pressure(eq_sub, f_sub)
+    grid_values = [
+        exact_invariant_pressure(_dirichlet_markov(sub, rng), f_sub)
+        for _ in range(measure_grid)
+    ]
 
     grid_max = max(grid_values) if grid_values else -math.inf
     measure_sup = max(eq_value, grid_max)
@@ -294,7 +288,7 @@ def verify_variational(
     return VariationalReport(
         p_bowen=p_bowen,
         measure_sup=measure_sup,
-        witness=_measure_description(eq_full),
+        witness=_measure_description(_embed_measure(eq_sub, symbols, sft.alphabet_size)),
         gap=gap,
         params=params,
         mode="compact",
@@ -378,12 +372,8 @@ def verify_unions(
     """
     if len(components) < 2:
         raise ValueError("need at least two components")
-    seen = set()
-    for c in components:
-        key = (c.kind, c.allowed, c.parts, c.symbol, c.target, c.window)
-        if key in seen:
-            raise ValueError("components must be pairwise distinct")
-        seen.add(key)
+    if len({replace(c, label="") for c in components}) < len(components):
+        raise ValueError("components must be pairwise distinct")
     union_spec = finite_union(*components)
     b_union = bowen_pressure(sft, union_spec, f, scale, N, L, tol=tol)
     parts = tuple(
@@ -494,41 +484,34 @@ def _worst_log_ratios(
 
     One max-plus forward pass weighs every window up to horizon max(ns);
     each horizon continues from its step by the m - k + 1 remaining
-    transitions of log P alone. Needs f.depth <= m + 1 so the word
-    determines its own n-term sum.
+    transitions of log P alone. A step is V'[b] = max_a V[a] + G[a, b] for
+    a gain matrix G built once, -inf off the arcs of ``sub``. Needs
+    f.depth <= m + 1 so the word determines its own n-term sum.
     """
     k = f.depth
     if k > scale.m + 1:
         raise ValueError("potential depth exceeds m + 1; sup f_n not word-determined")
-    c = sub.alphabet_size
+    arcs = np.array(sub.allowed, dtype=bool)
     with np.errstate(divide="ignore"):
         logP = np.where(mu.transition > 0, np.log(mu.transition), -math.inf)
         logpi = np.where(mu.initial > 0, np.log(mu.initial), -math.inf)
-
-    def step(V: List[float], weigh: bool) -> List[float]:
-        nxt = [-math.inf] * c
-        for a in range(c):
-            if V[a] == -math.inf:
-                continue
-            for b in sub.successors[a]:
-                gain = logP[a, b]
-                if weigh:
-                    gain -= f.value((a, b) if k == 2 else (b,))
-                cand = V[a] + gain
-                if cand > nxt[b]:
-                    nxt[b] = cand
-        return nxt
+    # fw[a] (k = 1) or fw[a, b] (k = 2): f on the windows of sub
+    windows = enumerate_words(sub, k)
+    fw = np.zeros(arcs.shape[:k])
+    fw[tuple(np.array(windows).T)] = [f.value(w) for w in windows]
+    weigh = np.where(arcs, logP - (fw if k == 2 else fw[None, :]), -math.inf)
+    plain = np.where(arcs, logP, -math.inf)
 
     # weighed[t] has taken t steps and holds the first t + 2 - k windows
-    weighed = [[logpi[a] - (f.value((a,)) if k == 1 else 0.0) for a in range(c)]]
+    weighed = [logpi - fw if k == 1 else logpi]
     for _ in range(ns[-1] + k - 2):
-        weighed.append(step(weighed[-1], True))
+        weighed.append((weighed[-1][:, None] + weigh).max(axis=0))
     out = []
     for n in ns:
         V = weighed[n + k - 2]
         for _ in range(scale.m - k + 1):
-            V = step(V, False)
-        out.append(max(V))
+            V = (V[:, None] + plain).max(axis=0)
+        out.append(float(V.max()))
     return out
 
 

@@ -262,8 +262,7 @@ def exact_invariant_pressure(
     pi = np.asarray(mu.initial, dtype=float)
     P = np.asarray(mu.transition, dtype=float)
     charged = [a for a in range(mu.n_states) if pi[a] > _SUPPORT_EPS]
-    sub = [[P[a, b] > 0.0 for b in charged] for a in charged]
-    if not is_strongly_connected(sub):
+    if not is_strongly_connected(P[charged][:, charged] > 0.0):
         raise ReducibleSystem(
             "charged support is not irreducible; the measure is not ergodic"
         )
@@ -275,22 +274,19 @@ def exact_invariant_pressure(
             if p > 0.0:
                 entropy -= pi[a] * p * math.log(p)
 
-    k = f.depth
+    # the charged depth-k words with their masses, one layer at a time in
+    # lexicographic order, which fixes the order the integral is summed in
+    level = [((a,), float(pi[a])) for a in charged]
+    for _ in range(f.depth - 1):
+        level = [
+            (w + (b,), mass * step)
+            for w, mass in level
+            for b, step in enumerate(P[w[-1]])
+            if step > 0.0
+        ]
+        if len(level) > DEFAULT_ENUMERATION_BUDGET:
+            raise EnumerationBudgetExceeded(len(level), DEFAULT_ENUMERATION_BUDGET)
     integral = 0.0
-    count = 0
-    # the charged depth-k words in lexicographic order, which fixes the
-    # order the integral is summed in
-    stack = [((a,), float(pi[a])) for a in reversed(charged)]
-    while stack:
-        w, mass = stack.pop()
-        if len(w) == k:
-            count += 1
-            if count > DEFAULT_ENUMERATION_BUDGET:
-                raise EnumerationBudgetExceeded(count, DEFAULT_ENUMERATION_BUDGET)
-            integral += mass * f.value(w)
-            continue
-        for b in reversed(range(mu.n_states)):
-            step = P[w[-1], b]
-            if step > 0.0:
-                stack.append((w + (b,), mass * step))
+    for w, mass in level:
+        integral += mass * f.value(w)
     return entropy + integral

@@ -29,7 +29,7 @@ node is the index of its last r symbols plus its tracker state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,22 +69,9 @@ def whole() -> SubsetSpec:
     return SubsetSpec("whole", label="whole space")
 
 
-def sub_sft(
-    relation: Sequence[Sequence[bool]] | Iterable[Tuple[int, int]],
-    alphabet_size: Optional[int] = None,
-    label: str = "",
-) -> SubsetSpec:
-    """A sub-SFT spec from a boolean matrix or a list of allowed pairs."""
-    rel = list(relation)
-    if rel and isinstance(rel[0], (tuple, list)) and len(rel[0]) == 2 and all(
-        isinstance(x, int) for x in rel[0]
-    ) and alphabet_size is not None:
-        rows = [[False] * alphabet_size for _ in range(alphabet_size)]
-        for a, b in rel:
-            rows[a][b] = True
-        matrix = tuple(tuple(r) for r in rows)
-    else:
-        matrix = tuple(tuple(bool(x) for x in row) for row in rel)
+def sub_sft(relation: Sequence[Sequence[bool]], label: str = "") -> SubsetSpec:
+    """A sub-SFT spec from a boolean matrix: ``relation[a][b]`` allows a -> b."""
+    matrix = tuple(tuple(bool(x) for x in row) for row in relation)
     return SubsetSpec("sub_sft", allowed=matrix, label=label or "sub-SFT")
 
 

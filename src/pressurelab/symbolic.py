@@ -106,10 +106,6 @@ class Scale:
         if self.m < 0:
             raise ValueError("scale exponent m must be nonnegative")
 
-    @property
-    def epsilon(self) -> float:
-        return 2.0 ** (-self.m)
-
     def coarsen(self, steps: int) -> "Scale":
         """The scale 2^-(m - steps); raises if that would leave m negative."""
         if self.m - steps < 0:

@@ -28,6 +28,7 @@ from .symbolic import (
 )
 
 _POWER_ITERATION_CAP = 2_000_000
+_SUM_TOL = 1e-12  # how far a probability vector's sum may sit from 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +43,6 @@ class TransferMatrix:
             raise ValueError("transfer matrix must be square")
         if not np.all(np.isfinite(self.entries)) or np.any(self.entries < 0):
             raise ValueError("transfer matrix entries must be finite and nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,10 @@ class MarkovMeasure:
         if np.any(P < -1e-15) or np.any(pi < -1e-15):
             raise ValueError("probabilities must be nonnegative")
         # a NaN entry makes its sum NaN, which fails every <=
-        if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12:
-            raise ValueError("transition rows must be finite and sum to 1 within 1e-12")
-        if not abs(pi.sum() - 1.0) <= 1e-12:
-            raise ValueError("initial row must be finite and sum to 1 within 1e-12")
+        if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _SUM_TOL:
+            raise ValueError(f"transition rows must be finite and sum to 1 within {_SUM_TOL}")
+        if not abs(pi.sum() - 1.0) <= _SUM_TOL:
+            raise ValueError(f"initial row must be finite and sum to 1 within {_SUM_TOL}")
 
     @property
     def n_states(self) -> int:
@@ -125,8 +122,7 @@ def markov_measure(
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 exactly (linear system, no iteration)."""
-    support = tuple(tuple(bool(x) for x in row) for row in P > 0.0)
-    if not is_strongly_connected(support):
+    if not is_strongly_connected(P > 0.0):
         raise ReducibleSystem("stationary distribution needs irreducible support")
     n = P.shape[0]
     A = P.T - np.eye(n)
@@ -157,8 +153,7 @@ def build_transfer_matrix(
 
 
 def _require_irreducible(L: np.ndarray) -> None:
-    support = tuple(tuple(bool(x) for x in row) for row in L > 0.0)
-    if not is_strongly_connected(support):
+    if not is_strongly_connected(L > 0.0):
         raise ReducibleSystem(
             "transfer matrix is reducible; restrict to an irreducible component"
         )

@@ -374,6 +374,82 @@ def worst_log_ratio(
 
 
 # ---------------------------------------------------------------------------
+# the retired symbol-by-symbol Gibbs pass and stack-walk exact pressure,
+# kept as oracles
+
+
+def worst_log_ratios_walk(
+    successors: Sequence[Sequence[int]],
+    initial: np.ndarray,
+    transition: np.ndarray,
+    f,
+    ns: Sequence[int],
+    m: int,
+) -> List[float]:
+    """For each horizon n of the increasing ``ns``, the max over words w of
+    length n + m of log mu([w]) - f_n(w), by a max-plus walk over one
+    (symbol, successor) pair at a time; f.depth <= m + 1."""
+    k = f.depth
+    c = len(successors)
+    with np.errstate(divide="ignore"):
+        logP = np.where(transition > 0, np.log(transition), -math.inf)
+        logpi = np.where(initial > 0, np.log(initial), -math.inf)
+
+    def step(V: List[float], weigh: bool) -> List[float]:
+        nxt = [-math.inf] * c
+        for a in range(c):
+            if V[a] == -math.inf:
+                continue
+            for b in successors[a]:
+                gain = logP[a, b]
+                if weigh:
+                    gain -= f.value((a, b) if k == 2 else (b,))
+                cand = V[a] + gain
+                if cand > nxt[b]:
+                    nxt[b] = cand
+        return nxt
+
+    weighed = [[logpi[a] - (f.value((a,)) if k == 1 else 0.0) for a in range(c)]]
+    for _ in range(ns[-1] + k - 2):
+        weighed.append(step(weighed[-1], True))
+    out = []
+    for n in ns:
+        V = weighed[n + k - 2]
+        for _ in range(m - k + 1):
+            V = step(V, False)
+        out.append(max(V))
+    return out
+
+
+def invariant_pressure_stack(
+    initial: np.ndarray, transition: np.ndarray, f, support_eps: float = 1e-15
+) -> float:
+    """h(mu) + sum of mu([w]) f(w) over the charged depth-k words, the words
+    walked depth first off an explicit stack in lexicographic order."""
+    pi, P = initial, transition
+    n = len(pi)
+    charged = [a for a in range(n) if pi[a] > support_eps]
+    entropy = 0.0
+    for a in charged:
+        for b in range(n):
+            p = P[a, b]
+            if p > 0.0:
+                entropy -= pi[a] * p * math.log(p)
+    integral = 0.0
+    stack = [((a,), float(pi[a])) for a in reversed(charged)]
+    while stack:
+        w, mass = stack.pop()
+        if len(w) == f.depth:
+            integral += mass * f.value(w)
+            continue
+        for b in reversed(range(n)):
+            step = P[w[-1], b]
+            if step > 0.0:
+                stack.append((w + (b,), mass * step))
+    return entropy + integral
+
+
+# ---------------------------------------------------------------------------
 # exhaustive cover search
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ GM = pl.golden_mean_shift()
 F0 = pl.zero_potential(FULL2)
 F10 = pl.potential_from_table(FULL2, 1, {(0,): 1.0, (1,): 0.0})
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +418,8 @@ def _assert_batched_bisection_replays(log_value, tol, s_seed=0.0):
     assert (ce.s_low, ce.s_high) == (lo, hi)
     assert [s for s, _ in ce.history] == [s for s, _ in walk]
     for (_, got), (_, v) in zip(ce.history, walk):
-        assert got == pytest.approx(math.exp(v) if v < 700 else math.inf, rel=1e-12)
+        assert got == pytest.approx(math.exp(v) if v <= LOG_FLOAT_MAX else math.inf, rel=1e-12)
+    assert ce.value_at_low == dict(ce.history)[ce.s_low]
     return len(batches)
 
 
@@ -429,7 +432,9 @@ def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
         (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3, 0.0),  # a jump, not a crossing
         (lambda s: 2.5 - 3.0 * s, 1e-7, 0.37),  # another seed, a finer tolerance
         (lambda s: math.log(2) - s ** 3, 1e-5, -4.0),
-        (lambda s: 700.5 - 1000.0 * s, 1e-6, 0.0),  # values past exp's range
+        (lambda s: 700.5 - 1000.0 * s, 1e-6, 0.0),  # finite values above exp(700)
+        (lambda s: 750.5 - 1000.0 * s, 1e-6, 0.0),  # values past exp's range
+        (lambda s: 705.0 if s < 0.3 else -2.0, 1e-3, 0.0),  # s_low's value above exp(700)
     ]
     for log_value, tol, s_seed in cases:
         batches = _assert_batched_bisection_replays(log_value, tol, s_seed)

@@ -162,6 +162,50 @@ def test_parse_config_rejects_non_finite_numbers(command, cfg, path):
     assert path in [p for p, _ in exc.value.problems]
 
 
+_GM_MEASURE = dict(_MEASURE, system=GM_SYSTEM)
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        # within the schema's old 1e-9, outside MarkovMeasure's 1e-12
+        (dict(_MEASURE, measure={"kind": "bernoulli", "p": [0.5, 0.5000000005]}), "measure.p"),
+        (dict(_MEASURE, measure={"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                                 "initial": [0.5, 0.5000000005]}), "measure.initial"),
+        # golden mean forbids 1 -> 1
+        (dict(_GM_MEASURE, measure={"kind": "bernoulli", "p": [0.5, 0.5]}), "measure.p"),
+        (dict(_GM_MEASURE, measure={"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]]}),
+         "measure.transition[1]"),
+    ],
+)
+def test_parse_config_rejects_measures_the_run_would_refuse(cfg, path):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(cfg), "pressure measure")
+    assert path in [p for p, _ in exc.value.problems]
+
+
+def test_parse_config_accepts_measures_on_allowed_blocks():
+    for measure in (
+        {"kind": "markov", "transition": [[0.5, 0.5], [1.0, 0.0]]},
+        {"kind": "bernoulli", "p": [1.0, 0.0]},
+    ):
+        cfg = parse_config(json.dumps(dict(_GM_MEASURE, measure=measure)), "pressure measure")
+        assert cfg.measure_spec == measure
+
+
+def test_cli_measure_charging_a_forbidden_block_exits_1(tmp_path, capsys):
+    path = tmp_path / "gm_bernoulli.json"
+    path.write_text(json.dumps(dict(_GM_MEASURE, scales=[2], n_range=[50, 60], samples=3)))
+    argv = ["pressure", "measure", "--config", str(path), "--out", str(tmp_path)]
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "SchemaError"
+    assert ["measure.p", "charges a block the system forbids"] in record["problems"]
+    assert not (tmp_path / "pressure_measure_report.json").exists()
+
+
 def test_cli_nan_tolerance_exits_1(tmp_path, capsys):
     path = tmp_path / "nan_tol.json"
     path.write_text(json.dumps(dict(_BOWEN, tol=NAN)))

@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pressurelab as pl
-from brute import random_sub_relation, worst_log_ratio
-from pressurelab.harness import _worst_log_ratios
+from brute import random_sub_relation, worst_log_ratio, worst_log_ratios_walk
+from pressurelab.harness import (
+    _dirichlet_markov,
+    _embed_measure,
+    _invariant_core,
+    _worst_log_ratios,
+)
 from pressurelab.symbolic import is_strongly_connected
 from pressurelab.transfer import MarkovMeasure
 
@@ -97,6 +103,11 @@ def test_unions_reject_duplicate_components():
         pl.verify_unions(FULL2, (FIXED0, FIXED0), F0, pl.Scale(1), 3, 12)
 
 
+def test_unions_reject_components_that_differ_only_by_label():
+    with pytest.raises(ValueError, match="distinct"):
+        pl.verify_unions(FULL2, (FIXED0, replace(FIXED0, label="again")), F0, pl.Scale(1), 3, 12)
+
+
 def test_unions_equal_pressure_finite_depth_offset():
     # components with identical pressure double the union's cover cost, so
     # the union crossing sits about log(2)/L above the component crossing;
@@ -156,6 +167,68 @@ def test_gibbs_ratio_pass_matches_brute_force_every_horizon():
         for n, value in zip(ns, got):
             want = worst_log_ratio(rel, mu.initial, mu.transition, table, depth, n, m)
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        checked += 1
+
+
+def _random_host(rng, k):
+    """A random subshift on k symbols, often reducible."""
+    while True:
+        rel = rng.random((k, k)) < 0.5
+        try:
+            return pl.Subshift(k, tuple(tuple(bool(x) for x in row) for row in rel))
+        except ValueError:
+            continue
+
+
+def _sparse_stochastic(rng, k, zeros):
+    """A random row-stochastic k x k matrix with entries zeroed where
+    ``zeros`` holds, every row keeping at least one positive entry."""
+    P = rng.uniform(0.05, 1.0, size=(k, k)) * ~zeros
+    for a in np.flatnonzero(P.sum(axis=1) == 0):
+        P[a, rng.integers(k)] = 1.0
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_gibbs_ratio_pass_equals_the_pair_walk():
+    # k = 2..4, reducible hosts, depth 1-2, m up to 3, zero transition
+    # entries on and off the arcs and zero initial entries: the array pass
+    # must equal the retired symbol-by-symbol walk exactly
+    rng = np.random.default_rng(41)
+    for trial in range(120):
+        k = int(rng.integers(2, 5))
+        sub = _random_host(rng, k)
+        depth = int(rng.integers(1, 3))
+        m = int(rng.integers(depth - 1, 4))
+        table = {w: float(rng.uniform(-0.8, 0.8)) for w in pl.enumerate_words(sub, depth)}
+        f = pl.potential_from_table(sub, depth, table)
+        P = _sparse_stochastic(rng, k, rng.random((k, k)) < 0.3)
+        pi = rng.uniform(0.0, 1.0, size=k) * (rng.random(k) < 0.7)
+        pi = np.eye(k)[trial % k] if pi.sum() == 0 else pi / pi.sum()
+        mu = MarkovMeasure(P, pi)
+        ns = list(range(int(rng.integers(1, 4)), int(rng.integers(5, 12))))
+        got = _worst_log_ratios(sub, mu, f, ns, pl.Scale(m))
+        assert got == worst_log_ratios_walk(sub.successors, pi, P, f, ns, m)
+
+
+def test_core_measure_pressure_equals_its_host_embedding():
+    # the core relabels host symbols in increasing order, so a core measure
+    # sums the same terms in the same order as its embedding on the host
+    rng = np.random.default_rng(43)
+    checked = 0
+    while checked < 60:
+        k = int(rng.integers(2, 5))
+        host = _random_host(rng, k)
+        depth = int(rng.integers(1, 3))
+        table = {w: float(rng.uniform(-0.8, 0.8)) for w in pl.enumerate_words(host, depth)}
+        f = pl.potential_from_table(host, depth, table)
+        spec = pl.whole() if checked % 2 else pl.sub_sft(random_sub_relation(rng, host.allowed))
+        try:
+            sub, symbols, f_sub, _ = _invariant_core(host, spec, f)
+        except pl.EmptyTarget:
+            continue
+        for mu in (pl.equilibrium_measure(sub, f_sub), _dirichlet_markov(sub, rng)):
+            on_host = pl.exact_invariant_pressure(_embed_measure(mu, symbols, k), f)
+            assert pl.exact_invariant_pressure(mu, f_sub) == on_host
         checked += 1
 
 

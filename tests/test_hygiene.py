@@ -1,0 +1,48 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pressurelab"
+
+
+def _imported(tree: ast.Module):
+    """(name bound, line) for every import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree: ast.Module) -> set:
+    """Every name the module reads, quoted annotations included."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
+                   if name not in used]
+    assert unused == []
+
+
+def test_the_import_check_sees_an_unused_name():
+    tree = ast.parse("from typing import Iterable, List\nimport os.path\nx: 'List[int]' = []\n")
+    used = _used(tree)
+    assert [name for name, _ in _imported(tree) if name not in used] == ["Iterable", "os"]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
+from pressurelab.symbolic import is_strongly_connected
 from brute import (
     all_words,
+    invariant_pressure_stack,
     local_pressure_symbolwise,
     markov_entropy,
     sample_orbit_symbolwise,
@@ -267,6 +269,36 @@ def test_exact_invariant_pressure_is_entropy_plus_integral():
         )
         expected = markov_entropy(P, pi) + integral
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_exact_invariant_pressure_equals_the_stack_walk():
+    # ergodic chains charging 1..k of k = 2..4 symbols, zero transition
+    # entries inside the charged set, zero initial entries and arbitrary
+    # rows outside it, potentials of depth 1-3 on the full shift
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 80:
+        k = int(rng.integers(2, 5))
+        charged = np.flatnonzero(rng.random(k) < 0.7)
+        if not len(charged):
+            continue
+        c = len(charged)
+        Q = rng.uniform(0.05, 1.0, size=(c, c)) * (rng.random((c, c)) < 0.6)
+        if not (Q.sum(axis=1) > 0).all() or not is_strongly_connected(Q > 0):
+            continue
+        P = rng.uniform(0.0, 1.0, size=(k, k))
+        P[charged] = 0.0
+        P[np.ix_(charged, charged)] = Q
+        P /= P.sum(axis=1, keepdims=True)
+        pi = np.zeros(k)
+        pi[charged] = pl.stationary_distribution(P[np.ix_(charged, charged)])
+        mu = pl.MarkovMeasure(P, pi)
+        depth = int(rng.integers(1, 4))
+        f = pl.LocallyConstantPotential(
+            depth, {w: float(rng.uniform(-1, 1)) for w in all_words(k, depth)}
+        )
+        assert pl.exact_invariant_pressure(mu, f) == invariant_pressure_stack(pi, P, f)
+        checked += 1
 
 
 def test_exact_invariant_pressure_rejects_non_invariant():
