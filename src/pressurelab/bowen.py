@@ -417,8 +417,8 @@ def _midpoints(lo: float, hi: float, tol: float) -> List[float]:
     for _ in range(_LEVELS_PER_PASS):
         deeper = []
         for a, b in brackets:
-            if b - a > tol:
-                mid = 0.5 * (a + b)
+            mid = 0.5 * (a + b)
+            if b - a > tol and a < mid < b:  # adjacent floats: no midpoint left
                 points.append(mid)
                 deeper += [(a, mid), (mid, b)]
         brackets = deeper
@@ -485,13 +485,14 @@ def _bisect_critical(
             if step > 2 ** 40:
                 raise RuntimeError("no lower bracket for the critical exponent")
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         v_mid = probe(mid, lambda: _midpoints(lo, hi, tol))
         if v_mid >= 0.0:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
+        mid = 0.5 * (lo + hi)
 
     return CriticalExponent(
         s_low=lo,

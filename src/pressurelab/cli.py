@@ -39,7 +39,7 @@ from .harness import (
 )
 from .measure import _pressure_mc, exact_invariant_pressure
 from .symbolic import Scale
-from .transfer import MarkovMeasure, bernoulli_measure, equilibrium_measure, markov_measure
+from .transfer import MarkovMeasure, bernoulli_measure, markov_measure
 
 Trace = Optional[Tuple[Tuple[str, str], List[Sequence]]]
 
@@ -89,9 +89,7 @@ def _per_scale(call, header: Optional[Tuple[str, str]] = None):
 
 
 def _cmd_exact(cfg: ExperimentConfig):
-    sub, symbols, f_sub, spectral = _invariant_core(
-        cfg.system, cfg.subset, cfg.potential
-    )
+    sub, symbols, _, spectral, _ = _invariant_core(cfg.system, cfg.subset, cfg.potential)
     results = {
         "pressure": spectral,
         "core_symbols": list(symbols),
@@ -122,9 +120,8 @@ def _build_measure(cfg: ExperimentConfig) -> MarkovMeasure:
         return bernoulli_measure(spec["p"])
     if spec["kind"] == "markov":
         return markov_measure(spec["transition"], spec.get("initial"))
-    sub, symbols, f_sub, _ = _invariant_core(cfg.system, cfg.subset, cfg.potential)
-    mu = equilibrium_measure(sub, f_sub)
-    return _embed_measure(mu, symbols, cfg.system.alphabet_size)
+    _, symbols, _, _, equilibrium = _invariant_core(cfg.system, cfg.subset, cfg.potential)
+    return _embed_measure(equilibrium(), symbols, cfg.system.alphabet_size)
 
 
 def _cmd_measure(cfg: ExperimentConfig):

@@ -102,6 +102,8 @@ def parse_config(
     for key in data:
         if key not in known:
             problems.append((key, "unknown field"))
+        elif data[key] is None:
+            problems.append((key, "must not be null"))
 
     system = _parse_system(data.get("system"), problems)
     potential = _parse_potential(data.get("potential"), system, problems)
@@ -123,20 +125,10 @@ def parse_config(
     measure_spec = _parse_measure(data.get("measure"), system, problems)
 
     if command is not None:
-        present = {
-            "system": system is not None,
-            "potential": potential is not None,
-            "subset": "subset" in data,
-            "scales": scales is not None,
-            "n_range": n_range is not None,
-            "N": N is not None,
-            "L": L is not None,
-            "s": s is not None,
-            "delta": delta is not None,
-            "measure": measure_spec is not None,
-        }
+        # a present field that fails to parse is reported at its own path only
+        given = set(data) | ({"scales"} if "scale" in data else set())
         for name in _REQUIRED[command]:
-            if not present[name]:
+            if name not in given:
                 problems.append((name, f"required for `{command}`"))
         if command == "verify unions":
             if subset is not None and subset.kind != "finite_union":
@@ -196,7 +188,7 @@ def _parse_system(node, problems) -> Optional[Subshift]:
         problems.append(("system", "must be an object"))
         return None
     k = node.get("alphabet_size")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         problems.append(("system.alphabet_size", "must be a positive integer"))
         return None
     allowed = node.get("allowed", "full")
@@ -209,7 +201,7 @@ def _parse_system(node, problems) -> Optional[Subshift]:
         ):
             rows = [[False] * k for _ in range(k)]
             for a, b in allowed:
-                if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < k and 0 <= b < k):
+                if not (_is_int(a) and _is_int(b) and 0 <= a < k and 0 <= b < k):
                     problems.append(
                         ("system.allowed", f"pair [{a}, {b}] outside alphabet")
                     )
@@ -260,7 +252,7 @@ def _parse_potential(node, system, problems) -> Optional[LocallyConstantPotentia
         return constant_potential(system, float(c))
     depth = node.get("depth")
     table_node = node.get("table")
-    if not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         problems.append(("potential.depth", "must be a positive integer"))
         return None
     if not isinstance(table_node, dict):
@@ -296,9 +288,6 @@ def _parse_potential(node, system, problems) -> Optional[LocallyConstantPotentia
 def _parse_subset(node, system, problems) -> Optional[SubsetSpec]:
     if node is None:
         return None
-    if not isinstance(node, dict):
-        problems.append(("subset", "must be an object"))
-        return None
     spec = _subset_from_node(node, problems, path="subset")
     if spec is not None and system is not None:
         try:
@@ -310,13 +299,18 @@ def _parse_subset(node, system, problems) -> Optional[SubsetSpec]:
 
 
 def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
+    if not isinstance(node, dict):
+        problems.append((path, "must be an object"))
+        return None
     kind = node.get("kind")
     label = node.get("label", "")
     if kind == "whole":
         return whole()
     if kind == "sub_sft":
         allowed = node.get("allowed")
-        if not isinstance(allowed, list) or not allowed:
+        if not isinstance(allowed, list) or not allowed or any(
+            not isinstance(row, list) or any(x not in (0, 1) for x in row) for row in allowed
+        ):
             problems.append((f"{path}.allowed", "must be a boolean matrix (0/1 rows)"))
             return None
         matrix = tuple(tuple(bool(x) for x in row) for row in allowed)
@@ -340,10 +334,10 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
         symbol = node.get("symbol")
         target = node.get("target")
         window = node.get("window")
-        if not isinstance(symbol, int):
+        if not _is_int(symbol):
             problems.append((f"{path}.symbol", "must be an integer symbol"))
             return None
-        if not isinstance(target, (int, float)) or not 0 <= target <= 1:
+        if not _is_finite(target) or not 0 <= target <= 1:
             problems.append((f"{path}.target", "must be a frequency in [0, 1]"))
             return None
         if not _is_finite(window) or window <= 0:
@@ -358,14 +352,14 @@ def _parse_scales(data, problems) -> Optional[Tuple[Scale, ...]]:
     node = data.get("scales", data.get("scale"))
     if node is None:
         return None
-    if isinstance(node, int):
+    if _is_int(node):
         node = [node]
     if not isinstance(node, list) or not node:
         problems.append(("scales", "must be an integer m or a nonempty list of m"))
         return None
     out = []
     for m in node:
-        if not isinstance(m, int) or m < 0:
+        if not _is_int(m) or m < 0:
             problems.append(("scales", f"scale m={m!r} must be an integer >= 0"))
             return None
         out.append(Scale(m))
@@ -378,7 +372,7 @@ def _parse_n_range(node, problems) -> Optional[Tuple[int, ...]]:
     if (
         not isinstance(node, list)
         or len(node) < 2
-        or any(not isinstance(x, int) for x in node)
+        or any(not _is_int(x) for x in node)
     ):
         problems.append(("n_range", "must be [lo, hi] or an increasing integer list"))
         return None
@@ -451,6 +445,11 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
     return None
 
 
+def _is_int(v) -> bool:
+    """True for a JSON integer; json reads true/false as bool, an int subclass."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_finite(v) -> bool:
     """True for a JSON number a float holds (json accepts NaN and Infinity)."""
     number = isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -465,10 +464,10 @@ def _is_distribution(v) -> bool:
 
 
 def _opt_int(data, key, problems, minimum=None, default=None):
-    if key not in data:
+    if data.get(key) is None:  # absent, or null (reported as such)
         return default
     v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         problems.append((key, "must be an integer"))
         return default
     if minimum is not None and v < minimum:
@@ -478,7 +477,7 @@ def _opt_int(data, key, problems, minimum=None, default=None):
 
 
 def _opt_float(data, key, problems, default=None, positive=False):
-    if key not in data:
+    if data.get(key) is None:
         return default
     v = data[key]
     if not _is_finite(v):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,14 +30,7 @@ from .symbolic import (
     potential_from_table,
     strongly_connected_components,
 )
-from .transfer import (
-    MarkovMeasure,
-    PressureValue,
-    build_transfer_matrix,
-    equilibrium_measure,
-    markov_measure,
-    spectral_pressure,
-)
+from .transfer import MarkovMeasure, PressureValue, _solve, markov_measure
 
 _GRID_EPS = 1e-6
 
@@ -122,14 +115,16 @@ class AgreementReport:
 
 def _invariant_core(
     sft: Subshift, spec: SubsetSpec, f: LocallyConstantPotential
-) -> Tuple[Subshift, Tuple[int, ...], LocallyConstantPotential, PressureValue]:
+) -> Tuple[Subshift, Tuple[int, ...], LocallyConstantPotential, PressureValue,
+           Callable[[], MarkovMeasure]]:
     """Restrict a sub-SFT target to its top irreducible component.
 
     Invariant measures on the target live on the strongly connected
     components of its transition relation; the variational supremum is
     attained on the component of largest pressure. Returns that component as
     a standalone subshift (symbols relabeled 0..c-1), the host symbols it
-    uses, the restricted potential, and its transfer-operator pressure.
+    uses, the restricted potential, its transfer-operator pressure, and the
+    builder of its equilibrium measure; each component is Perron-solved once.
     """
     if spec.kind == "whole":
         relation = sft.allowed
@@ -147,21 +142,14 @@ def _invariant_core(
     if not comps:
         raise EmptyTarget("target relation has no recurrent component")
 
-    best = None
-    for symbols in comps:
-        allowed = tuple(
-            tuple(relation[a][b] for b in symbols) for a in symbols
-        )
+    def core(symbols: Tuple[int, ...]):
+        allowed = tuple(tuple(relation[a][b] for b in symbols) for a in symbols)
         sub = Subshift(len(symbols), allowed, label=f"core{list(symbols)}")
-        table: Dict[Word, float] = {}
-        k = f.depth
-        for w in enumerate_words(sub, k):
-            table[w] = f.value(tuple(symbols[i] for i in w))
-        f_sub = potential_from_table(sub, k, table, label=f.label)
-        value = spectral_pressure(build_transfer_matrix(sub, f_sub))
-        if best is None or value.value > best[3].value:
-            best = (sub, tuple(symbols), f_sub, value)
-    return best
+        table = {w: f.value(tuple(symbols[i] for i in w)) for w in enumerate_words(sub, f.depth)}
+        f_sub = potential_from_table(sub, f.depth, table, label=f.label)
+        return (sub, tuple(symbols), f_sub, *_solve(sub, f_sub))
+
+    return max(map(core, comps), key=lambda c: c[3].value)
 
 
 def _embed_measure(
@@ -271,8 +259,8 @@ def verify_variational(
 
     # on the core: its symbols keep their host order, so every sum runs over
     # the same terms in the same order as on the host embedding
-    sub, symbols, f_sub, spectral = _invariant_core(sft, K, f)
-    eq_sub = equilibrium_measure(sub, f_sub)
+    sub, symbols, f_sub, spectral, equilibrium = _invariant_core(sft, K, f)
+    eq_sub = equilibrium()
     eq_value = exact_invariant_pressure(eq_sub, f_sub)
     grid_values = [
         exact_invariant_pressure(_dirichlet_markov(sub, rng), f_sub)
@@ -430,8 +418,8 @@ def verify_gibbs_bound(
     if n_hi - n_lo < 7:
         raise ValueError("need at least 8 horizons: increase L or decrease N")
     p_est = bowen_pressure(sft, K, f, scale, N, L, tol=1e-3)
-    sub, symbols, f_sub, _ = _invariant_core(sft, K, f)
-    mu = equilibrium_measure(sub, f_sub)
+    sub, _, f_sub, _, equilibrium = _invariant_core(sft, K, f)
+    mu = equilibrium()
 
     ns = list(range(n_lo, n_hi + 1))
     base = _worst_log_ratios(sub, mu, f_sub, ns, scale)

@@ -6,15 +6,16 @@ the matrix L_ab = A_ab * exp(f(ab)) (or exp(f(a)) at depth 1). That value is
 the reference every other estimator in the package is compared against, and
 the conjugated row-normalization of the Perron right eigenvector gives the
 equilibrium Markov measure, whose cylinder masses track exp(-nP + f_n) with
-uniformly bounded ratios.
+uniformly bounded ratios. Both come from one log-space solve (``_perron``):
+an eigensolver guess certified by a Collatz-Wielandt bracket, so no weight
+exp(f) has to fit in a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-import math
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .symbolic import (
     sup_birkhoff_on_cylinder,
 )
 
-_POWER_ITERATION_CAP = 2_000_000
+_PERRON_STEP_CAP = 10_000  # power steps after the eig guess before giving up
 _SUM_TOL = 1e-12  # how far a probability vector's sum may sit from 1
 
 
@@ -134,84 +135,97 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def build_transfer_matrix(
-    sft: Subshift, f: LocallyConstantPotential
-) -> TransferMatrix:
-    """L_ab = A_ab exp(f(ab)) for depth-2 f, A_ab exp(f(a)) for depth 1."""
+def _log_weights(sft: Subshift, f: LocallyConstantPotential) -> np.ndarray:
+    """log L: f(ab) (depth 2) or f(a) (depth 1) on allowed arcs, -inf elsewhere."""
     if f.depth > 2:
-        raise ValueError(
-            "transfer matrices take potentials of depth <= 2; recode deeper ones"
-        )
-    k = sft.alphabet_size
-    L = np.zeros((k, k))
-    for a in range(k):
-        for b in range(k):
-            if not sft.allowed[a][b]:
-                continue
-            L[a, b] = math.exp(f.value((a,)) if f.depth == 1 else f.value((a, b)))
-    return TransferMatrix(L, label=sft.label)
+        raise ValueError("transfer matrices take potentials of depth <= 2; recode deeper ones")
+    logw = np.full((sft.alphabet_size,) * 2, -math.inf)
+    for a, succ in enumerate(sft.successors):
+        for b in succ:
+            logw[a, b] = f.value((a, b)[: f.depth])
+    return logw
 
 
-def _require_irreducible(L: np.ndarray) -> None:
-    if not is_strongly_connected(L > 0.0):
-        raise ReducibleSystem(
-            "transfer matrix is reducible; restrict to an irreducible component"
-        )
+def build_transfer_matrix(sft: Subshift, f: LocallyConstantPotential) -> TransferMatrix:
+    """L = exp(log weights); ValueError when an entry overflows a float
+    (f above about 709.78), which the log-space solvers never need."""
+    with np.errstate(over="ignore"):
+        return TransferMatrix(np.exp(_log_weights(sft, f)), label=sft.label)
 
 
-def _perron_brackets(L: np.ndarray, log_gap: float) -> Tuple[float, float, np.ndarray]:
-    """Power iteration on L + I with two-sided Perron-root brackets.
+def _perron(logw: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
+    """A bracket [lo, hi] of log rho(L), L = exp(logw), at most 1.98 tol
+    wide, and a log Perron vector v.
 
-    For an irreducible nonnegative L the shift by the identity makes the
-    matrix primitive without moving the Perron root (it shifts by exactly 1),
-    and for any positive vector v the quotients (Mv)_i / v_i bracket the
-    root of L + I from both sides. Iterates until the bracket [lo-1, hi-1]
-    around the root of L itself has log-width at most ``log_gap``, which is
-    the quantity the pressure midpoint needs.
+    The support (finite logw) must be strongly connected. np.linalg.eig of
+    exp(logw - max logw) proposes the Perron pair. For any positive vector
+    the Collatz-Wielandt quotients log (L e^v)_i - v_i bracket log rho(L)
+    from both sides, so one log-space evaluation certifies the guess. Only
+    while the bracket is too wide, or v has entries that are not finite, do
+    power steps on L + cI refine v, with c the eig root estimate, then the
+    last bracket's midpoint (eig's root underflows when every cycle of
+    exp(logw - max logw) does); c near rho damps an eigenvalue near -rho (a
+    near-periodic L), which stalls steps on L + I. Rounding sets a floor of
+    about max |logw| * eps on the width.
     """
-    n = L.shape[0]
-    M = L + np.eye(n)
-    v = np.full(n, 1.0 / n)
-    for _ in range(_POWER_ITERATION_CAP):
-        w = M @ v
-        quot = w / v
-        lo, hi = float(np.min(quot)), float(np.max(quot))
-        v = w / w.sum()
-        if lo > 1.0 and math.log(hi - 1.0) - math.log(lo - 1.0) <= log_gap:
-            return lo - 1.0, hi - 1.0, v
-    raise RuntimeError(
-        f"power iteration did not reach log-bracket width {log_gap} "
-        f"within {_POWER_ITERATION_CAP} steps"
-    )
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    support = np.isfinite(logw)
+    if not is_strongly_connected(support):
+        raise ReducibleSystem("transfer matrix is reducible; restrict to an irreducible component")
+    top = float(logw[support].max())
+    vals, vecs = np.linalg.eig(np.exp(logw - top))
+    i = int(np.argmax(vals.real))
+    r = vecs[:, i].real * math.copysign(1.0, vecs[:, i].real.sum())
+    log_c = math.log(max(vals[i].real, np.finfo(float).tiny)) + top
+    with np.errstate(divide="ignore"):
+        v = np.log(np.maximum(r, 0.0))
+    for _ in range(_PERRON_STEP_CAP + 1):
+        Lv = np.logaddexp.reduce(logw + v, axis=1)
+        if np.all(np.isfinite(v)):
+            lo, hi = float(np.min(Lv - v)), float(np.max(Lv - v))
+            if hi - lo <= 1.98 * tol:
+                return lo, hi, v
+            log_c = 0.5 * (lo + hi)
+        v = np.logaddexp(Lv, log_c + v)
+        v -= v.max()
+    raise RuntimeError(f"Perron bracket wider than {1.98 * tol} after {_PERRON_STEP_CAP} power steps")
 
 
 def spectral_pressure(L: TransferMatrix, tol: float = 1e-12) -> PressureValue:
     """log of the Perron root of L, with absolute error at most tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _require_irreducible(L.entries)
-    lo, hi, _ = _perron_brackets(L.entries, log_gap=2.0 * tol * 0.99)
-    value = 0.5 * (math.log(lo) + math.log(hi))
-    return PressureValue(value=value, method="spectral", tolerance=tol)
+    with np.errstate(divide="ignore"):
+        lo, hi, _ = _perron(np.log(L.entries), tol)
+    return PressureValue(value=0.5 * (lo + hi), method="spectral", tolerance=tol)
+
+
+def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
+    """(pressure, builder of the equilibrium measure) of (sft, f) from one
+    Perron solve.
+
+    The measure conjugates L by the Perron vector r, P_ab = L_ab r_b /
+    (lambda r_a), as a max-shifted row normalization in log space, and
+    solves the stationary row exactly. It is built on demand: a transition
+    mass below the float range drops an arc (ReducibleSystem) where the
+    pressure is still exact.
+    """
+    logw = _log_weights(sft, f)
+    lo, hi, v = _perron(logw, tol)
+
+    def measure() -> MarkovMeasure:
+        W = np.exp(logw + v - np.max(logw + v, axis=1, keepdims=True))
+        P = W / W.sum(axis=1, keepdims=True)
+        label = f"equilibrium({sft.label or 'sft'}, {f.label or 'f'})"
+        return MarkovMeasure(P, stationary_distribution(P), label=label)
+
+    return PressureValue(0.5 * (lo + hi), "spectral", tol), measure
 
 
 def equilibrium_measure(
     sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12
 ) -> MarkovMeasure:
-    """The Gibbs/equilibrium Markov measure of (sft, f).
-
-    Conjugates the transfer matrix by its Perron right eigenvector:
-    P_ab = L_ab r_b / (lambda r_a), realized with an explicit row
-    normalization so P is stochastic to machine precision, and the
-    stationary row is solved exactly for that P.
-    """
-    L = build_transfer_matrix(sft, f)
-    _require_irreducible(L.entries)
-    _, _, r = _perron_brackets(L.entries, log_gap=min(tol, 1e-13))
-    weighted = L.entries * r[np.newaxis, :]
-    P = weighted / weighted.sum(axis=1, keepdims=True)
-    pi = stationary_distribution(P)
-    return MarkovMeasure(P, pi, label=f"equilibrium({sft.label or 'sft'}, {f.label or 'f'})")
+    """The Gibbs/equilibrium Markov measure of (sft, f); see ``_solve``."""
+    return _solve(sft, f, tol)[1]()
 
 
 def gibbs_ratio_bounds(

@@ -593,6 +593,38 @@ def spectral_log_radius(weights: np.ndarray) -> float:
     return float(np.log(np.max(np.abs(np.linalg.eigvals(weights)))))
 
 
+_POWER_ITERATION_CAP = 2_000_000
+
+
+def perron_power_iteration(L: np.ndarray, log_gap: float) -> Tuple[float, float, np.ndarray]:
+    """Power iteration on L + I with two-sided Perron-root brackets.
+
+    For an irreducible nonnegative L the shift by the identity makes the
+    matrix primitive without moving the Perron root (it shifts by exactly 1),
+    and for any positive vector v the quotients (Mv)_i / v_i bracket the
+    root of L + I from both sides. Iterates until the bracket [lo-1, hi-1]
+    around the root of L itself has log-width at most ``log_gap``, which is
+    the quantity the pressure midpoint needs.
+
+    The library's solver before the log-space Collatz-Wielandt certificate,
+    kept verbatim as a differential oracle; it stalls on near-periodic L.
+    """
+    n = L.shape[0]
+    M = L + np.eye(n)
+    v = np.full(n, 1.0 / n)
+    for _ in range(_POWER_ITERATION_CAP):
+        w = M @ v
+        quot = w / v
+        lo, hi = float(np.min(quot)), float(np.max(quot))
+        v = w / w.sum()
+        if lo > 1.0 and math.log(hi - 1.0) - math.log(lo - 1.0) <= log_gap:
+            return lo - 1.0, hi - 1.0, v
+    raise RuntimeError(
+        f"power iteration did not reach log-bracket width {log_gap} "
+        f"within {_POWER_ITERATION_CAP} steps"
+    )
+
+
 def transfer_weights(
     allowed: Sequence[Sequence[bool]], table: Dict[Word, float], depth: int
 ) -> np.ndarray:

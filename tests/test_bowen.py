@@ -449,6 +449,28 @@ def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
             )
 
 
+def test_bisection_ends_at_float_resolution(monkeypatch):
+    # once lo and hi are adjacent floats their midpoint is an endpoint, so a
+    # tolerance below float resolution must stop there, not probe forever
+    import pressurelab.bowen as bowen
+
+    probes = []
+    real = bowen._value_from_log
+
+    def counted(v):  # called once per walked probe
+        probes.append(v)
+        if len(probes) > 5000:
+            raise RuntimeError("the bisection does not end")
+        return real(v)
+
+    monkeypatch.setattr(bowen, "_value_from_log", counted)
+    ce = pl.bowen_pressure(FULL2, pl.whole(), pl.zero_potential(FULL2), pl.Scale(1), 2, 8, tol=1e-300)
+    assert ce.s_high == math.nextafter(ce.s_low, math.inf)
+    assert len(probes) < 100
+    walk = _bisect_critical(lambda ss: [0.3 - s for s in ss], 1e-300, 1, 1, pl.Scale(1), "bowen")
+    assert walk.s_low <= 0.3 < walk.s_high == math.nextafter(walk.s_low, math.inf)
+
+
 def test_batched_bisection_replays_sequential_walk_on_cover_programs():
     rng = np.random.default_rng(59)
     kinds = set()

@@ -152,17 +152,61 @@ _MEASURE = dict(_BOWEN, n_range=[10, 20], measure={"kind": "bernoulli", "p": [0.
          "measure.transition[0]"),
         ("pressure measure", dict(_MEASURE, measure={"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
                                                      "initial": [NAN, 1.0]}), "measure.initial"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "sub_sft", "allowed": [1, 2]}), "subset.allowed"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "sub_sft", "allowed": [["a", 0], [0, 1]]}),
+         "subset.allowed"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "finite_union", "parts": [1, 2]}),
+         "subset.parts[0]"),
     ],
 )
 def test_parse_config_rejects_non_finite_numbers(command, cfg, path):
     # json reads NaN, Infinity and integers no float holds; no check may let
-    # them through, and none may crash on a string
+    # them through, and none may crash on a string or a misshapen subset
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(cfg), command)
+    assert path in [p for p, _ in exc.value.problems]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    [
+        ("pressure bowen", dict(_BOWEN, scales=[True]), "scales"),
+        ("pressure bowen", dict(_BOWEN, scales=True), "scales"),
+        ("pressure capacity", dict(_BOWEN, n_range=[True, 5]), "n_range"),
+        ("pressure bowen", dict(_BOWEN, system={"alphabet_size": True}), "system.alphabet_size"),
+        ("pressure bowen", dict(_BOWEN, potential={"depth": True, "table": {"0": 0.0, "1": 1.0}}),
+         "potential.depth"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "frequency_level", "symbol": True,
+                                                "target": 0.5, "window": 0.1}), "subset.symbol"),
+    ],
+)
+def test_parse_config_rejects_booleans_as_integers(command, cfg, path):
+    # json reads true as a bool, which Python counts as the integer 1
     with pytest.raises(SchemaError) as exc:
         parse_config(json.dumps(cfg), command)
     assert path in [p for p, _ in exc.value.problems]
 
 
 _GM_MEASURE = dict(_MEASURE, system=GM_SYSTEM)
+
+
+@pytest.mark.parametrize(
+    "command, cfg, problems",
+    [
+        ("pressure measure", dict(_GM_MEASURE, measure={"kind": "bernoulli", "p": [0.5, 0.5]}),
+         [("measure.p", "charges a block the system forbids")]),
+        # "scale" is the one-scale spelling of "scales"
+        ("pressure bowen", {**{k: v for k, v in _BOWEN.items() if k != "scales"}, "scale": -1},
+         [("scales", "scale m=-1 must be an integer >= 0")]),
+        ("pressure bowen", dict(_BOWEN, N=None), [("N", "must not be null")]),
+        ("pressure bowen", dict(_BOWEN, system=None),
+         [("system", "must not be null"), ("potential", "needs a system to validate against")]),
+    ],
+)
+def test_parse_config_reports_a_present_field_once(command, cfg, problems):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(cfg), command)
+    assert exc.value.problems == problems
 
 
 @pytest.mark.parametrize(
@@ -202,7 +246,7 @@ def test_cli_measure_charging_a_forbidden_block_exits_1(tmp_path, capsys):
     assert out == ""
     record = json.loads(err)
     assert record["error"] == "SchemaError"
-    assert ["measure.p", "charges a block the system forbids"] in record["problems"]
+    assert record["problems"] == [["measure.p", "charges a block the system forbids"]]
     assert not (tmp_path / "pressure_measure_report.json").exists()
 
 
@@ -230,6 +274,55 @@ def test_cli_exact_golden_mean(tmp_path, capsys):
     report = json.loads((tmp_path / "pressure_exact_report.json").read_text())
     assert report["results"]["pressure"]["value"] == pytest.approx(0.4812118, abs=1e-6)
     assert not (tmp_path / "pressure_exact_trace.csv").exists()
+
+
+def _golden_tilt_config(t, **extra):
+    return dict(system=GM_SYSTEM, potential={"depth": 1, "table": {"0": 0.0, "1": t}}, **extra)
+
+
+def test_cli_exact_large_tilt(tmp_path, capsys):
+    # L's second eigenvalue sits near -rho here, which stalled the old power iteration
+    code, report, _ = _run_config(tmp_path, capsys, "pressure exact", _golden_tilt_config(30), "t30")
+    assert code == 0
+    assert report["results"]["pressure"]["value"] == pytest.approx(15.000000152951161, abs=1e-12)
+
+
+def test_cli_equilibrium_measure_below_float_range_exits_1(tmp_path, capsys):
+    cfg = _golden_tilt_config(-800, scales=[1], n_range=[10, 20], samples=2,
+                              measure={"kind": "equilibrium"})
+    path = tmp_path / "t-800.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(["pressure", "measure", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ReducibleSystem"
+
+
+def test_each_core_is_perron_solved_once(tmp_path, capsys, monkeypatch):
+    import pressurelab.transfer as transfer
+
+    calls = []
+    real = transfer._perron
+
+    def counted(logw, tol):
+        calls.append(logw.shape)
+        return real(logw, tol)
+
+    monkeypatch.setattr(transfer, "_perron", counted)
+    # two recurrent components: {0} (a self-loop) and {1, 2}
+    cfg = {
+        "system": {"alphabet_size": 3},
+        "potential": {"depth": 1, "table": {"0": 0.2, "1": 0.0, "2": -0.3}},
+        "subset": {"kind": "sub_sft", "allowed": [[1, 1, 0], [0, 1, 1], [0, 1, 1]]},
+        "scales": [1], "N": 2, "L": 12, "n_range": [10, 20], "samples": 2,
+        "measure": {"kind": "equilibrium"}, "measure_grid": 5,
+    }
+    for command in ("pressure exact", "pressure measure", "verify variational", "verify gibbs"):
+        calls.clear()
+        code, _, _ = _run_config(tmp_path, capsys, command, cfg, command.replace(" ", "_"))
+        assert code in (0, 2)
+        assert sorted(calls) == [(1, 1), (2, 2)], command
 
 
 def test_cli_capacity_trace_has_one_row_per_n(tmp_path, capsys):

@@ -223,7 +223,7 @@ def test_core_measure_pressure_equals_its_host_embedding():
         f = pl.potential_from_table(host, depth, table)
         spec = pl.whole() if checked % 2 else pl.sub_sft(random_sub_relation(rng, host.allowed))
         try:
-            sub, symbols, f_sub, _ = _invariant_core(host, spec, f)
+            sub, symbols, f_sub, _, _ = _invariant_core(host, spec, f)
         except pl.EmptyTarget:
             continue
         for mu in (pl.equilibrium_measure(sub, f_sub), _dirichlet_markov(sub, rng)):

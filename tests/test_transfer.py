@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ import pytest
 import pressurelab as pl
 from brute import (
     markov_entropy,
+    perron_power_iteration,
     spectral_log_radius,
     transfer_weights,
 )
+from pressurelab.cli import run
+from pressurelab.symbolic import is_strongly_connected
+from pressurelab.transfer import _SUM_TOL
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -170,3 +175,68 @@ def test_markov_measure_rejects_nan_probabilities():
         pl.MarkovMeasure(np.array([[math.nan, math.nan], [0.5, 0.5]]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="finite"):
         pl.MarkovMeasure(np.full((2, 2), 0.5), np.array([math.nan, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the log-space Perron solve at tilts where exp(f) is extreme
+
+
+def _golden_tilt(t):
+    """Golden mean with f(0) = 0, f(1) = t, and its closed-form pressure
+    log((1 + sqrt(1 + 4 e^t)) / 2), written so no term overflows."""
+    f = pl.potential_from_table(GM, 1, {(0,): 0.0, (1,): float(t)})
+    if t < 0:
+        return f, math.log((1 + math.sqrt(1 + 4 * math.exp(t))) / 2)
+    return f, t / 2 + math.log((math.exp(-t / 2) + math.sqrt(math.exp(-t) + 4)) / 2)
+
+
+@pytest.mark.parametrize("t", [21, 30, 100, 710, 800, -800])
+def test_pressure_exact_large_tilts_match_closed_form(t):
+    _, exact = _golden_tilt(t)
+    cfg = pl.parse_config({"system": {"alphabet_size": 2, "allowed": [[0, 0], [0, 1], [1, 0]]},
+                           "potential": {"depth": 1, "table": {"0": 0.0, "1": t}}})
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        report, _, _ = run("pressure exact", cfg)
+        best = min(best, time.perf_counter() - started)
+    assert report["results"]["pressure"].value == pytest.approx(exact, abs=1e-12)
+    assert best < 0.01
+
+
+def test_build_transfer_matrix_overflow_is_a_value_error():
+    f, _ = _golden_tilt(710)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        pl.build_transfer_matrix(GM, f)
+
+
+@pytest.mark.parametrize("t", [21, 30, 100, 710])
+def test_equilibrium_measure_large_tilts_is_stationary(t):
+    mu = pl.equilibrium_measure(GM, _golden_tilt(t)[0])
+    assert np.max(np.abs(mu.transition.sum(axis=1) - 1.0)) <= _SUM_TOL
+    assert mu.invariance_defect() <= _SUM_TOL
+
+
+def test_perron_solve_matches_power_iteration_oracle():
+    rng = np.random.default_rng(2026)
+    tol = 1e-10
+    cases = 0
+    while cases < 40:
+        k = int(rng.integers(2, 6))
+        allowed = rng.random((k, k)) < 0.6
+        if not is_strongly_connected(allowed):
+            continue
+        cases += 1
+        sft = pl.Subshift(k, tuple(tuple(bool(x) for x in row) for row in allowed))
+        depth = int(rng.integers(1, 3))
+        table = {w: float(rng.uniform(-3, 3)) for w in pl.enumerate_words(sft, depth)}
+        f = pl.potential_from_table(sft, depth, table)
+        L = pl.build_transfer_matrix(sft, f).entries
+        lo, hi, _ = perron_power_iteration(L, log_gap=2.0 * tol * 0.99)
+        got = pl.spectral_pressure(pl.TransferMatrix(L), tol=tol)
+        assert got.value == pytest.approx(0.5 * (math.log(lo) + math.log(hi)), abs=tol)
+        # the old equilibrium measure: the oracle's vector at log-gap 1e-13
+        _, _, r = perron_power_iteration(L, log_gap=1e-13)
+        weighted = L * r[np.newaxis, :]
+        P = weighted / weighted.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(pl.equilibrium_measure(sft, f).transition - P)) <= 1e-10
