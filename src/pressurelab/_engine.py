@@ -253,20 +253,26 @@ class CoverProgram:
         self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
 
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
+        """One backward fold for all ``exponents``: per layer, binary
+        log-sum-exps over the arity rows in the order of a reduce along them,
+        then the minimum with the balls, -s * (d - sigma) being one outer product."""
         neg_s = -np.asarray(exponents, dtype=float)
         kids, gains = self._tree.kids, self._tree.gains
+        decay = np.multiply.outer(np.arange(self._d_min, len(kids) + 1) - self._sigma, neg_s)
         values = self._leaves
         for d in range(len(kids), -1, -1):
             if d < len(kids):
-                if len(kids[d]):
-                    values = np.logaddexp.reduce(gains[d][:, :, None] + values[kids[d]], axis=0)
-                else:  # no state of this layer has a child
+                below, values = values, None
+                for kid, gain in zip(kids[d], gains[d]):
+                    arc = gain[:, None] + below[kid]
+                    values = arc if values is None else np.logaddexp(values, arc, out=values)
+                if values is None:  # no state of this layer has a child
                     values = np.full((kids[d].shape[1], len(neg_s)), NEG_INF)
             if d >= self._d_min:
                 # a node takes its ball where that is cheaper than covering its
                 # children; exact ties resolve toward the shallower ball, which
                 # pins down which cover the DP means
-                values = np.minimum(neg_s * (d - self._sigma) + self._ball[d], values)
+                values = np.minimum(decay[d - self._d_min] + self._ball[d], values)
         return values[0]
 
     def at(self, s: float) -> float:

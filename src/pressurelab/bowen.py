@@ -410,8 +410,10 @@ def _expansion(s: float, step: float, sign: float) -> List[float]:
     return points
 
 
-def _midpoints(lo: float, hi: float, tol: float) -> List[float]:
-    """Every midpoint the next levels of bisecting [lo, hi] down to tol can probe."""
+def _midpoints(lo: float, hi: float, tol: float, aim: float) -> List[float]:
+    """Every midpoint the next levels of bisecting [lo, hi] down to tol can
+    probe, then the rest of the one path below them that heads for ``aim``
+    (a guess at the crossing; NaN heads for lo)."""
     points: List[float] = []
     brackets = [(lo, hi)]
     for _ in range(_LEVELS_PER_PASS):
@@ -422,7 +424,23 @@ def _midpoints(lo: float, hi: float, tol: float) -> List[float]:
                 points.append(mid)
                 deeper += [(a, mid), (mid, b)]
         brackets = deeper
-    return points
+    path, mid = [], 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        path.append(mid)
+        lo, hi = (mid, hi) if mid < aim else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return points + path[_LEVELS_PER_PASS:]
+
+
+def _predicted_crossing(known: Dict[float, float], lo: float, hi: float) -> float:
+    """The zero of the line through the two known points nearest above the
+    bracket (at or above hi), else the two nearest below it (at or below lo),
+    else lo and hi; NaN when that line is flat."""
+    above = sorted(s for s in known if s >= hi)[:2]
+    below = sorted(s for s in known if s <= lo)[-2:]
+    s1, s2 = above if len(above) == 2 else below if len(below) == 2 else (lo, hi)
+    v1, v2 = known[s1], known[s2]
+    return s1 - v1 * (s2 - s1) / (v2 - v1) if v1 != v2 else math.nan
 
 
 def _bisect_critical(
@@ -442,7 +460,10 @@ def _bisect_critical(
     pressure is needed. The walk is the sequential one, probe by probe; a
     probe whose value is not known yet evaluates, in one batch, every point
     the walk can reach in the next few steps (the same floats, generated by
-    the same recursion), and ``history`` holds the walked probes only.
+    the same recursion), and ``history`` holds the walked probes only. A
+    bisection batch also holds the walk's path toward a predicted crossing
+    below that; log cover values are nearly linear just above the crossing,
+    so that path is often the rest of the walk.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
@@ -487,7 +508,7 @@ def _bisect_critical(
 
     mid = 0.5 * (lo + hi)
     while hi - lo > tol and lo < mid < hi:
-        v_mid = probe(mid, lambda: _midpoints(lo, hi, tol))
+        v_mid = probe(mid, lambda: _midpoints(lo, hi, tol, _predicted_crossing(known, lo, hi)))
         if v_mid >= 0.0:
             lo, v_lo = mid, v_mid
         else:

@@ -195,13 +195,21 @@ class WordLayers:
     order of first discovery: parents in order, each parent's children in
     symbol order. Column i of ``kids[d]`` and ``syms[d]`` holds the child
     index and the symbol of each child of node i, in symbol order, padded
-    with child 0 and symbol -1.
+    with child 0 and symbol -1 (see below for dropped children).
+
+    A child is dropped when every part has been left or is a frequency part
+    whose count z cannot end in its window at ``depth`` (z > (alpha + eta)
+    depth or z + depth - d < (alpha - eta) depth at the child's depth d, with
+    twice the acceptance guard as slack). Its subtree has no leaf accepted
+    at any depth up to ``depth``, so no value read from the tree changes; a
+    dropped child leaves a pad in its slot.
 
     Each layer takes one gather for the children's suffixes, one step of
     every part, one ``np.unique`` to merge equal children and one scatter
     to pack the arcs. When a depth's nodes equal an earlier depth's, every
     later layer repeats with that period, and the layers are reused (the
-    same array objects) instead of built again.
+    same array objects) instead of built again; not in trees with frequency
+    parts, whose pruned layers can match while the bounds ahead differ.
     """
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
@@ -226,6 +234,12 @@ class WordLayers:
         self.state = [np.zeros((1, parts), dtype=np.int64)]
         self.kids: List[np.ndarray] = []
         self.syms: List[np.ndarray] = []
+        # per part, the counts that can still end in its window at ``depth``
+        slack = 2 * FREQUENCY_GUARD  # so that rounding can only keep extra states
+        low, high = np.array([(-np.inf, np.inf) if w is None else (
+            (w[0] - w[1]) * depth - slack, (w[0] + w[1]) * depth + slack
+        ) for w in target.windows]).T[:, :, None]
+        periodic = not np.isfinite(high).any()
         seen: Dict[bytes, int] = {}
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
@@ -235,10 +249,13 @@ class WordLayers:
                 for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
                     seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
                 break
-            seen[key] = d
+            if periodic:
+                seen[key] = d
             allowed = moves[suffix] & (state >= 0)[:, :, None]
             stepped = np.where(allowed, state[:, :, None] + target.tags, -1)
-            live = allowed.any(axis=1)
+            # a child lives while some part it has not left can still accept it
+            rest = depth - d - 1
+            live = ((stepped >= 0) & (stepped <= high) & (stepped + rest >= low)).any(axis=1)
             parent, symbol = np.nonzero(live)
             child_suffix = self.next[suffix[parent], symbol]
             child_state = stepped[parent, :, symbol]
@@ -252,8 +269,9 @@ class WordLayers:
             _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
             order = np.argsort(first)
             rank = np.argsort(order)
-            slot = (np.cumsum(live, axis=1) - 1)[parent, symbol]
-            width = int(live.sum(axis=1).max(initial=0))
+            # pads in dropped slots keep the order of the arcs into each child
+            slot = (np.cumsum(allowed.any(axis=1), axis=1) - 1)[parent, symbol]
+            width = int(slot.max(initial=-1)) + 1
             kids = np.zeros((width, len(suffix)), dtype=np.intp)
             kids[slot, parent] = rank[inverse]
             syms = np.full((width, len(suffix)), -1, dtype=np.intp)

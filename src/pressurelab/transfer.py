@@ -153,9 +153,9 @@ def build_transfer_matrix(sft: Subshift, f: LocallyConstantPotential) -> Transfe
         return TransferMatrix(np.exp(_log_weights(sft, f)), label=sft.label)
 
 
-def _perron(logw: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
-    """A bracket [lo, hi] of log rho(L), L = exp(logw), at most 1.98 tol
-    wide, and a log Perron vector v.
+def _perron(logw: np.ndarray, tol: float) -> Tuple[PressureValue, np.ndarray]:
+    """log rho(L), L = exp(logw), within tol (or the rounding floor), as the
+    midpoint of a bracket at most 1.98 tol wide, and a log Perron vector v.
 
     The support (finite logw) must be strongly connected. np.linalg.eig of
     exp(logw - max logw) proposes the Perron pair. For any positive vector
@@ -165,8 +165,10 @@ def _perron(logw: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
     power steps on L + cI refine v, with c the eig root estimate, then the
     last bracket's midpoint (eig's root underflows when every cycle of
     exp(logw - max logw) does); c near rho damps an eigenvalue near -rho (a
-    near-periodic L), which stalls steps on L + I. Rounding sets a floor of
-    about max |logw| * eps on the width.
+    near-periodic L), which stalls steps on L + I. Rounding the quotients
+    sets a floor of 4 eps (max |logw| + max |v|) on the width; where that
+    floor exceeds 1.98 tol the bracket stops at it and the reported
+    tolerance widens to the floor.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -184,8 +186,10 @@ def _perron(logw: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
         Lv = np.logaddexp.reduce(logw + v, axis=1)
         if np.all(np.isfinite(v)):
             lo, hi = float(np.min(Lv - v)), float(np.max(Lv - v))
-            if hi - lo <= 1.98 * tol:
-                return lo, hi, v
+            floor = 4 * np.finfo(float).eps * float(np.abs(logw[support]).max() + np.abs(v).max())
+            if hi - lo <= max(1.98 * tol, floor):
+                reported = tol if hi - lo <= 1.98 * tol else floor
+                return PressureValue(0.5 * (lo + hi), "spectral", reported), v
             log_c = 0.5 * (lo + hi)
         v = np.logaddexp(Lv, log_c + v)
         v -= v.max()
@@ -193,10 +197,10 @@ def _perron(logw: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
 
 
 def spectral_pressure(L: TransferMatrix, tol: float = 1e-12) -> PressureValue:
-    """log of the Perron root of L, with absolute error at most tol."""
+    """log of the Perron root of L, with absolute error at most tol (or the
+    rounding floor ``_perron`` reports)."""
     with np.errstate(divide="ignore"):
-        lo, hi, _ = _perron(np.log(L.entries), tol)
-    return PressureValue(value=0.5 * (lo + hi), method="spectral", tolerance=tol)
+        return _perron(np.log(L.entries), tol)[0]
 
 
 def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
@@ -210,7 +214,7 @@ def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
     pressure is still exact.
     """
     logw = _log_weights(sft, f)
-    lo, hi, v = _perron(logw, tol)
+    pressure, v = _perron(logw, tol)
 
     def measure() -> MarkovMeasure:
         W = np.exp(logw + v - np.max(logw + v, axis=1, keepdims=True))
@@ -218,7 +222,7 @@ def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
         label = f"equilibrium({sft.label or 'sft'}, {f.label or 'f'})"
         return MarkovMeasure(P, stationary_distribution(P), label=label)
 
-    return PressureValue(0.5 * (lo + hi), "spectral", tol), measure
+    return pressure, measure
 
 
 def equilibrium_measure(

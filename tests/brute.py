@@ -186,6 +186,100 @@ def merged_layers(start, step: Callable, depth: int):
     return states, edges
 
 
+class UnprunedWordLayers:
+    """The target's words to ``depth``, merged per depth on (suffix, tracker state).
+
+    The library's layer builder before it pruned frequency states that can
+    no longer reach their window at ``depth``, kept verbatim (renamed) as a
+    differential oracle: it keeps every state, and its period detector runs
+    on every tree.
+
+    A node's suffix is its last r symbols (the whole word while it is
+    shorter): ``words`` lists every suffix the target's words can have, and
+    ``next[i, b]`` is the suffix after appending b to ``words[i]``, or -1
+    where no part admits b there. ``suffix[d]`` and ``state[d]`` give the
+    suffix index and the tracker state (one row) of each depth-d node, in
+    order of first discovery: parents in order, each parent's children in
+    symbol order. Column i of ``kids[d]`` and ``syms[d]`` holds the child
+    index and the symbol of each child of node i, in symbol order, padded
+    with child 0 and symbol -1.
+
+    Each layer takes one gather for the children's suffixes, one step of
+    every part, one ``np.unique`` to merge equal children and one scatter
+    to pack the arcs. When a depth's nodes equal an earlier depth's, every
+    later layer repeats with that period, and the layers are reused (the
+    same array objects) instead of built again.
+    """
+
+    def __init__(self, target: TargetAutomaton, r: int, depth: int):
+        parts, _, k = target.moves.shape
+        reach = target.moves.any(axis=0).tolist()
+        words: List[Word] = [()]
+        index = {(): 0}
+        nxt = []
+        for u in words:  # grows while it is read
+            row = [-1] * k
+            for b in range(k):
+                if reach[u[-1] if u else k][b]:
+                    w = (u + (b,))[-r:]
+                    if w not in index:
+                        index[w] = len(words)
+                        words.append(w)
+                    row[b] = index[w]
+            nxt.append(row)
+        self.words, self.next = words, np.array(nxt, dtype=np.intp).reshape(len(words), k)
+        moves = target.moves[:, [u[-1] if u else k for u in words]].transpose(1, 0, 2)
+        self.suffix = [np.zeros(1, dtype=np.intp)]
+        self.state = [np.zeros((1, parts), dtype=np.int64)]
+        self.kids: List[np.ndarray] = []
+        self.syms: List[np.ndarray] = []
+        seen: Dict[bytes, int] = {}
+        for d in range(depth):
+            suffix, state = self.suffix[d], self.state[d]
+            key = suffix.tobytes() + state.tobytes()
+            if key in seen:  # every later layer repeats with period d - e
+                e = seen[key]
+                for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
+                    seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
+                break
+            seen[key] = d
+            allowed = moves[suffix] & (state >= 0)[:, :, None]
+            stepped = np.where(allowed, state[:, :, None] + target.tags, -1)
+            live = allowed.any(axis=1)
+            parent, symbol = np.nonzero(live)
+            child_suffix = self.next[suffix[parent], symbol]
+            child_state = stepped[parent, :, symbol]
+            # one integer per distinct (suffix, state), kept below 2**62
+            code, size = child_suffix, len(words)
+            for column in child_state.T + 1:
+                span = int(column.max(initial=0)) + 1
+                if size * span >= 2 ** 62:
+                    code, size = np.unique(code, return_inverse=True)[1], len(code)
+                code, size = code * span + column, size * span
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.argsort(order)
+            slot = (np.cumsum(live, axis=1) - 1)[parent, symbol]
+            width = int(live.sum(axis=1).max(initial=0))
+            kids = np.zeros((width, len(suffix)), dtype=np.intp)
+            kids[slot, parent] = rank[inverse]
+            syms = np.full((width, len(suffix)), -1, dtype=np.intp)
+            syms[slot, parent] = symbol
+            self.kids.append(kids)
+            self.syms.append(syms)
+            self.suffix.append(child_suffix[first[order]])
+            self.state.append(child_state[first[order]])
+
+    def per_layer(self, build: Callable[[np.ndarray, np.ndarray, np.ndarray], object]) -> list:
+        """``build(suffix, kids, syms)`` for every depth, called once per
+        distinct layer and shared by the depths that repeat it."""
+        made: Dict[int, object] = {}
+        for suffix, kids, syms in zip(self.suffix, self.kids, self.syms):
+            if id(kids) not in made:
+                made[id(kids)] = build(suffix, kids, syms)
+        return [made[id(kids)] for kids in self.kids]
+
+
 def extreme_tail_walk(
     successors: Sequence[Sequence[int]], f, ctx: Word, steps: int, want_max: bool
 ) -> float:

@@ -10,7 +10,9 @@ from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
 from pressurelab.subsets import count_target_words
+from pressurelab.symbolic import is_strongly_connected
 from brute import (
+    UnprunedWordLayers,
     admissible_words,
     all_words,
     brute_min_cover,
@@ -449,6 +451,23 @@ def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
             )
 
 
+def test_look_ahead_batch_counts_on_synthetic_maps():
+    # a bisection batch adds the walk's path toward the zero of the line
+    # through known points above the bracket: on a line that path is the
+    # walk itself, except where a probe lands exactly on the crossing
+    cases = [
+        (lambda s: 0.61 - s, 1e-4, 2),  # 5 batches without the look-ahead
+        (lambda s: 700.5 - 1000.0 * s, 1e-6, 2),  # 6
+        (lambda s: 0.625 - s, 1e-4, 3),  # 5
+        (lambda s: 37.2 - s, 1e-4, 3),  # 7
+        (lambda s: -20.7 - s, 1e-4, 3),  # 7
+        (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3, 4),  # 4: no line predicts a jump
+        (lambda s: 705.0 if s < 0.3 else -2.0, 1e-3, 4),  # 4
+    ]
+    for log_value, tol, batches in cases:
+        assert _assert_batched_bisection_replays(log_value, tol) == batches
+
+
 def test_bisection_ends_at_float_resolution(monkeypatch):
     # once lo and hi are adjacent floats their midpoint is an endpoint, so a
     # tolerance below float resolution must stop there, not probe forever
@@ -561,6 +580,71 @@ def test_recurring_layers_are_built_once():
     # the tag count of a frequency target grows, so no layer repeats
     band = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, 40)
     assert len({id(kids) for kids in band.kids}) == 40
+
+
+def test_band_layers_keep_only_states_that_can_reach_the_window():
+    # symbol 0 in 0.3 +- 0.02 on the full 2-shift: a state's count must stay
+    # at most 0.32 L and still be able to climb to 0.28 L by depth L
+    for L, states in ((160, 11_855), (400, 73_873)):
+        tree = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, L)
+        assert sum(map(len, tree.layers.suffix)) == states  # 25,761 and 160,401 unpruned
+
+
+def _random_irreducible_host(rng):
+    while True:
+        k = int(rng.integers(2, 4))
+        allowed = rng.random((k, k)) < 0.7
+        if is_strongly_connected(allowed):
+            return pl.Subshift(k, tuple(tuple(bool(x) for x in row) for row in allowed))
+
+
+def test_pruned_layers_match_the_unpruned_oracle(monkeypatch):
+    # capacity reads the leaves of every depth of its window from one tree,
+    # so the prune may drop no state that some depth up to L accepts: counts,
+    # leaf sums and cover values (plain and centered) must equal those read
+    # from the unpruned trees bit for bit
+    import pressurelab._engine as engine
+    import pressurelab.subsets as subsets
+
+    rng = np.random.default_rng(70)
+
+    def frequency(host):
+        symbol = int(rng.integers(0, host.alphabet_size))
+        return pl.frequency_level(symbol, float(rng.uniform(0, 1)), float(rng.uniform(0.01, 0.2)))
+
+    pruned = 0
+    for case in range(60):
+        host = _random_irreducible_host(rng)
+        L = int(rng.integers(4, 41))
+        depth = int(rng.integers(1, 3))
+        table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
+        f = pl.potential_from_table(host, depth, table)
+        sub = pl.sub_sft(random_sub_relation(rng, host.allowed))
+        spec = [
+            frequency(host),
+            pl.finite_union(frequency(host), frequency(host)),
+            pl.finite_union(frequency(host), pl.finite_union(sub)),
+        ][case % 3]
+        sigma = int(rng.integers(0, 2))
+        depths = list(range(sigma + 1, L + 1))  # every depth a capacity window can read
+        d_min = int(rng.integers(1, L + 1))
+        exponents = rng.uniform(-1, 2, size=5).tolist()
+
+        def readings():
+            tree = _TreeProgram(host, spec, f, 0, L)
+            covers = [CoverProgram(tree, d_min, c)(exponents).tolist() for c in (False, True)]
+            sums = engine.leaf_sum_logs(host, spec, f, sigma, depths)
+            states = sum(map(len, tree.layers.suffix))
+            return count_target_words(host, spec, L), sums, covers, states
+
+        *got, states = readings()
+        with monkeypatch.context() as m:
+            m.setattr(subsets, "WordLayers", UnprunedWordLayers)
+            m.setattr(engine, "WordLayers", UnprunedWordLayers)
+            *want, all_states = readings()
+        assert got == want
+        pruned += states < all_states
+    assert pruned >= 30
 
 
 def test_many_counted_parts_count_exactly():

@@ -287,6 +287,28 @@ def test_cli_exact_large_tilt(tmp_path, capsys):
     assert report["results"]["pressure"]["value"] == pytest.approx(15.000000152951161, abs=1e-12)
 
 
+def test_cli_exact_below_the_rounding_floor_widens_its_tolerance(tmp_path, capsys):
+    # |f| near 5000 puts the rounding floor of the Perron quotients above the
+    # requested 1.98e-12 bracket width; the solve stops at the floor and
+    # reports it as the tolerance instead of giving up
+    mpmath = pytest.importorskip("mpmath")
+    f = (-4951.005850114244, -1770.7919633602164, 4907.447182412219)
+    arcs = [[0, 1], [1, 0], [1, 1], [1, 2], [2, 0], [2, 2]]
+    cfg = {"system": {"alphabet_size": 3, "allowed": arcs},
+           "potential": {"depth": 1, "table": {str(a): t for a, t in enumerate(f)}}}
+    code, report, _ = _run_config(tmp_path, capsys, "pressure exact", cfg, "floor")
+    assert code == 0
+    pressure = report["results"]["pressure"]
+    assert pressure["tolerance"] > 1e-12
+    mpmath.mp.dps = 50
+    weights = mpmath.matrix(3, 3)
+    for a, b in arcs:
+        weights[a, b] = mpmath.exp(mpmath.mpf(f[a]))
+    log_rho = mpmath.log(max(abs(e) for e in mpmath.eig(weights)[0]))
+    value, tol = mpmath.mpf(pressure["value"]), mpmath.mpf(pressure["tolerance"])
+    assert value - tol <= log_rho <= value + tol
+
+
 def test_cli_equilibrium_measure_below_float_range_exits_1(tmp_path, capsys):
     cfg = _golden_tilt_config(-800, scales=[1], n_range=[10, 20], samples=2,
                               measure={"kind": "equilibrium"})
