@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .symbolic import (
     bowen_ball_word_length,
     is_strongly_connected,
 )
-from .transfer import MarkovMeasure
+from .transfer import MarkovMeasure, _check_markov
 
 _SUPPORT_EPS = 1e-15
 
@@ -253,40 +253,49 @@ def exact_invariant_pressure(
     Requires pi P = pi within tol and an irreducible charged support (the
     a.e. orbit interpretation needs ergodicity; integrals of non-ergodic
     mixtures are out of scope here and rejected rather than misreported).
+    This is ``_invariant_pressures`` on a stack of one measure.
     """
-    defect = mu.invariance_defect()
-    if defect > tol:
+    return float(_invariant_pressures(mu.initial[None], mu.transition[None], f, tol)[0])
+
+
+def _invariant_pressures(
+    pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential, tol: float = 1e-9
+) -> np.ndarray:
+    """exact_invariant_pressure of each measure (pi[g], P[g]) of a stack.
+
+    The support test runs once per distinct (charged set, arc support), and
+    so does the walk of the charged depth-k words, layer by layer in
+    lexicographic order. Entropy takes one math.log per transition entry.
+    Both sums run left to right, as the single-measure loop added them.
+    """
+    _check_markov(P, pi, ndim=3)
+    defect = np.abs(np.matmul(pi[:, None], P)[:, 0] - pi).max(axis=1)
+    if (defect > tol).any():
         raise NonInvariantMeasure(
-            f"pi P deviates from pi by {defect:.3e} (tolerance {tol:.1e})"
+            f"pi P deviates from pi by {defect[defect > tol][0]:.3e} (tolerance {tol:.1e})"
         )
-    pi = np.asarray(mu.initial, dtype=float)
-    P = np.asarray(mu.transition, dtype=float)
-    charged = [a for a in range(mu.n_states) if pi[a] > _SUPPORT_EPS]
-    if not is_strongly_connected(P[charged][:, charged] > 0.0):
-        raise ReducibleSystem(
-            "charged support is not irreducible; the measure is not ergodic"
-        )
-
-    entropy = 0.0
-    for a in charged:
-        for b in range(mu.n_states):
-            p = P[a, b]
-            if p > 0.0:
-                entropy -= pi[a] * p * math.log(p)
-
-    # the charged depth-k words with their masses, one layer at a time in
-    # lexicographic order, which fixes the order the integral is summed in
-    level = [((a,), float(pi[a])) for a in charged]
-    for _ in range(f.depth - 1):
-        level = [
-            (w + (b,), mass * step)
-            for w, mass in level
-            for b, step in enumerate(P[w[-1]])
-            if step > 0.0
-        ]
-        if len(level) > DEFAULT_ENUMERATION_BUDGET:
-            raise EnumerationBudgetExceeded(len(level), DEFAULT_ENUMERATION_BUDGET)
-    integral = 0.0
-    for w, mass in level:
-        integral += mass * f.value(w)
-    return entropy + integral
+    charged, arcs = pi > _SUPPORT_EPS, P > 0.0
+    logP = np.array([math.log(p) if p > 0.0 else 0.0 for p in P.ravel().tolist()])
+    # zero terms (uncharged rows, null arcs) change no left-to-right sum
+    terms = np.where(charged, pi, 0.0)[:, :, None] * P * logP.reshape(P.shape)
+    entropy = np.cumsum(-terms.reshape(len(P), P.shape[-1] ** 2), axis=1)[:, -1]
+    integral = np.empty(len(P))
+    groups: Dict[bytes, List[int]] = {}
+    for g in range(len(P)):
+        groups.setdefault(charged[g].tobytes() + arcs[g].tobytes(), []).append(g)
+    for members in groups.values():
+        symbols, support = np.flatnonzero(charged[members[0]]), arcs[members[0]]
+        if not is_strongly_connected(support[symbols][:, symbols]):
+            raise ReducibleSystem("charged support is not irreducible; the measure is not ergodic")
+        # words: one row per charged word; mass: one column per word, row per member
+        words, mass, Pg = symbols[:, None], pi[members][:, symbols], P[members]
+        for _ in range(f.depth - 1):
+            parent, b = np.nonzero(support[words[:, -1]])
+            if len(b) > DEFAULT_ENUMERATION_BUDGET:
+                raise EnumerationBudgetExceeded(len(b), DEFAULT_ENUMERATION_BUDGET)
+            mass = mass[:, parent] * Pg[:, words[parent, -1], b]
+            words = np.column_stack([words[parent], b])
+        values = np.array([f.value(tuple(w)) for w in words.tolist()])
+        integral[members] = np.cumsum(mass * values, axis=1)[:, -1]
+    # cumsum leaves -0.0 where a loop from 0.0 leaves 0.0; + 0.0 mends only that
+    return entropy + integral + 0.0

@@ -73,19 +73,7 @@ class MarkovMeasure:
     label: str = ""
 
     def __post_init__(self):
-        P = self.transition
-        pi = self.initial
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if pi.shape != (P.shape[0],):
-            raise ValueError("initial row has wrong length")
-        if np.any(P < -1e-15) or np.any(pi < -1e-15):
-            raise ValueError("probabilities must be nonnegative")
-        # a NaN entry makes its sum NaN, which fails every <=
-        if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _SUM_TOL:
-            raise ValueError(f"transition rows must be finite and sum to 1 within {_SUM_TOL}")
-        if not abs(pi.sum() - 1.0) <= _SUM_TOL:
-            raise ValueError(f"initial row must be finite and sum to 1 within {_SUM_TOL}")
+        _check_markov(self.transition, self.initial, ndim=2)
 
     @property
     def n_states(self) -> int:
@@ -121,18 +109,35 @@ def markov_measure(
     return MarkovMeasure(P, pi, label or "markov")
 
 
+def _check_markov(P: np.ndarray, pi: np.ndarray, ndim: int) -> None:
+    """MarkovMeasure's checks on one (P, pi) (ndim 2) or a stack (ndim 3)."""
+    if P.ndim != ndim or P.shape[-1] != P.shape[-2]:
+        raise ValueError("transition matrix must be square")
+    if pi.shape != P.shape[:-1]:
+        raise ValueError("initial row has wrong length")
+    if (P < -1e-15).any() or (pi < -1e-15).any():
+        raise ValueError("probabilities must be nonnegative")
+    # a NaN entry makes its sum NaN, which fails every <=
+    if not (np.abs(P.sum(axis=-1) - 1.0) <= _SUM_TOL).all():
+        raise ValueError(f"transition rows must be finite and sum to 1 within {_SUM_TOL}")
+    if not (np.abs(pi.sum(axis=-1) - 1.0) <= _SUM_TOL).all():
+        raise ValueError(f"initial row must be finite and sum to 1 within {_SUM_TOL}")
+
+
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 exactly (linear system, no iteration)."""
-    if not is_strongly_connected(P > 0.0):
+    """Solve pi P = pi, sum(pi) = 1 exactly (linear system, no iteration)
+    for one (n, n) P or a stack (..., n, n), each of irreducible support.
+
+    A stack is one batched np.linalg.solve, equal to single solves bit for bit.
+    """
+    n = P.shape[-1]
+    supports = {s.tobytes(): s for s in (P > 0.0).reshape(-1, n, n)}
+    if not all(map(is_strongly_connected, supports.values())):
         raise ReducibleSystem("stationary distribution needs irreducible support")
-    n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
+    A = np.swapaxes(P, -1, -2) - np.eye(n)
+    A[..., -1, :] = 1.0
+    pi = np.maximum(np.linalg.solve(A, np.eye(n)[:, -1:])[..., 0], 0.0)
+    return pi / pi.sum(axis=-1, keepdims=True)
 
 
 def _log_weights(sft: Subshift, f: LocallyConstantPotential) -> np.ndarray:

@@ -544,6 +544,74 @@ def invariant_pressure_stack(
 
 
 # ---------------------------------------------------------------------------
+# the variational measure families, one measure at a time
+
+
+def stationary_row(P: np.ndarray) -> np.ndarray:
+    """pi P = pi, sum(pi) = 1 for one matrix of irreducible support, solved
+    as its own linear system; ArithmeticError on a reducible support."""
+    n = len(P)
+    if len(tarjan_components(P > 0.0)) != 1:
+        raise ArithmeticError("stationary row needs irreducible support")
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(A, b), 0.0)
+    return pi / pi.sum()
+
+
+def dirichlet_chain(successors, rng: np.random.Generator, eps: float = 1e-6):
+    """(pi, P) of one random chain on exactly the given arcs: each row a
+    Dirichlet draw lifted off zero by eps and renormalized, drawn in row
+    order, and its stationary row."""
+    c = len(successors)
+    P = np.zeros((c, c))
+    for i, succ in enumerate(successors):
+        row = rng.dirichlet(np.ones(len(succ)))
+        P[i, list(succ)] = (row + eps) / (1.0 + len(succ) * eps)
+    return stationary_row(P), P
+
+
+def dirichlet_grid_walk(successors, rng: np.random.Generator, f, count: int) -> List[float]:
+    """The variational grid: count Dirichlet chains drawn one after another,
+    each priced by invariant_pressure_stack."""
+    return [invariant_pressure_stack(*dirichlet_chain(successors, rng), f) for _ in range(count)]
+
+
+def frequency_family_walk(
+    allowed, symbol: int, target: float, window: float, f, count: int,
+    rng: np.random.Generator, eps: float = 1e-6,
+) -> Tuple[List[float], List[str]]:
+    """Values and labels of the frequency-band measure family, one measure
+    at a time: on a full shift (k >= 2) max(2, count) Bernoulli measures
+    with p[symbol] swept evenly across the band, elsewhere the first count
+    Dirichlet chains whose stationary frequency of symbol lies in the band,
+    out of at most 40 count draws (possibly fewer, possibly none)."""
+    lo, hi = max(eps, target - window), min(1.0 - eps, target + window)
+    k = len(allowed)
+    values: List[float] = []
+    labels: List[str] = []
+    if k >= 2 and all(all(row) for row in allowed):
+        for p_s in np.linspace(lo, hi, max(2, count)):
+            p = np.full(k, (1.0 - p_s) / (k - 1))
+            p[symbol] = p_s
+            values.append(invariant_pressure_stack(p, np.tile(p, (k, 1)), f))
+            labels.append(f"bernoulli p[{symbol}]={p_s:.6f}")
+        return values, labels
+    successors = [[b for b in range(k) if allowed[a][b]] for a in range(k)]
+    attempts = 0
+    while len(values) < count and attempts < 40 * count:
+        attempts += 1
+        pi, P = dirichlet_chain(successors, rng, eps)
+        freq = float(pi[symbol])
+        if lo <= freq <= hi:
+            values.append(invariant_pressure_stack(pi, P, f))
+            labels.append(f"markov freq[{symbol}]={freq:.6f}")
+    return values, labels
+
+
+# ---------------------------------------------------------------------------
 # exhaustive cover search
 
 

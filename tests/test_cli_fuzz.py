@@ -1,9 +1,10 @@
 """Fuzz the CLI contract: a config either runs or fails with one JSON line.
 
-Small random configs for `pressure bowen|capacity|weighted` and `verify
-chain` go through ``cli.main``. Every outcome must be exit 0 or 2 with a
-parseable report, or exit 1 with exactly one JSON error record on stderr;
-an exception escaping ``main`` (a traceback) fails the test.
+Small random configs for `pressure bowen|capacity|weighted|exact|measure`
+and `verify chain|variational|gibbs` go through ``cli.main``. Every
+outcome must be exit 0 or 2 with a parseable report, or exit 1 with
+exactly one JSON error record on stderr; an exception escaping ``main``
+(a traceback) fails the test.
 """
 
 import contextlib
@@ -21,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from pressurelab.cli import main
 
 COMMANDS = ("pressure bowen", "pressure capacity", "pressure weighted", "verify chain")
+# fuzzed one command at a time: a shared draw gives late entries few examples
+MEASURE_COMMANDS = ("verify variational", "pressure exact", "pressure measure", "verify gibbs")
 
 
 def _words(k, pairs, depth):
@@ -54,8 +57,31 @@ def _subsets(draw, k, kind):
 
 
 @st.composite
-def _configs(draw):
-    command = draw(st.sampled_from(COMMANDS))
+def _distribution(draw, cells):
+    """A probability vector over len(cells) entries, positive only where
+    cells is true (or on entry 0 when no draw lands on a true cell)."""
+    weights = [draw(st.integers(0, 3)) if ok else 0 for ok in cells]
+    total = sum(weights)
+    return [w / total for w in weights] if total else [1.0] + [0.0] * (len(cells) - 1)
+
+
+@st.composite
+def _measures(draw, k, pairs):
+    kind = draw(st.sampled_from(["bernoulli", "markov", "equilibrium"]))
+    if kind == "bernoulli":
+        return {"kind": "bernoulli", "p": draw(_distribution([True] * k))}
+    if kind == "equilibrium":
+        return {"kind": "equilibrium"}
+    rows = [draw(_distribution([(a, b) in pairs for b in range(k)])) for a in range(k)]
+    spec = {"kind": "markov", "transition": rows}
+    if draw(st.booleans()):
+        spec["initial"] = draw(_distribution([True] * k))
+    return spec
+
+
+@st.composite
+def _configs(draw, command=None):
+    command = command or draw(st.sampled_from(COMMANDS))
     k = draw(st.integers(1, 3))
     cells = list(itertools.product(range(k), repeat=2))
     pairs = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
@@ -81,14 +107,25 @@ def _configs(draw):
         "scales": [m],
         "tol": 1e-3,
     }
-    if command == "pressure capacity":
+    if kind == "sub_sft" and command in MEASURE_COMMANDS and draw(st.booleans()):
+        # cut to the host's arcs half the time, so the measure side gets to run
+        rel = cfg["subset"]["allowed"]
+        cfg["subset"]["allowed"] = [[int(rel[a][b] and (a, b) in pairs) for b in range(k)]
+                                    for a in range(k)]
+    if command in ("pressure capacity", "pressure measure"):
         lo = draw(st.integers(1, 30))
         cfg["n_range"] = [lo, lo + draw(st.integers(0, 30))]
     else:
         N = draw(st.integers(1, 6))
         # L below N + m is a clean DepthTooShallow error, so it stays possible
-        L = N + m + draw(st.integers(-2, 40 if kind == "frequency_level" else 3000))
+        deep = kind != "frequency_level" and command != "verify gibbs"
+        L = N + m + draw(st.integers(-2, 3000 if deep else 40))
         cfg.update({"N": N, "L": max(1, L)})
+    if command == "pressure measure":
+        cfg["measure"] = draw(_measures(k, set(pairs)))
+        cfg["samples"] = draw(st.integers(1, 3))
+    if command == "verify variational":
+        cfg["measure_grid"] = draw(st.integers(2, 20))
     if command == "verify chain":
         cfg["s"] = draw(st.floats(-2.0, 2.0))
         cfg["delta"] = draw(st.floats(0.05, 1.0))
@@ -115,3 +152,10 @@ def test_cli_contract_on_random_configs(case):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1, err.getvalue()
             assert "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command", MEASURE_COMMANDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_contract_on_random_measure_configs(command, data):
+    test_cli_contract_on_random_configs.hypothesis.inner_test(data.draw(_configs(command)))

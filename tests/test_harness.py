@@ -5,10 +5,19 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from brute import random_sub_relation, worst_log_ratio, worst_log_ratios_walk
+import pressurelab.harness as harness
+from brute import (
+    dirichlet_grid_walk,
+    frequency_family_walk,
+    random_sub_relation,
+    worst_log_ratio,
+    worst_log_ratios_walk,
+)
 from pressurelab.harness import (
+    _STACK,
     _dirichlet_markov,
     _embed_measure,
+    _frequency_family_values,
     _invariant_core,
     _worst_log_ratios,
 )
@@ -24,6 +33,7 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 GM_INSIDE = pl.sub_sft(((True, True), (True, False)))
 FIXED0 = pl.sub_sft(((True, False), (False, False)))
 FIXED1 = pl.sub_sft(((False, False), (False, True)))
+REDUCIBLE_HOST = pl.Subshift(2, ((True, True), (False, True)))  # 0 -> 1, never back
 
 
 def test_variational_whole_space_weighted_potential():
@@ -226,10 +236,104 @@ def test_core_measure_pressure_equals_its_host_embedding():
             sub, symbols, f_sub, _, _ = _invariant_core(host, spec, f)
         except pl.EmptyTarget:
             continue
-        for mu in (pl.equilibrium_measure(sub, f_sub), _dirichlet_markov(sub, rng)):
+        grid = pl.markov_measure(_dirichlet_markov(sub, rng, 1)[0])
+        for mu in (pl.equilibrium_measure(sub, f_sub), grid):
             on_host = pl.exact_invariant_pressure(_embed_measure(mu, symbols, k), f)
             assert pl.exact_invariant_pressure(mu, f_sub) == on_host
         checked += 1
+
+
+GRID_SIZES = (2, 7, _STACK - 1, _STACK + 1, 3 * _STACK + 1)
+
+
+def test_variational_grid_equals_the_per_measure_walk(monkeypatch):
+    # random cores (k = 2..4, depth 1-2), one seed each, every grid size:
+    # the stacks verify_variational prices hold the values of the retired
+    # one-measure-at-a-time walk, in draw order
+    priced, price = [], harness._invariant_pressures
+
+    def recording(pi, P, f):
+        values = price(pi, P, f)
+        priced.extend(values.tolist())
+        return values
+
+    monkeypatch.setattr(harness, "_invariant_pressures", recording)
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 2 * len(GRID_SIZES):
+        k = int(rng.integers(2, 5))
+        host = _random_host(rng, k)
+        depth = int(rng.integers(1, 3))
+        table = {w: float(rng.uniform(-0.8, 0.8)) for w in pl.enumerate_words(host, depth)}
+        f = pl.potential_from_table(host, depth, table)
+        spec = pl.whole() if checked % 2 else pl.sub_sft(random_sub_relation(rng, host.allowed))
+        try:
+            sub, _, f_sub, _, _ = _invariant_core(host, spec, f)
+        except pl.EmptyTarget:
+            continue
+        grid, seed = GRID_SIZES[checked % len(GRID_SIZES)], int(rng.integers(2 ** 32))
+        priced.clear()
+        rep = pl.verify_variational(
+            host, spec, f, pl.Scale(1), 1, 4, tol=1.0, measure_grid=grid, seed=seed
+        )
+        want = dirichlet_grid_walk(sub.successors, np.random.default_rng(seed), f_sub, grid)
+        assert priced == want
+        assert rep.grid_size == grid
+        assert rep.argmax_is_equilibrium == (rep.equilibrium_value >= max(want) - 1e-9)
+        checked += 1
+
+
+def _irreducible_host(rng, k):
+    """A random strongly connected subshift on k symbols, never the full shift."""
+    while True:
+        rel = random_sub_relation(rng, pl.full_shift(k).allowed)
+        if is_strongly_connected(rel) and not all(all(row) for row in rel):
+            return pl.Subshift(k, rel)
+
+
+def test_frequency_family_equals_the_per_measure_walk():
+    # the Bernoulli sweep on full shifts (k = 2..4) and rejection sampling on
+    # other irreducible hosts, bands wide to empty: values and labels equal
+    # the retired walk; a short family keeps its draw order, an empty one is
+    # EmptyTarget
+    rng = np.random.default_rng(53)
+    outcomes = set()
+    for trial in range(40):
+        k = int(rng.integers(2, 5))
+        full = trial % 2 == 0
+        host = pl.full_shift(k) if full else _irreducible_host(rng, k)
+        depth = int(rng.integers(1, 3))
+        table = {w: float(rng.uniform(-0.8, 0.8)) for w in pl.enumerate_words(host, depth)}
+        f = pl.potential_from_table(host, depth, table)
+        symbol, target = int(rng.integers(k)), float(rng.uniform(0.0, 1.0))
+        window = float(rng.choice([0.002, 0.02, 0.3]))
+        spec = pl.frequency_level(symbol, target, window)
+        grid = GRID_SIZES[trial // 2 % len(GRID_SIZES)] if full else int(rng.choice([2, 7, 40]))
+        seed = int(rng.integers(2 ** 32))
+        want = frequency_family_walk(
+            host.allowed, symbol, target, window, f, grid, np.random.default_rng(seed)
+        )
+        if not want[0]:
+            with pytest.raises(pl.EmptyTarget):
+                _frequency_family_values(host, spec, f, grid, np.random.default_rng(seed))
+            outcomes.add("empty")
+            continue
+        got = _frequency_family_values(host, spec, f, grid, np.random.default_rng(seed))
+        assert got == want
+        outcomes.add("bernoulli" if full else "full" if len(want[0]) == grid else "short")
+    assert outcomes == {"bernoulli", "full", "short", "empty"}
+
+
+def test_frequency_family_on_hosts_without_a_band_measure():
+    # the 1-shift's only measure has frequency 1, outside every band; a
+    # reducible host has no stationary row to sample
+    f1 = pl.zero_potential(pl.full_shift(1))
+    with pytest.raises(pl.EmptyTarget):
+        _frequency_family_values(pl.full_shift(1), pl.frequency_level(0, 0.9, 0.5), f1, 7,
+                                 np.random.default_rng(0))
+    with pytest.raises(pl.ReducibleSystem):
+        _frequency_family_values(REDUCIBLE_HOST, pl.frequency_level(0, 0.5, 0.5),
+                                 pl.zero_potential(REDUCIBLE_HOST), 7, np.random.default_rng(0))
 
 
 def test_gibbs_ratio_pass_rejects_undetermined_sums():
@@ -244,6 +348,14 @@ def test_property_suite_random_trials_green():
     assert rep.passed
     assert rep.trials == 40
     assert all(not v for v in rep.failures.values())
+
+
+def test_property_suite_reports_exactly_its_six_checks():
+    rep = pl.property_suite(seed=3, trials=1)
+    assert set(rep.failures) == {
+        "partition_monotone", "scale_monotone", "cover_monotone",
+        "union_partition_bounds", "union_bracket", "bowen_below_capacity",
+    }
 
 
 def test_property_suite_deterministic():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
+from pressurelab.measure import _invariant_pressures
 from pressurelab.symbolic import is_strongly_connected
 from brute import (
     all_words,
@@ -271,6 +272,34 @@ def test_exact_invariant_pressure_is_entropy_plus_integral():
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+def _ergodic_support(rng, k):
+    """A random nonempty charged set of k symbols and a strongly connected
+    arc pattern on it (every row nonempty), or None."""
+    charged = np.flatnonzero(rng.random(k) < 0.7)
+    arcs = rng.random((len(charged),) * 2) < 0.6
+    if not len(charged) or not arcs.any(axis=1).all() or not is_strongly_connected(arcs):
+        return None
+    return charged, arcs
+
+
+def _ergodic_chain(rng, k, charged, arcs):
+    """(pi, P): random weights on exactly the arcs inside the charged set,
+    arbitrary rows outside it, and the stationary row on the charged set."""
+    P = rng.uniform(0.0, 1.0, size=(k, k))
+    P[charged] = 0.0
+    P[np.ix_(charged, charged)] = rng.uniform(0.05, 1.0, size=arcs.shape) * arcs
+    P /= P.sum(axis=1, keepdims=True)
+    pi = np.zeros(k)
+    pi[charged] = pl.stationary_distribution(P[np.ix_(charged, charged)])
+    return pi, P
+
+
+def _random_table_potential(rng, k, depth):
+    return pl.LocallyConstantPotential(
+        depth, {w: float(rng.uniform(-1, 1)) for w in all_words(k, depth)}
+    )
+
+
 def test_exact_invariant_pressure_equals_the_stack_walk():
     # ergodic chains charging 1..k of k = 2..4 symbols, zero transition
     # entries inside the charged set, zero initial entries and arbitrary
@@ -299,6 +328,75 @@ def test_exact_invariant_pressure_equals_the_stack_walk():
         )
         assert pl.exact_invariant_pressure(mu, f) == invariant_pressure_stack(pi, P, f)
         checked += 1
+
+
+def test_invariant_pressures_of_mixed_stacks_equal_the_walk():
+    # stacks mixing up to three supports, several chains on each, so both
+    # shared and distinct (charged set, arc support) groups occur
+    rng = np.random.default_rng(19)
+    checked = 0
+    while checked < 40:
+        k = int(rng.integers(2, 5))
+        supports = [s for s in (_ergodic_support(rng, k) for _ in range(3)) if s is not None]
+        if not supports:
+            continue
+        picks = rng.integers(len(supports), size=int(rng.integers(1, 10)))
+        chains = [_ergodic_chain(rng, k, *supports[i]) for i in picks]
+        pi, P = np.array([c[0] for c in chains]), np.array([c[1] for c in chains])
+        f = _random_table_potential(rng, k, int(rng.integers(1, 4)))
+        got = _invariant_pressures(pi, P, f).tolist()
+        assert got == [invariant_pressure_stack(a, b, f) for a, b in chains]
+        checked += 1
+
+
+def test_invariant_pressure_of_a_zero_sum_is_positive_zero():
+    # entropy and integral both sum to zero; a left-to-right loop from 0.0
+    # returns +0.0 there, never -0.0
+    mu = pl.MarkovMeasure(np.eye(2), np.array([1.0, 0.0]))
+    f = pl.LocallyConstantPotential(1, {(0,): -0.0, (1,): 0.0})
+    assert math.copysign(1.0, pl.exact_invariant_pressure(mu, f)) == 1.0
+
+
+def test_invariant_pressure_of_a_cyclic_shift_with_a_depth_10_potential():
+    # 10 charged words; a dense (10,)^10 table of word masses would not fit
+    k = 10
+    P = np.roll(np.eye(k), 1, axis=1)
+    pi = np.full(k, 0.1)
+    f = pl.LocallyConstantPotential(
+        k, {tuple((a + i) % k for i in range(k)): 0.1 * a for a in range(k)}
+    )
+    got = pl.exact_invariant_pressure(pl.MarkovMeasure(P, pi), f)
+    assert got == invariant_pressure_stack(pi, P, f)
+    assert got == pytest.approx(0.45, abs=1e-14)
+
+
+# three good chains on 3 symbols, none charging the block (2, 2); the bad
+# member breaks invariance, ergodicity, or charges (2, 2), which f lacks
+_GOOD = [
+    (np.array([0.5, 0.5, 0.0]), np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])),
+    (np.array([0.4, 0.4, 0.2]), np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])),
+    (np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
+]
+_BAD = {
+    pl.NonInvariantMeasure: (np.array([0.6, 0.2, 0.2]), np.full((3, 3), 1 / 3)),
+    pl.ReducibleSystem: (np.array([0.5, 0.5, 0.0]), np.eye(3)),
+    pl.InadmissibleWord: (np.full(3, 1 / 3), np.full((3, 3), 1 / 3)),
+}
+
+
+@pytest.mark.parametrize("error", list(_BAD), ids=lambda e: e.__name__)
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_one_bad_member_raises_what_the_single_measure_raises(error, position):
+    f = pl.LocallyConstantPotential(2, {w: 0.1 * sum(w) for w in all_words(3, 2) if w != (2, 2)})
+    bad_pi, bad_P = _BAD[error]
+    with pytest.raises(error) as single:
+        pl.exact_invariant_pressure(pl.MarkovMeasure(bad_P, bad_pi), f)
+    chains = _GOOD[:position] + [(bad_pi, bad_P)] + _GOOD[position:]
+    with pytest.raises(error) as stacked:
+        _invariant_pressures(np.array([c[0] for c in chains]), np.array([c[1] for c in chains]), f)
+    assert str(stacked.value) == str(single.value)
+    good = _invariant_pressures(np.array([c[0] for c in _GOOD]), np.array([c[1] for c in _GOOD]), f)
+    assert good.tolist() == [invariant_pressure_stack(a, b, f) for a, b in _GOOD]
 
 
 def test_exact_invariant_pressure_rejects_non_invariant():
