@@ -25,12 +25,15 @@ they are per-suffix tables too. One fold runs over these arrays in two
 directions:
 
 - Backward, for the minimal cover value. Values carry a trailing axis of K
-  exponents. Each layer gathers its children's values, log-sum-exps them
-  over the arity axis and takes the elementwise minimum with its ball
-  prices, so one pass from the leaves to the root prices K exponents.
+  exponents. Each layer gathers its children's values in one block, adds
+  the gains, log-sum-exps over the arity axis and takes the minimum with
+  its ball prices, so one pass from the leaves to the root prices K exponents.
 - Forward, for the partition functions. Each layer scatters its log prefix
   sums, plus the arc gains, into its children, so one pass from the root
   yields the leaf sum of every depth of a capacity window.
+
+Gains, ball prices, acceptance masks and tail corrections are made once per
+distinct layer; depths that repeat one share it. That saves work, no value moves.
 
 Conventions used throughout:
 
@@ -103,9 +106,9 @@ class _TreeProgram:
     """The tracked word tree to ``depth``, merged on (last r symbols, tracker state).
 
     ``layers`` holds the tree (see ``subsets.WordLayers``), with
-    r = max(1, k - 1, sigma). ``gains[d]`` lines up with ``kids[d]``: the
-    potential window each arc's symbol completes, if any (as r >= k - 1,
-    the suffix holds that window's other symbols), and -inf on the pads.
+    r = max(1, k - 1, sigma). ``gains[d]`` (with a length-1 axis for K exponents)
+    lines up with ``kids[d]``: the potential window each arc's symbol completes,
+    if any (as r >= k - 1, the suffix holds its other symbols), -inf on pads.
     """
 
     def __init__(
@@ -127,7 +130,7 @@ class _TreeProgram:
         gain = _window_gains(tree.words, tree.next >= 0, f)
         self.kids = tree.kids
         self.gains = tree.per_layer(
-            lambda suffix, _, syms: np.where(syms >= 0, gain[suffix, syms], NEG_INF)
+            lambda suffix, _, syms: np.where(syms >= 0, gain[suffix, syms], NEG_INF)[:, :, None]
         )
         self._prices: Dict[Tuple[Relation, bool], np.ndarray] = {}
 
@@ -169,7 +172,7 @@ class _TreeProgram:
         prefix = [np.zeros(1)]
         for d in range(len(self.kids)):
             nxt = np.full(len(self.layers.suffix[d + 1]), NEG_INF)
-            np.logaddexp.at(nxt, self.kids[d].ravel(), (self.gains[d] + prefix[-1]).ravel())
+            np.logaddexp.at(nxt, self.kids[d].ravel(), (self.gains[d] + prefix[-1][:, None]).ravel())
             prefix.append(nxt)
         return prefix
 
@@ -190,12 +193,17 @@ def leaf_sum_logs(
     prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
     prefix = prog.fold_forward()
     prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
+    # a tree shares layers only when no part counts a symbol: acceptance ignores d
+    made: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for d in depths:
-        keep = prog.accepted(d)
-        suffix, state = prog.layers.suffix[d][keep], prog.layers.state[d][keep]
-        # the tail runs over every part the word has not left
-        tails = np.where(state >= 0, prices[:, suffix].T, NEG_INF).max(axis=1)
+        suffix, state = prog.layers.suffix[d], prog.layers.state[d]
+        if id(state) not in made:
+            keep = prog.accepted(d)
+            # the tail runs over every part the word has not left
+            tails = np.where(state[keep] >= 0, prices[:, suffix[keep]].T, NEG_INF).max(axis=1)
+            made[id(state)] = keep, tails
+        keep, tails = made[id(state)]
         terms = prefix[d][keep] + tails
         out.append(float(np.logaddexp.reduce(terms)) if terms.size else NEG_INF)
     return out
@@ -245,34 +253,34 @@ class CoverProgram:
         self._tree = tree
         self._sigma, self._d_min = sigma, d_min
         price = tree.prices(tree.host.allowed, not centered)
-        suffix = tree.layers.suffix
-        self._ball = {d: price[suffix[d]][:, None] for d in range(d_min, d_max + 1)}
+        suffix = tree.layers.suffix[d_min:]  # repeated layers share one ball column
+        balls = {id(u): price[u][:, None] for u in {id(u): u for u in suffix}.values()}
+        self._ball = [balls[id(u)] for u in suffix]
         # an accepted leaf must take its ball, a rejected one needs none
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()
         self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
 
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
-        """One backward fold for all ``exponents``: per layer, binary
-        log-sum-exps over the arity rows in the order of a reduce along them,
-        then the minimum with the balls, -s * (d - sigma) being one outer product."""
+        """One backward fold for all ``exponents``: per layer one gather into an
+        (arity, states, K) block, one in-place add of the gains, binary log-sum-exps
+        over the arity rows in reduce order and one in-place minimum with the balls,
+        made once per distinct layer; values equal a per-row fold's bit for bit."""
         neg_s = -np.asarray(exponents, dtype=float)
-        kids, gains = self._tree.kids, self._tree.gains
-        decay = np.multiply.outer(np.arange(self._d_min, len(kids) + 1) - self._sigma, neg_s)
-        values = self._leaves
-        for d in range(len(kids), -1, -1):
-            if d < len(kids):
-                below, values = values, None
-                for kid, gain in zip(kids[d], gains[d]):
-                    arc = gain[:, None] + below[kid]
-                    values = arc if values is None else np.logaddexp(values, arc, out=values)
-                if values is None:  # no state of this layer has a child
-                    values = np.full((kids[d].shape[1], len(neg_s)), NEG_INF)
-            if d >= self._d_min:
+        kids, gains, ball, d_min = self._tree.kids, self._tree.gains, self._ball, self._d_min
+        decay = np.multiply.outer(np.arange(d_min, len(kids) + 1) - self._sigma, neg_s)
+        values = np.minimum(decay[-1] + ball[-1], self._leaves)
+        for d in range(len(kids) - 1, -1, -1):
+            arcs = values[kids[d]]
+            arcs += gains[d]
+            values = arcs[0] if len(arcs) else np.full(arcs.shape[1:], NEG_INF)  # childless
+            for i in range(1, len(arcs)):
+                np.logaddexp(values, arcs[i], out=values)
+            if d >= d_min:
                 # a node takes its ball where that is cheaper than covering its
                 # children; exact ties resolve toward the shallower ball, which
                 # pins down which cover the DP means
-                values = np.minimum(decay[d - self._d_min] + self._ball[d], values)
+                np.minimum(decay[d - d_min] + ball[d - d_min], values, out=values)
         return values[0]
 
     def at(self, s: float) -> float:

@@ -253,22 +253,29 @@ def exact_invariant_pressure(
     Requires pi P = pi within tol and an irreducible charged support (the
     a.e. orbit interpretation needs ergodicity; integrals of non-ergodic
     mixtures are out of scope here and rejected rather than misreported).
-    This is ``_invariant_pressures`` on a stack of one measure.
+    This is ``_checked_pressures`` on a stack of one: ``mu`` was checked when made.
     """
-    return float(_invariant_pressures(mu.initial[None], mu.transition[None], f, tol)[0])
+    return float(_checked_pressures(mu.initial[None], mu.transition[None], f, tol)[0])
 
 
 def _invariant_pressures(
     pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential, tol: float = 1e-9
 ) -> np.ndarray:
-    """exact_invariant_pressure of each measure (pi[g], P[g]) of a stack.
+    """exact_invariant_pressure of each (pi[g], P[g]), checked once as a stack."""
+    _check_markov(P, pi, ndim=3)
+    return _checked_pressures(pi, P, f, tol)
+
+
+def _checked_pressures(
+    pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential, tol: float
+) -> np.ndarray:
+    """``_invariant_pressures`` of a stack that passed MarkovMeasure's checks.
 
     The support test runs once per distinct (charged set, arc support), and
     so does the walk of the charged depth-k words, layer by layer in
     lexicographic order. Entropy takes one math.log per transition entry.
     Both sums run left to right, as the single-measure loop added them.
     """
-    _check_markov(P, pi, ndim=3)
     defect = np.abs(np.matmul(pi[:, None], P)[:, 0] - pi).max(axis=1)
     if (defect > tol).any():
         raise NonInvariantMeasure(

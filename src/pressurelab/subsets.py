@@ -243,13 +243,13 @@ class WordLayers:
         seen: Dict[bytes, int] = {}
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
-            key = suffix.tobytes() + state.tobytes()
-            if key in seen:  # every later layer repeats with period d - e
-                e = seen[key]
-                for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
-                    seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
-                break
             if periodic:
+                key = suffix.tobytes() + state.tobytes()
+                if key in seen:  # every later layer repeats with period d - e
+                    e = seen[key]
+                    for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
+                        seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
+                    break
                 seen[key] = d
             allowed = moves[suffix] & (state >= 0)[:, :, None]
             stepped = np.where(allowed, state[:, :, None] + target.tags, -1)

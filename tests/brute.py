@@ -280,6 +280,58 @@ class UnprunedWordLayers:
         return [made[id(kids)] for kids in self.kids]
 
 
+# the engine's folds before they shared per-layer work, kept as oracles: they
+# read a library tree (``_engine._TreeProgram``) and redo everything per depth
+
+
+def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]) -> np.ndarray:
+    """``CoverProgram(tree, d_min, centered)(exponents)`` as the fold ran
+    before: one ball gather per depth, and per layer one gather and one add
+    per arity row, chained by binary log-sum-exps."""
+    NEG_INF = -math.inf
+    price = tree.prices(tree.host.allowed, not centered)
+    suffix = tree.layers.suffix
+    ball = {d: price[suffix[d]][:, None] for d in range(d_min, len(tree.kids) + 1)}
+    leaves = np.where(tree.accepted(len(tree.kids)), math.inf, NEG_INF)[:, None]
+    neg_s = -np.asarray(exponents, dtype=float)
+    kids, gains = tree.kids, [g[:, :, 0] for g in tree.gains]
+    decay = np.multiply.outer(np.arange(d_min, len(kids) + 1) - tree.sigma, neg_s)
+    values = leaves
+    for d in range(len(kids), -1, -1):
+        if d < len(kids):
+            below, values = values, None
+            for kid, gain in zip(kids[d], gains[d]):
+                arc = gain[:, None] + below[kid]
+                values = arc if values is None else np.logaddexp(values, arc, out=values)
+            if values is None:  # no state of this layer has a child
+                values = np.full((kids[d].shape[1], len(neg_s)), NEG_INF)
+        if d >= d_min:
+            values = np.minimum(decay[d - d_min] + ball[d], values)
+    return values[0]
+
+
+def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
+    """``_engine.leaf_sum_logs`` on the tree ``prog`` as it ran before: the
+    acceptance mask and the tail corrections made again at every depth."""
+    NEG_INF = -math.inf
+    prefix = [np.zeros(1)]
+    for d in range(len(prog.kids)):
+        nxt = np.full(len(prog.layers.suffix[d + 1]), NEG_INF)
+        arcs = prog.gains[d][:, :, 0] + prefix[-1]
+        np.logaddexp.at(nxt, prog.kids[d].ravel(), arcs.ravel())
+        prefix.append(nxt)
+    prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
+    out = []
+    for d in depths:
+        keep = prog.accepted(d)
+        suffix, state = prog.layers.suffix[d][keep], prog.layers.state[d][keep]
+        # the tail runs over every part the word has not left
+        tails = np.where(state >= 0, prices[:, suffix].T, NEG_INF).max(axis=1)
+        terms = prefix[d][keep] + tails
+        out.append(float(np.logaddexp.reduce(terms)) if terms.size else NEG_INF)
+    return out
+
+
 def extreme_tail_walk(
     successors: Sequence[Sequence[int]], f, ctx: Word, steps: int, want_max: bool
 ) -> float:

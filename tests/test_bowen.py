@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log
+from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log, leaf_sum_logs
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
 from pressurelab.subsets import count_target_words
@@ -16,8 +16,10 @@ from brute import (
     admissible_words,
     all_words,
     brute_min_cover,
+    cover_fold_walk,
     inf_birkhoff,
     interval_min_cover,
+    leaf_sum_walk,
     lp_weighted_cover,
     oracle_costs,
     random_sub_relation,
@@ -645,6 +647,70 @@ def test_pruned_layers_match_the_unpruned_oracle(monkeypatch):
         assert got == want
         pruned += states < all_states
     assert pruned >= 30
+
+
+def _random_part(rng, host, kind):
+    def sub():
+        return pl.sub_sft(random_sub_relation(rng, host.allowed))
+
+    def frequency():
+        symbol = int(rng.integers(0, host.alphabet_size))
+        return pl.frequency_level(symbol, float(rng.uniform(0, 1)), float(rng.uniform(0.01, 0.2)))
+
+    if kind == "whole":
+        return pl.whole()
+    if kind == "sub_sft":
+        return sub()
+    if kind == "finite_union":
+        return pl.finite_union(sub(), sub())
+    if kind == "frequency_level":
+        return frequency()
+    return pl.finite_union(frequency(), pl.finite_union(sub(), sub()))
+
+
+def _assert_folds_match_oracles(host, spec, f, sigma, L, d_min, exponents, depths):
+    tree = _TreeProgram(host, spec, f, sigma, L)
+    for centered in (False, True):
+        got = CoverProgram(tree, d_min, centered)(exponents)
+        assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
+    got = leaf_sum_logs(host, spec, f, sigma, depths)
+    assert np.array(got).tobytes() == np.array(leaf_sum_walk(tree, depths)).tobytes()
+    return tree
+
+
+def test_folds_match_the_per_depth_oracles():
+    # the cover fold gathers each layer once and shares its ball prices, and
+    # the capacity window shares its masks and tails, across the depths that
+    # repeat a layer; every value must equal the per-depth fold bit for bit
+    rng = np.random.default_rng(73)
+    kinds = ("whole", "sub_sft", "finite_union", "frequency_level", "nested")
+    for case in range(80):
+        host = (FULL2, GM, pl.full_shift(3), _random_irreducible_host(rng))[case % 4]
+        kind = kinds[case % 5]
+        L = int(rng.integers(2, 61 if kind in kinds[:3] else 25))
+        depth = int(rng.integers(1, 4))
+        table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
+        f = pl.potential_from_table(host, depth, table)
+        sigma = int(rng.integers(0, min(3, L)))
+        d_min = (sigma + 1, L, int(rng.integers(sigma + 1, L + 1)))[case % 3]
+        K = (1, int(rng.integers(40, 60)), int(rng.integers(2, 10)))[case // 3 % 3]
+        exponents = rng.uniform(-1, 2, size=K)
+        depths = sorted({L, *rng.integers(sigma + 1, L + 1, size=4).tolist()})
+        spec = _random_part(rng, host, kind)
+        _assert_folds_match_oracles(host, spec, f, sigma, L, d_min, exponents, depths)
+    # pruned band layers repeat by value from depth 9 on, but acceptance
+    # still moves with the depth
+    band = pl.frequency_level(0, 0.1, 0.1)
+    tree = _assert_folds_match_oracles(
+        FULL2, band, F0, 1, 40, 2, np.linspace(0, 1, 7), list(range(2, 41))
+    )
+    assert [len(u) for u in tree.layers.suffix[9:12]] == [17, 17, 17]
+    # no depth-1 node of the golden mean has a child that can still reach
+    # the window, so layer 1 is childless and every later layer empty
+    tree = _assert_folds_match_oracles(
+        GM, pl.frequency_level(1, 1.0, 0.01), pl.zero_potential(GM), 0, 12, 1, [0.5], [1, 2, 12]
+    )
+    assert tree.kids[1].shape == (0, 1)
 
 
 def test_many_counted_parts_count_exactly():

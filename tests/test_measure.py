@@ -399,6 +399,29 @@ def test_one_bad_member_raises_what_the_single_measure_raises(error, position):
     assert good.tolist() == [invariant_pressure_stack(a, b, f) for a, b in _GOOD]
 
 
+def test_markov_checks_run_once_per_measure_and_once_per_stack(monkeypatch):
+    # a MarkovMeasure is checked when it is made, so pricing it checks nothing
+    # again; a stack is checked once as a whole
+    import pressurelab.measure as measure
+    import pressurelab.transfer as transfer
+
+    calls, check = [], transfer._check_markov
+
+    def counted(P, pi, ndim):
+        calls.append(ndim)
+        check(P, pi, ndim)
+
+    monkeypatch.setattr(transfer, "_check_markov", counted)
+    monkeypatch.setattr(measure, "_check_markov", counted)
+    mu = pl.bernoulli_measure([0.3, 0.7])
+    assert calls == [2]
+    entropy = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
+    assert pl.exact_invariant_pressure(mu, F0) == pytest.approx(entropy)
+    assert calls == [2]
+    _invariant_pressures(np.stack([mu.initial] * 3), np.stack([mu.transition] * 3), F0)
+    assert calls == [2, 3]
+
+
 def test_exact_invariant_pressure_rejects_non_invariant():
     mu = pl.MarkovMeasure(
         np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.9, 0.1])
