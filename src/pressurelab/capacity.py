@@ -82,8 +82,8 @@ def capacity_pressure(
     """Fit the exponential growth rate of P_n over a window of horizons.
 
     ``n_range`` is either (n_lo, n_hi) (inclusive) or an explicit increasing
-    sequence with at least 4 entries. One forward pass over one tree yields
-    P_n for every horizon of the window.
+    sequence with at least 4 entries, so a pair is always the window. One
+    forward pass over one tree yields P_n for every horizon of the window.
     """
     ns = _normalize_range(n_range)
     validate_spec(Z, sft)
@@ -114,8 +114,9 @@ def capacity_pressure(
 def _normalize_range(
     n_range: Sequence[int] | Tuple[int, int], minimum_points: int = 4
 ) -> Tuple[int, ...]:
+    # a pair is the window [lo, hi] unless it can stand as two explicit horizons
     seq = list(n_range)
-    if len(seq) == 2 and seq[1] - seq[0] >= 4:
+    if len(seq) == 2 and (seq[1] - seq[0] >= 4 or minimum_points > 2):
         ns = tuple(range(seq[0], seq[1] + 1))
     else:
         ns = tuple(seq)

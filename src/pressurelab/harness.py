@@ -23,11 +23,9 @@ from .symbolic import (
     LocallyConstantPotential,
     Scale,
     Subshift,
-    Word,
     enumerate_words,
     full_shift,
     is_strongly_connected,
-    potential_from_table,
     strongly_connected_components,
 )
 from .transfer import MarkovMeasure, PressureValue, _solve, stationary_distribution
@@ -146,8 +144,9 @@ def _invariant_core(
     def core(symbols: Tuple[int, ...]):
         allowed = tuple(tuple(relation[a][b] for b in symbols) for a in symbols)
         sub = Subshift(len(symbols), allowed, label=f"core{list(symbols)}")
-        table = {w: f.value(tuple(symbols[i] for i in w)) for w in enumerate_words(sub, f.depth)}
-        f_sub = potential_from_table(sub, f.depth, table, label=f.label)
+        # sub's own words, so the table needs no admissibility check
+        table = {w: float(f.value(tuple(symbols[i] for i in w))) for w in enumerate_words(sub, f.depth)}
+        f_sub = LocallyConstantPotential(f.depth, table, label=f.label)
         return (sub, tuple(symbols), f_sub, *_solve(sub, f_sub))
 
     return max(map(core, comps), key=lambda c: c[3].value)
@@ -170,12 +169,14 @@ def _embed_measure(
 
 def _dirichlet_markov(sub: Subshift, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` random row-stochastic matrices supported exactly on sub's
-    arcs, as a (count, c, c) stack drawn point by point, row by row."""
+    arcs, as a (count, c, c) stack: one exponential draw laid on the arcs in
+    row-major order, each row times 1 / its left-to-right sum (off-arc zeros
+    add exactly 0.0). That is numpy's all-ones ``dirichlet``, row by row, bit
+    for bit, and it leaves the generator where the per-row calls would."""
     arcs = np.array(sub.allowed, dtype=bool)
     P = np.zeros((count,) + arcs.shape)
-    for g in range(count):
-        for i, succ in enumerate(sub.successors):
-            P[g, i, succ] = rng.dirichlet(np.ones(len(succ)))
+    P[:, arcs] = rng.standard_exponential((count, int(arcs.sum())))
+    P *= 1.0 / np.cumsum(P, axis=2)[:, :, -1:]
     degree = arcs.sum(axis=1, keepdims=True)
     return np.where(arcs, (P + _GRID_EPS) / (1.0 + degree * _GRID_EPS), 0.0)
 
@@ -472,10 +473,9 @@ def _worst_log_ratios(
     with np.errstate(divide="ignore"):
         logP = np.where(mu.transition > 0, np.log(mu.transition), -math.inf)
         logpi = np.where(mu.initial > 0, np.log(mu.initial), -math.inf)
-    # fw[a] (k = 1) or fw[a, b] (k = 2): f on the windows of sub
-    windows = enumerate_words(sub, k)
+    # fw[a] (k = 1) or fw[a, b] (k = 2): f on the windows of sub, its table's keys
     fw = np.zeros(arcs.shape[:k])
-    fw[tuple(np.array(windows).T)] = [f.value(w) for w in windows]
+    fw[tuple(np.array(list(f.table)).T)] = list(f.table.values())
     weigh = np.where(arcs, logP - (fw if k == 2 else fw[None, :]), -math.inf)
     plain = np.where(arcs, logP, -math.inf)
 
@@ -657,7 +657,5 @@ def _random_potential(
     amplitude: float,
 ) -> LocallyConstantPotential:
     depth = int(rng.integers(1, depth_cap + 1))
-    table: Dict[Word, float] = {}
-    for w in enumerate_words(sft, depth):
-        table[w] = float(rng.uniform(-amplitude, amplitude))
-    return potential_from_table(sft, depth, table, label=f"random-depth-{depth}")
+    table = {w: float(rng.uniform(-amplitude, amplitude)) for w in enumerate_words(sft, depth)}
+    return LocallyConstantPotential(depth, table, label=f"random-depth-{depth}")

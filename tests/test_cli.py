@@ -362,6 +362,24 @@ def test_cli_capacity_trace_has_one_row_per_n(tmp_path, capsys):
         float(row.split(",")[1])
 
 
+def test_cli_capacity_reads_a_pair_as_its_window(tmp_path, capsys):
+    # capacity cannot take two explicit horizons, so a short pair is still
+    # the window: [40, 43] fits four horizons, [40, 42] is the error record
+    cfg = json.loads((CONFIGS / "capacity_full2.json").read_text())
+    code, _, trace = _run_config(tmp_path, capsys, "pressure capacity",
+                                 dict(cfg, n_range=[40, 43]), "four")
+    assert code == 0
+    assert [int(row.split(b",")[0]) for row in trace.splitlines()[1:]] == [40, 41, 42, 43]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(dict(cfg, n_range=[40, 42])))
+    code, out, err = _run(["pressure", "capacity", "--config", str(path),
+                           "--out", str(tmp_path / "three")], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "horizon window needs at least 4 entries"}
+
+
 def test_cli_bowen_trace_and_svg(tmp_path, capsys):
     code, out, _ = _run(
         ["pressure", "bowen", "--config", str(CONFIGS / "bowen_full2.json"),

@@ -6,7 +6,9 @@ import pytest
 
 import pressurelab as pl
 import pressurelab.harness as harness
+import pressurelab.symbolic as symbolic
 from brute import (
+    dirichlet_chain,
     dirichlet_grid_walk,
     frequency_family_walk,
     random_sub_relation,
@@ -280,6 +282,90 @@ def test_variational_grid_equals_the_per_measure_walk(monkeypatch):
         assert priced == want
         assert rep.grid_size == grid
         assert rep.argmax_is_equilibrium == (rep.equilibrium_value >= max(want) - 1e-9)
+        checked += 1
+
+
+def _stack_cases():
+    """Irreducible relations: the 1-shift, a 3-cycle (every row of degree
+    1), the full 10-shift and random relations on 2..6 and 9..10 symbols.
+    Rows of 9 or more entries are where numpy's pairwise summation leaves
+    the left-to-right order."""
+    rng = np.random.default_rng(59)
+    cases = [pl.full_shift(1), pl.full_shift(10),
+             pl.Subshift(3, tuple(tuple(b == (a + 1) % 3 for b in range(3)) for a in range(3)))]
+    while len(cases) < 16:
+        k = int(rng.choice([2, 3, 4, 5, 6, 9, 10]))
+        rel = random_sub_relation(rng, pl.full_shift(k).allowed)
+        if is_strongly_connected(rel):
+            cases.append(pl.Subshift(k, rel))
+    return cases
+
+
+def test_grid_stack_equals_the_per_row_dirichlet_draws():
+    # one exponential draw per stack, rows scaled by the reciprocal of their
+    # left-to-right sum: the same bits as one dirichlet call per row, and the
+    # generator ends where the per-row calls leave it
+    cases = _stack_cases()
+    degrees = {len(succ) for sub in cases for succ in sub.successors}
+    assert 1 in degrees and max(degrees) >= 9
+    for trial, sub in enumerate(cases):
+        runs = [(count,) for count in (1, 2, 255, 256)] + [(3, 255, 2)]
+        for counts in runs:
+            seed = 1000 * trial + sum(counts)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for count in counts:
+                got = _dirichlet_markov(sub, got_rng, count)
+                want = np.array([dirichlet_chain(sub.successors, want_rng)[1]
+                                 for _ in range(count)])
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (sub.allowed, counts)
+            assert got_rng.random() == want_rng.random()
+
+
+def test_one_word_walk_per_core(monkeypatch):
+    # verify variational and verify gibbs walk the core's words once: the
+    # restricted potential is built from that walk's table, and the ratio
+    # pass reads its windows from the potential
+    f = pl.potential_from_table(GM, 2, {(0, 0): 0.3, (0, 1): -0.2, (1, 0): 0.1})
+    walks = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            walks.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "enumerate_words", counted("enumerate_words", harness.enumerate_words))
+    monkeypatch.setattr(symbolic, "enumerate_words", counted("enumerate_words", symbolic.enumerate_words))
+    monkeypatch.setattr(symbolic, "potential_from_table",
+                        counted("potential_from_table", symbolic.potential_from_table))
+    rep = pl.verify_variational(GM, pl.whole(), f, pl.Scale(1), 1, 6, tol=1.0, measure_grid=5)
+    assert rep.passed and walks == ["enumerate_words"]
+    walks.clear()
+    pl.verify_gibbs_bound(GM, pl.whole(), f, pl.Scale(1), 1, 12)
+    assert walks == ["enumerate_words"]
+
+
+def test_core_potential_equals_the_checked_table():
+    # the unchecked potentials of the core and of the random suites hold
+    # what potential_from_table builds from the same words
+    rng = np.random.default_rng(61)
+    checked = 0
+    while checked < 40:
+        k = int(rng.integers(1, 5))
+        host = _random_host(rng, k)
+        f = harness._random_potential(host, rng, depth_cap=2, amplitude=0.8)
+        want = pl.potential_from_table(host, f.depth, f.table, label=f.label)
+        assert list(f.table.items()) == list(want.table.items())
+        spec = pl.whole() if checked % 2 else pl.sub_sft(random_sub_relation(rng, host.allowed))
+        try:
+            sub, symbols, f_sub, _, _ = _invariant_core(host, spec, f)
+        except pl.EmptyTarget:
+            continue
+        table = {w: f.value(tuple(symbols[i] for i in w)) for w in pl.enumerate_words(sub, f.depth)}
+        want = pl.potential_from_table(sub, f.depth, table, label=f.label)
+        assert (f_sub.depth, list(f_sub.table.items()), f_sub.label) == (
+            want.depth, list(want.table.items()), want.label)
         checked += 1
 
 
