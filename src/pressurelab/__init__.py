@@ -94,7 +94,6 @@ from .transfer import (
     bernoulli_measure,
     build_transfer_matrix,
     equilibrium_measure,
-    gibbs_ratio_bounds,
     markov_measure,
     spectral_pressure,
     stationary_distribution,

@@ -2,8 +2,8 @@
 CSV trace where one exists, optional SVG rendering of the trace.
 
 Exit codes: 0 on success (and verification pass), 2 when a verify command
-completes but the verification fails, 1 on any error. Errors print one
-machine-readable JSON object to stderr.
+completes but the verification fails, 1 on any error, usage errors
+included. Errors print one machine-readable JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .harness import (
     verify_unions,
     verify_variational,
 )
-from .measure import _pressure_mc, exact_invariant_pressure
+from .measure import exact_invariant_pressure, measure_pressure_mc
 from .symbolic import Scale
 from .transfer import MarkovMeasure, bernoulli_measure, markov_measure
 
@@ -70,7 +70,7 @@ def run(command: str, cfg: ExperimentConfig) -> Tuple[Dict[str, object], Trace, 
         "command": command,
         "version": __version__,
         "inputs": cfg.raw,
-        "effective": {"seed": cfg.seed, "threads": cfg.threads},
+        "effective": {"seed": cfg.seed},
         "results": results,
         "passed": passed,
         "wall_time_s": round(time.perf_counter() - started, 6),
@@ -133,8 +133,8 @@ def _cmd_measure(cfg: ExperimentConfig):
         results["exact"] = {"unavailable": type(e).__name__}
 
     def at_scale(cfg: ExperimentConfig, scale: Scale):
-        mc, first = _pressure_mc(mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed)
-        return mc, list(first.values)
+        mc = measure_pressure_mc(mu, cfg.potential, scale, cfg.n_range, cfg.samples, cfg.seed)
+        return mc, list(mc.trace.values)
 
     return results, at_scale, ("n", "local_pressure")
 
@@ -184,8 +184,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SchemaError, so they end in the JSON record and exit 1."""
+
+    def error(self, message: str):
+        raise SchemaError([("argv", message)])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pressurelab",
         description="Pressure computations and cross-validations on subshifts",
     )
@@ -200,19 +207,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=".", help="output directory")
         sub.add_argument("--seed", type=int, default=None, help="override config seed")
         sub.add_argument(
-            "--threads", type=int, default=None,
-            help="accepted for compatibility; has no effect",
-        )
-        sub.add_argument(
             "--svg", action="store_true", help="also render the trace as an SVG plot"
         )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = f"{args.group} {args.subcommand}"
     try:
+        args = _build_parser().parse_args(argv)
+        command = f"{args.group} {args.subcommand}"
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
         cfg = parse_config(text, command)
@@ -220,10 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.seed < 0 or args.seed >= 2 ** 64:
                 raise SchemaError([("--seed", "must fit in an unsigned 64-bit integer")])
             cfg.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise SchemaError([("--threads", "must be at least 1")])
-            cfg.threads = args.threads
         report, trace, passed = run(command, cfg)
         os.makedirs(args.out, exist_ok=True)
         stem = command.replace(" ", "_")

@@ -67,7 +67,6 @@ class ExperimentConfig:
     measure_grid: int
     trials: int
     betas: Tuple[float, ...]
-    threads: int
     raw: Dict[str, object] = field(repr=False, default_factory=dict)
 
 
@@ -95,9 +94,9 @@ def parse_config(
 
     problems: List[Tuple[str, str]] = []
     known = {
-        "system", "potential", "subset", "scales", "scale", "n_range", "N",
-        "L", "tol", "seed", "s", "delta", "samples", "measure",
-        "measure_grid", "trials", "betas", "threads", "label",
+        "system", "potential", "subset", "scales", "n_range", "N", "L",
+        "tol", "seed", "s", "delta", "samples", "measure", "measure_grid",
+        "trials", "betas", "label",
     }
     for key in data:
         if key not in known:
@@ -108,7 +107,7 @@ def parse_config(
     system = _parse_system(data.get("system"), problems)
     potential = _parse_potential(data.get("potential"), system, problems)
     subset = _parse_subset(data.get("subset"), system, problems)
-    scales = _parse_scales(data, problems)
+    scales = _parse_scales(data.get("scales"), problems)
     n_range = _parse_n_range(data.get("n_range"), problems)
 
     N = _opt_int(data, "N", problems, minimum=1)
@@ -120,15 +119,13 @@ def parse_config(
     samples = _opt_int(data, "samples", problems, minimum=1, default=100)
     measure_grid = _opt_int(data, "measure_grid", problems, minimum=2, default=200)
     trials = _opt_int(data, "trials", problems, minimum=1, default=100)
-    threads = _opt_int(data, "threads", problems, minimum=1, default=1)
     betas = _parse_betas(data.get("betas"), problems)
     measure_spec = _parse_measure(data.get("measure"), system, problems)
 
     if command is not None:
         # a present field that fails to parse is reported at its own path only
-        given = set(data) | ({"scales"} if "scale" in data else set())
         for name in _REQUIRED[command]:
-            if name not in given:
+            if name not in data:
                 problems.append((name, f"required for `{command}`"))
         if command == "verify unions":
             if subset is not None and subset.kind != "finite_union":
@@ -172,7 +169,6 @@ def parse_config(
         measure_grid=measure_grid,
         trials=trials,
         betas=betas,
-        threads=threads,
         raw=data,
     )
 
@@ -348,8 +344,7 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
     return None
 
 
-def _parse_scales(data, problems) -> Optional[Tuple[Scale, ...]]:
-    node = data.get("scales", data.get("scale"))
+def _parse_scales(node, problems) -> Optional[Tuple[Scale, ...]]:
     if node is None:
         return None
     if _is_int(node):

@@ -32,6 +32,7 @@ from .transfer import MarkovMeasure, PressureValue, _solve, stationary_distribut
 
 _GRID_EPS = 1e-6
 _STACK = 256  # most measures one stack holds, so memory is flat in measure_grid
+_CONTROL_OFFSET = 0.1  # verify_gibbs_bound's control exponent sits this far above the pressure
 
 
 @dataclass(frozen=True)
@@ -386,7 +387,6 @@ def verify_gibbs_bound(
     N: int,
     L: int,
     betas: Sequence[float] = (0.05, 0.1),
-    control_offset: float = 0.1,
 ) -> GibbsReport:
     """Check mu(B_n) <= C exp(-n s + sup f_n) below the pressure.
 
@@ -396,12 +396,10 @@ def verify_gibbs_bound(
     constant exactly when the ratio stops growing, so the decidable check is
     a growth-slope fit over the deeper half of the horizon window. Exponents
     s = pressure - beta must come out bounded; the control at
-    s = pressure + control_offset must not.
+    s = pressure + _CONTROL_OFFSET must not.
     """
     if any(b <= 0 for b in betas):
         raise ValueError("betas must be positive")
-    if control_offset <= 0:
-        raise ValueError("control offset must be positive")
     validate_spec(K, sft)
     n_lo = max(1, N)
     n_hi = L - scale.m
@@ -428,7 +426,7 @@ def verify_gibbs_bound(
         }
 
     rows = tuple(row_for(p_est.midpoint - b) for b in betas)
-    control = row_for(p_est.midpoint + control_offset)
+    control = row_for(p_est.midpoint + _CONTROL_OFFSET)
     passed = all(r["bounded"] for r in rows) and not control["bounded"]
     trace = tuple(
         (n, r + n * rows[0]["s"]) for n, r in zip(ns, base)
@@ -443,7 +441,7 @@ def verify_gibbs_bound(
             "L": L,
             "m": scale.m,
             "betas": tuple(betas),
-            "control_offset": control_offset,
+            "control_offset": _CONTROL_OFFSET,
             "target": K.label,
         },
         trace=trace,

@@ -9,8 +9,8 @@ and checks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class MCPressureEstimate:
 
     excluded counts orbits dropped for a non-finite estimate (possible only
     when the measure is not fully supported along the sampled subshift).
+    trace is the whole local pressure trace of the first orbit, the CLI's
+    CSV; reports leave it out.
     """
 
     mean: float
@@ -76,6 +78,7 @@ class MCPressureEstimate:
     excluded: int
     seed: int
     per_orbit: Tuple[float, ...] = ()
+    trace: Optional[LocalPressureTrace] = field(repr=False, default=None)
 
 
 def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
@@ -201,21 +204,15 @@ def measure_pressure_mc(
     n_range,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> MCPressureEstimate:
     """Monte Carlo estimate of the integrated local pressure.
 
-    Orbits are drawn from mu with per-orbit seeds derived deterministically
-    from the master seed, so the result depends only on (inputs, seed). The
-    orbits run one after another, each drawn once by sample_orbit and traced
-    once by local_pressure. ``threads`` is accepted for compatibility and
-    has no effect (a thread pool measured slower under the GIL).
+    Orbit i is drawn from mu with seed i of
+    ``SeedSequence(seed).generate_state(samples, np.uint64)``, so the result
+    depends only on (inputs, seed). The orbits run one after another, each
+    drawn once by sample_orbit and traced once by local_pressure; the first
+    orbit's trace is kept whole in ``trace``.
     """
-    return _pressure_mc(mu, f, scale, n_range, samples, seed)[0]
-
-
-def _pressure_mc(mu, f, scale, n_range, samples, seed):
-    """measure_pressure_mc's estimate, and the whole trace of its first orbit."""
     if samples < 1:
         raise ValueError("need at least one sample orbit")
     ns = _normalize_range(n_range, minimum_points=1)
@@ -236,11 +233,11 @@ def _pressure_mc(mu, f, scale, n_range, samples, seed):
             "not charge the sampled words"
         )
     stderr = float(np.std(kept, ddof=1) / math.sqrt(len(kept))) if len(kept) > 1 else 0.0
-    estimate = MCPressureEstimate(
+    return MCPressureEstimate(
         mean=float(np.mean(kept)), stderr=stderr, samples=samples,
         excluded=samples - len(kept), seed=seed, per_orbit=tuple(estimates),
+        trace=first,
     )
-    return estimate, first
 
 
 def exact_invariant_pressure(

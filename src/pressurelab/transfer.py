@@ -20,13 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ReducibleSystem
-from .symbolic import (
-    LocallyConstantPotential,
-    Subshift,
-    enumerate_words,
-    is_strongly_connected,
-    sup_birkhoff_on_cylinder,
-)
+from .symbolic import LocallyConstantPotential, Subshift, is_strongly_connected
 
 _PERRON_STEP_CAP = 10_000  # power steps after the eig guess before giving up
 _SUM_TOL = 1e-12  # how far a probability vector's sum may sit from 1
@@ -235,33 +229,3 @@ def equilibrium_measure(
 ) -> MarkovMeasure:
     """The Gibbs/equilibrium Markov measure of (sft, f); see ``_solve``."""
     return _solve(sft, f, tol)[1]()
-
-
-def gibbs_ratio_bounds(
-    mu: MarkovMeasure,
-    sft: Subshift,
-    f: LocallyConstantPotential,
-    P: PressureValue | float,
-    max_len: int,
-) -> Tuple[float, float]:
-    """Extremes over words up to max_len of mu([w]) / exp(-|w| P + f_|w|(w)).
-
-    The Birkhoff term is the supremum of f_|w| over the cylinder [w] (for
-    depth-1 potentials that is the literal sum; deeper potentials leave the
-    trailing windows undetermined and the supremum realizes them). For an
-    equilibrium measure both extremes stay inside a fixed positive interval
-    independent of word length.
-    """
-    if max_len < f.depth:
-        raise ValueError("max_len must be at least the potential depth")
-    p_value = P.value if isinstance(P, PressureValue) else float(P)
-    from .measure import cylinder_measure  # local import to avoid a cycle
-
-    rmin, rmax = math.inf, -math.inf
-    for length in range(1, max_len + 1):
-        for w in enumerate_words(sft, length):
-            s = sup_birkhoff_on_cylinder(sft, f, w, length)
-            ratio = cylinder_measure(mu, w) / math.exp(-length * p_value + s)
-            rmin = min(rmin, ratio)
-            rmax = max(rmax, ratio)
-    return rmin, rmax

@@ -519,6 +519,28 @@ def worst_log_ratio(
     return best
 
 
+def gibbs_ratio_bounds(
+    allowed: Sequence[Sequence[bool]],
+    initial: Sequence[float],
+    transition: np.ndarray,
+    table: Dict[Word, float],
+    depth: int,
+    pressure: float,
+    max_len: int,
+) -> Tuple[float, float]:
+    """Extremes over admissible words w up to max_len of
+    mu([w]) / exp(-|w| P + sup f_|w| on [w]), by enumeration (mu the Markov
+    measure; the supremum realizes the windows w leaves undetermined)."""
+    rmin, rmax = math.inf, -math.inf
+    for length in range(1, max_len + 1):
+        for w in admissible_words(allowed, length):
+            mass = math.prod((transition[a][b] for a, b in zip(w, w[1:])), start=initial[w[0]])
+            s = sup_birkhoff(allowed, table, depth, w, length)
+            ratio = mass / math.exp(-length * pressure + s)
+            rmin, rmax = min(rmin, ratio), max(rmax, ratio)
+    return rmin, rmax
+
+
 # ---------------------------------------------------------------------------
 # the retired symbol-by-symbol Gibbs pass and stack-walk exact pressure,
 # kept as oracles

@@ -216,7 +216,7 @@ def test_criterion_6_monte_carlo_measure_pressure(criterion):
     worst = 0.0
     for mu, f in cases:
         exact = pl.exact_invariant_pressure(mu, f)
-        mc = pl.measure_pressure_mc(mu, f, pl.Scale(2), (1500, 2000), 100, 0, threads=4)
+        mc = pl.measure_pressure_mc(mu, f, pl.Scale(2), (1500, 2000), 100, 0)
         err = abs(mc.mean - exact)
         worst = max(worst, err)
         ok = ok and err <= 5e-2

@@ -106,7 +106,6 @@ def test_parse_config_defaults():
     assert cfg.subset.kind == "whole"
     assert len(cfg.scales) == 1 and cfg.scales[0].m == 1
     assert cfg.seed == 0
-    assert cfg.threads == 1
     assert cfg.betas == (0.05, 0.1)
 
 
@@ -195,8 +194,7 @@ _GM_MEASURE = dict(_MEASURE, system=GM_SYSTEM)
     [
         ("pressure measure", dict(_GM_MEASURE, measure={"kind": "bernoulli", "p": [0.5, 0.5]}),
          [("measure.p", "charges a block the system forbids")]),
-        # "scale" is the one-scale spelling of "scales"
-        ("pressure bowen", {**{k: v for k, v in _BOWEN.items() if k != "scales"}, "scale": -1},
+        ("pressure bowen", dict(_BOWEN, scales=-1),
          [("scales", "scale m=-1 must be an integer >= 0")]),
         ("pressure bowen", dict(_BOWEN, N=None), [("N", "must not be null")]),
         ("pressure bowen", dict(_BOWEN, system=None),
@@ -509,7 +507,7 @@ def test_cli_inadmissible_potential_exits_1(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "InadmissibleWord"
 
 
-def test_cli_seed_and_thread_overrides_validated(tmp_path, capsys):
+def test_cli_seed_override_and_unknown_flag_validated(tmp_path, capsys):
     cfgpath = CONFIGS / "bowen_full2.json"
     code, _, err = _run(
         ["pressure", "bowen", "--config", str(cfgpath), "--out", str(tmp_path),
@@ -524,6 +522,35 @@ def test_cli_seed_and_thread_overrides_validated(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+    assert json.loads(err.strip())["problems"] == [["argv", "unrecognized arguments: --threads 0"]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "chain", "--config", str(CONFIGS / "chain_full2.json"), "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["verify", "chain"], "the following arguments are required: --config"),
+        (["pressure", "bowen", "--config", str(CONFIGS / "bowen_full2.json"), "--threads", "2"],
+         "unrecognized arguments: --threads 2"),
+    ],
+)
+def test_cli_usage_errors_exit_1_with_the_json_record(tmp_path, capsys, argv, message):
+    code, out, err = _run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    record = json.loads(err.strip())
+    assert record["error"] == "SchemaError"
+    assert record["problems"] == [["argv", message]]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_cli_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):
@@ -611,32 +638,19 @@ def test_cli_verify_fails_when_any_scale_fails(tmp_path, capsys, monkeypatch):
         }
 
 
-def test_cli_measure_threads_do_not_change_results(tmp_path, capsys):
-    cfg = {
-        "system": {"alphabet_size": 2},
-        "potential": {"constant": 0.0},
-        "scales": [2],
-        "n_range": [200, 400],
-        "samples": 8,
-        "seed": 5,
-        "measure": {"kind": "bernoulli", "p": [0.5, 0.5]},
-    }
-    path = tmp_path / "measure_small.json"
-    path.write_text(json.dumps(cfg))
-    reports = []
-    for threads in ("1", "3"):
-        out_dir = tmp_path / f"t{threads}"
-        code, _, _ = _run(
-            ["pressure", "measure", "--config", str(path), "--out", str(out_dir),
-             "--threads", threads],
-            capsys,
-        )
-        assert code == 0
-        rep = json.loads((out_dir / "pressure_measure_report.json").read_text())
-        del rep["wall_time_s"]
-        del rep["effective"]["threads"]
-        reports.append(rep)
-    assert reports[0] == reports[1]
+def test_cli_config_setting_threads_is_an_unknown_field(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "measure_uniform.json").read_text())
+    path = tmp_path / "measure_threads.json"
+    path.write_text(json.dumps(dict(cfg, threads=1)))
+    code, _, err = _run(
+        ["pressure", "measure", "--config", str(path), "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 1
+    record = json.loads(err.strip())
+    assert record["error"] == "SchemaError"
+    assert record["problems"] == [["threads", "unknown field"]]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_frequency_band_runs(tmp_path, capsys):

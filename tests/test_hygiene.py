@@ -1,9 +1,11 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pressurelab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pressurelab"
 
 
 def _imported(tree: ast.Module):
@@ -46,3 +48,19 @@ def test_the_import_check_sees_an_unused_name():
     tree = ast.parse("from typing import Iterable, List\nimport os.path\nx: 'List[int]' = []\n")
     used = _used(tree)
     assert [name for name, _ in _imported(tree) if name not in used] == ["Iterable", "os"]
+
+
+def test_every_function_perfbench_traces_exists():
+    # perfbench's Tracer.install looks each (module, function) of TRACED up
+    # with getattr, so a removed name breaks ``--trace 1``; TRACED is read
+    # from the source, so no perfbench module is imported
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (traced,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    assert traced
+    missing = [f"{module}.{func}" for module, func in traced
+               if not hasattr(importlib.import_module(f"pressurelab.{module}"), func)]
+    assert missing == []

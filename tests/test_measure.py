@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
+from pressurelab.config import json_ready
 from pressurelab.measure import _invariant_pressures
 from pressurelab.symbolic import is_strongly_connected
 from brute import (
@@ -454,14 +455,19 @@ def test_mc_estimate_uniform_tight():
     assert est.samples == 20
 
 
-def test_mc_estimate_deterministic_and_thread_invariant():
+def test_mc_estimate_deterministic_and_keeps_the_first_trace():
     mu = pl.equilibrium_measure(GM, pl.zero_potential(GM))
     f = pl.zero_potential(GM)
     a = pl.measure_pressure_mc(mu, f, pl.Scale(2), (300, 400), samples=16, seed=7)
     b = pl.measure_pressure_mc(mu, f, pl.Scale(2), (300, 400), samples=16, seed=7)
-    c = pl.measure_pressure_mc(mu, f, pl.Scale(2), (300, 400), samples=16, seed=7, threads=4)
-    assert a.per_orbit == b.per_orbit == c.per_orbit
-    assert a.mean == c.mean
+    assert a.per_orbit == b.per_orbit
+    assert a.mean == b.mean
+    first = np.random.SeedSequence(7).generate_state(16, dtype=np.uint64).tolist()[0]
+    x = pl.sample_orbit(mu, 400, pl.Scale(2), first)
+    assert a.trace == pl.local_pressure(mu, f, x, pl.Scale(2), (300, 400))
+    assert a.trace.liminf_estimate == a.per_orbit[0]
+    # the trace goes to the CLI's CSV, never into the report
+    assert set(json_ready(a)) == {"mean", "stderr", "samples", "excluded", "seed", "per_orbit"}
 
 
 def test_mc_estimate_seed_changes_orbits():

