@@ -166,6 +166,7 @@ class _TreeProgram:
             self._prices[key] = np.array(prices)
         return self._prices[key]
 
+    @np.errstate(over="ignore")  # a log-space sum past the float range saturates at +-inf
     def fold_forward(self) -> List[np.ndarray]:
         """Per layer, the log of the summed exp(window gains) over the paths
         from the root to each state."""
@@ -177,6 +178,7 @@ class _TreeProgram:
         return prefix
 
 
+@np.errstate(invalid="ignore")  # inf - inf past the float range reads NaN; capacity_pressure rejects it
 def leaf_sum_logs(
     sft: Subshift,
     spec: SubsetSpec,
@@ -261,6 +263,7 @@ class CoverProgram:
         self.empty = not accepted.any()
         self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
 
+    @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
         """One backward fold for all ``exponents``: per layer one gather into an
         (arity, states, K) block, one in-place add of the gains, binary log-sum-exps

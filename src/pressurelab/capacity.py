@@ -89,6 +89,9 @@ def capacity_pressure(
     validate_spec(Z, sft)
     depths = [separated_word_length(n, scale) for n in ns]
     logs = leaf_sum_logs(sft, Z, f, sigma=scale.m - 1, depths=depths)
+    lost = [n for n, v in zip(ns, logs) if not v < math.inf]  # +inf or NaN
+    if lost:
+        raise RuntimeError(f"log P_n leaves the float range at n = {lost[0]}; the potential is too large")
 
     pairs = [(n, v) for n, v in zip(ns, logs) if v != NEG_INF]
     empty = tuple(n for n, v in zip(ns, logs) if v == NEG_INF)

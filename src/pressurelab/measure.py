@@ -146,7 +146,8 @@ def _birkhoff_sums(f: LocallyConstantPotential, w: np.ndarray, n: int) -> np.nda
     # stable reuses np.unique's merge sort; quicksort pages in another kernel
     for i in np.argsort(first, kind="stable").tolist():
         values[i] = f.value(tuple(w[first[i] : first[i] + f.depth].tolist()))
-    return np.cumsum(values[inverse])
+    with np.errstate(over="ignore"):  # f_n past the float range reads +-inf
+        return np.cumsum(values[inverse])
 
 
 def local_pressure(
@@ -229,8 +230,9 @@ def measure_pressure_mc(
     kept = [v for v in estimates if math.isfinite(v)]
     if not kept:
         raise RuntimeError(
-            "every sampled orbit hit a zero-measure ball; the measure does "
-            "not charge the sampled words"
+            "every sampled orbit hit a zero-measure ball; the measure does not charge the sampled words"
+            if first.zero_measure_n else
+            "f_n leaves the float range on every sampled orbit; the potential is too large"
         )
     stderr = float(np.std(kept, ddof=1) / math.sqrt(len(kept))) if len(kept) > 1 else 0.0
     return MCPressureEstimate(

@@ -657,11 +657,13 @@ def frequency_family_walk(
     allowed, symbol: int, target: float, window: float, f, count: int,
     rng: np.random.Generator, eps: float = 1e-6,
 ) -> Tuple[List[float], List[str]]:
-    """Values and labels of the frequency-band measure family, one measure
-    at a time: on a full shift (k >= 2) max(2, count) Bernoulli measures
-    with p[symbol] swept evenly across the band, elsewhere the first count
-    Dirichlet chains whose stationary frequency of symbol lies in the band,
-    out of at most 40 count draws (possibly fewer, possibly none)."""
+    """Values and labels of a family of invariant measures whose frequency
+    of symbol lies in the band, one measure at a time: on a full shift
+    (k >= 2) max(2, count) Bernoulli measures with p[symbol] swept evenly
+    across the band, elsewhere the first count Dirichlet chains whose
+    stationary frequency of symbol lies in the band, out of at most 40 count
+    draws (possibly fewer, possibly none). Every value is a lower bound for
+    the band's conditional variational limit."""
     lo, hi = max(eps, target - window), min(1.0 - eps, target + window)
     k = len(allowed)
     values: List[float] = []

@@ -177,3 +177,12 @@ def test_capacity_window_on_nested_unions_with_a_frequency_part():
     for host, n_hi in ((FULL2, 6), (GM, 7), (pl.full_shift(3), 5)):
         for m in (1, 2, 3, 1, 2, 3):
             _check_window_against_brute(rng, host, n_hi, 4, m)
+
+
+@pytest.mark.parametrize("c, m", [(1e308, 1), (-1e308, 3)])
+def test_capacity_past_the_float_range_names_the_first_horizon(c, m):
+    # log P_n reads +inf (c = 1e308), or -inf + inf = NaN where the deeper
+    # scale subtracts windows (c = -1e308, m = 3): no slope is fitted
+    f = pl.constant_potential(FULL2, c)
+    with pytest.raises(RuntimeError, match="float range at n = 4;"):
+        pl.capacity_pressure(FULL2, pl.whole(), f, pl.Scale(m), (4, 24))

@@ -678,6 +678,75 @@ def test_cli_chain_overflowing_cover_values_report_inf(tmp_path, capsys):
     assert report["results"]["m=4"]["unweighted_value"] == "inf"
 
 
+@pytest.mark.parametrize("system, band", [
+    (GM_SYSTEM, {"symbol": 1, "target": 0.8, "window": 0.1}),
+    ({"alphabet_size": 1, "allowed": "full"}, {"symbol": 0, "target": 0.5, "window": 0.1}),
+])
+def test_cli_unreachable_band_exits_1_with_empty_target(tmp_path, capsys, system, band):
+    # symbol 1 of the golden mean has frequencies up to 1/2; the 1-shift's
+    # only frequency is 1
+    cfg = {"system": system, "potential": {"constant": 0.0}, "scales": [1], "N": 3, "L": 20,
+           "subset": {"kind": "frequency_level", **band}}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = _run(["verify", "variational", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "EmptyTarget" and len(err.splitlines()) == 1
+
+
+# every command that reads a potential: (command, shipped config, overrides)
+_FLOAT_RANGE_CASES = [
+    ("pressure exact", "exact_golden_mean.json", {}),
+    ("pressure capacity", "capacity_full2.json", {}),
+    ("pressure capacity", "capacity_full2.json", {"scales": [3]}),
+    ("pressure bowen", "bowen_full2.json", {}),
+    ("pressure weighted", "weighted_full2.json", {}),
+    ("pressure measure", "measure_uniform.json", {"n_range": [20, 40], "samples": 3}),
+    ("verify chain", "chain_full2.json", {}),
+    ("verify variational", "variational_golden_sub.json", {}),
+    ("verify variational", "frequency_band.json", {}),
+    ("verify unions", "unions_fixed_points.json", {}),
+    ("verify gibbs", "gibbs_full2.json", {}),
+]
+
+_RUN_EACH_ARGV = """
+import contextlib, io, json, sys
+from pressurelab.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def test_cli_potentials_at_the_float_range_leave_stderr_to_the_record(tmp_path):
+    # constant +-1e308 puts every Birkhoff sum past the float range: a command
+    # exits 0 or 2 with nothing on stderr, or 1 with the one JSON record. A
+    # RuntimeWarning would print first; pytest's capture hides those, so the
+    # commands run in a fresh interpreter that prints every one (-W always)
+    runs = []
+    for i, (command, name, extra) in enumerate(_FLOAT_RANGE_CASES):
+        for c in (1e308, -1e308):
+            path = tmp_path / f"{i}_{c:+g}.json"
+            cfg = json.loads((CONFIGS / name).read_text())
+            path.write_text(json.dumps({**cfg, **extra, "potential": {"constant": c}}))
+            runs.append([*command.split(), "--config", str(path), "--out", str(tmp_path / "out")])
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-c", _RUN_EACH_ARGV, json.dumps(runs)],
+        capture_output=True, text=True, timeout=300, env=_src_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(outcomes) == len(runs)
+    for argv, (code, err) in zip(runs, outcomes):
+        if code in (0, 2):
+            assert err == "", (argv, err)
+        else:
+            assert code == 1 and len(err.splitlines()) == 1, (argv, err)
+            assert "error" in json.loads(err), (argv, err)
+
+
 def _src_env() -> dict:
     """This process's environment with the checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)

@@ -492,3 +492,11 @@ def test_mc_estimate_draws_the_windows_of_a_deep_potential():
     )
     for s, x in zip(seeds, orbits):
         assert x.word[:61] == pl.sample_orbit(mu, 60, pl.Scale(1), s).word
+
+
+@pytest.mark.parametrize("c", [1e308, -1e308])
+def test_mc_names_birkhoff_sums_past_the_float_range(c):
+    # every ball has positive measure; f_n leaves the float range at n = 2
+    mu = pl.bernoulli_measure([0.5, 0.5])
+    with pytest.raises(RuntimeError, match="f_n leaves the float range"):
+        pl.measure_pressure_mc(mu, pl.constant_potential(FULL2, c), pl.Scale(1), (20, 40), 3, seed=0)
