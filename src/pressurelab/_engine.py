@@ -53,7 +53,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,9 +185,10 @@ def leaf_sum_logs(
     f: LocallyConstantPotential,
     sigma: int,
     depths: Sequence[int],
-) -> List[float]:
+) -> List[Optional[float]]:
     """``leaf_sum_log(sft, spec, f, sigma, d)`` for each d in the increasing
-    ``depths``, all read from one forward pass over one tree."""
+    ``depths``, all read from one forward pass over one tree; None where no
+    word is accepted, so that -inf means a sum below the float range."""
     if depths[0] < 1:
         raise ValueError("depth must be at least 1")
     if depths[0] - sigma < 1:
@@ -207,7 +208,7 @@ def leaf_sum_logs(
             made[id(state)] = keep, tails
         keep, tails = made[id(state)]
         terms = prefix[d][keep] + tails
-        out.append(float(np.logaddexp.reduce(terms)) if terms.size else NEG_INF)
+        out.append(float(np.logaddexp.reduce(terms)) if terms.size else None)
     return out
 
 
@@ -225,7 +226,8 @@ def leaf_sum_log(
     value is the supremum of f_h over the points of the target in each
     cylinder. Returns -inf when no word is accepted.
     """
-    return leaf_sum_logs(sft, spec, f, sigma, (depth,))[0]
+    value = leaf_sum_logs(sft, spec, f, sigma, (depth,))[0]
+    return NEG_INF if value is None else value
 
 
 class CoverProgram:

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ._engine import CoverProgram, _TreeProgram
 from .errors import DepthTooShallow, EmptyTarget, ScaleTooCoarse
-from .subsets import SubsetSpec, validate_spec
+from .subsets import SubsetSpec
 from .symbolic import (
     LocallyConstantPotential,
     Scale,
@@ -189,7 +189,6 @@ def min_cover_value(
     Nonincreasing in s, nondecreasing in N, nonincreasing under shrinking Z;
     the tests check all three exactly.
     """
-    validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
     return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, 0, L), d_min).at(s))
 
@@ -204,7 +203,6 @@ def bowen_pressure(
     tol: float = 1e-4,
 ) -> CriticalExponent:
     """Critical exponent of min_cover_value against threshold 1."""
-    validate_spec(Z, sft)
     d_min = _check_window(N, scale, L)
     program = _nonempty_program(_TreeProgram(sft, Z, f, 0, L), d_min)
     return _bisect_critical(program, tol, depth=L, N=N, scale=scale, method="bowen")
@@ -265,7 +263,6 @@ def string_cover_value(
         raise ValueError("partition depth q must be at least 1")
     if N < 1:
         raise ValueError("minimum string length N must be at least 1")
-    validate_spec(Z, sft)
     d_min = N + q - 1
     if L < d_min:
         raise DepthTooShallow(f"depth L={L} is below minimum string depth {d_min}")
@@ -349,7 +346,6 @@ def check_chain(
         raise ValueError("delta must be positive")
     if scale.m < 3:
         raise ScaleTooCoarse("chain check needs m >= 3 for the coarse side")
-    validate_spec(K, sft)
     coarse = scale.coarsen(3)
     d_min_fine = _check_window(N, scale, L)
     d_min_coarse = N + coarse.m
@@ -450,13 +446,13 @@ def _bisect_critical(
     N: int,
     scale: Scale,
     method: str,
-    s_seed: float = 0.0,
 ) -> CriticalExponent:
     """Bracket and bisect the s where the log value crosses 0 (value crosses 1).
 
     ``log_values`` maps a batch of exponents to their log values and must be
     nonincreasing in s, which every cover value is (each term decays in s).
-    The bracket is expanded geometrically first, so no prior estimate of the
+    The bracket is expanded geometrically from 0 first, upward while the
+    value is at least 1 and downward otherwise, so no prior estimate of the
     pressure is needed. The walk is the sequential one, probe by probe; a
     probe whose value is not known yet evaluates, in one batch, every point
     the walk can reach in the next few steps (the same floats, generated by
@@ -478,33 +474,20 @@ def _bisect_critical(
         history.append((s, _value_from_log(v)))
         return v
 
-    lo = hi = s_seed
-    v = probe(
-        s_seed, lambda: [s_seed] + _expansion(s_seed, 1.0, 1.0) + _expansion(s_seed, 1.0, -1.0)
-    )
-    step = 1.0
-    if v >= 0.0:
-        while True:
-            hi = lo + step
-            v_hi = probe(hi, lambda: _expansion(lo, step, 1.0))
-            if v_hi < 0.0:
-                v_lo = v
-                break
-            lo, v = hi, v_hi
-            step *= 2.0
-            if step > 2 ** 40:
-                raise RuntimeError("no upper bracket for the critical exponent")
-    else:
-        while True:
-            lo = hi - step
-            v_lo = probe(lo, lambda: _expansion(hi, step, -1.0))
-            if v_lo >= 0.0:
-                v_hi = v
-                break
-            hi, v = lo, v_lo
-            step *= 2.0
-            if step > 2 ** 40:
-                raise RuntimeError("no lower bracket for the critical exponent")
+    edge, step = 0.0, 1.0
+    v = probe(edge, lambda: [edge] + _expansion(edge, step, 1.0) + _expansion(edge, step, -1.0))
+    sign = 1.0 if v >= 0.0 else -1.0
+    while True:
+        far = edge + sign * step
+        v_far = probe(far, lambda: _expansion(edge, step, sign))
+        if (v_far >= 0.0) != (v >= 0.0):
+            break
+        edge, v = far, v_far
+        step *= 2.0
+        if step > 2 ** 40:
+            side = "upper" if sign > 0 else "lower"
+            raise RuntimeError(f"no {side} bracket for the critical exponent")
+    lo, v_lo, hi, v_hi = (edge, v, far, v_far) if sign > 0 else (far, v_far, edge, v)
 
     mid = 0.5 * (lo + hi)
     while hi - lo > tol and lo < mid < hi:

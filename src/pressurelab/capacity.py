@@ -18,7 +18,7 @@ import numpy as np
 
 from ._engine import NEG_INF, leaf_sum_log, leaf_sum_logs
 from .errors import EmptyTarget
-from .subsets import SubsetSpec, validate_spec
+from .subsets import SubsetSpec
 from .symbolic import LocallyConstantPotential, Scale, Subshift, separated_word_length
 
 
@@ -65,9 +65,6 @@ def log_partition_function(
     n: int,
     scale: Scale,
 ) -> float:
-    if n < 1:
-        raise ValueError("time horizon n must be at least 1")
-    validate_spec(Z, sft)
     depth = separated_word_length(n, scale)  # raises ScaleTooCoarse for m = 0
     return leaf_sum_log(sft, Z, f, sigma=scale.m - 1, depth=depth)
 
@@ -86,15 +83,14 @@ def capacity_pressure(
     forward pass over one tree yields P_n for every horizon of the window.
     """
     ns = _normalize_range(n_range)
-    validate_spec(Z, sft)
     depths = [separated_word_length(n, scale) for n in ns]
     logs = leaf_sum_logs(sft, Z, f, sigma=scale.m - 1, depths=depths)
-    lost = [n for n, v in zip(ns, logs) if not v < math.inf]  # +inf or NaN
+    lost = [n for n, v in zip(ns, logs) if v is not None and not math.isfinite(v)]
     if lost:
         raise RuntimeError(f"log P_n leaves the float range at n = {lost[0]}; the potential is too large")
 
-    pairs = [(n, v) for n, v in zip(ns, logs) if v != NEG_INF]
-    empty = tuple(n for n, v in zip(ns, logs) if v == NEG_INF)
+    pairs = [(n, v) for n, v in zip(ns, logs) if v is not None]
+    empty = tuple(n for n, v in zip(ns, logs) if v is None)
     if len(pairs) < 2:
         raise EmptyTarget(
             "target meets fewer than two horizons in the window; nothing to fit"

@@ -138,20 +138,21 @@ def parse_config(
                     ("subset", f"`{command}` needs an invariant target "
                      "(whole or sub_sft)")
                 )
-        if scales is not None and command == "pressure capacity":
-            if any(sc.m < 1 for sc in scales):
-                raise ScaleTooCoarse(
-                    "separated-set counting is degenerate at m=0; "
-                    "`pressure capacity` needs every scale m >= 1"
-                )
-        if scales is not None and command == "verify chain":
-            if any(sc.m < 3 for sc in scales):
-                raise ScaleTooCoarse(
-                    "`verify chain` coarsens by 3 dyadic steps; needs m >= 3"
-                )
 
     if problems:
         raise SchemaError(problems)
+    # after the schema, so a config with schema problems reports all of them
+    if scales is not None and command == "pressure capacity":
+        if any(sc.m < 1 for sc in scales):
+            raise ScaleTooCoarse(
+                "separated-set counting is degenerate at m=0; "
+                "`pressure capacity` needs every scale m >= 1"
+            )
+    if scales is not None and command == "verify chain":
+        if any(sc.m < 3 for sc in scales):
+            raise ScaleTooCoarse(
+                "`verify chain` coarsens by 3 dyadic steps; needs m >= 3"
+            )
     return ExperimentConfig(
         system=system,
         potential=potential,
@@ -592,18 +593,8 @@ def write_json(path: str, obj: Dict[str, object]) -> None:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(v)
+    v = json_ready(v)  # the report's own mapping of numbers and non-finite floats
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -18,7 +18,7 @@ from .bowen import CriticalExponent, bowen_pressure, min_cover_value
 from .capacity import capacity_pressure, log_partition_function
 from .errors import EmptyTarget
 from .measure import _invariant_pressures, exact_invariant_pressure
-from .subsets import SubsetSpec, finite_union, sub_sft, validate_spec
+from .subsets import SubsetSpec, finite_union, sub_sft
 from .symbolic import (
     LocallyConstantPotential,
     Scale,
@@ -214,7 +214,6 @@ def verify_variational(
     cover pressure by the conditional variational principle, with the tilted
     equilibrium measure that attains it as witness (``_band_reference``).
     """
-    validate_spec(K, sft)
     if K.kind == "finite_union":
         raise ValueError("variational comparison takes a single target; check unions with verify_unions")
     bisect_tol = min(tol / 4.0, 1e-3)
@@ -386,7 +385,6 @@ def verify_gibbs_bound(
     """
     if any(b <= 0 for b in betas):
         raise ValueError("betas must be positive")
-    validate_spec(K, sft)
     n_lo = max(1, N)
     n_hi = L - scale.m
     if n_hi - n_lo < 7:

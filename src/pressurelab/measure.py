@@ -32,6 +32,7 @@ from .symbolic import (
 from .transfer import MarkovMeasure, _check_markov
 
 _SUPPORT_EPS = 1e-15
+_INVARIANCE_TOL = 1e-9  # how far pi P may sit from pi for an invariant measure
 
 
 @dataclass(frozen=True)
@@ -242,32 +243,27 @@ def measure_pressure_mc(
     )
 
 
-def exact_invariant_pressure(
-    mu: MarkovMeasure, f: LocallyConstantPotential, tol: float = 1e-9
-) -> float:
+def exact_invariant_pressure(mu: MarkovMeasure, f: LocallyConstantPotential) -> float:
     """h(mu) + integral of f dmu for an invariant ergodic Markov measure.
 
     Entropy comes from the standard chain formula; the integral is the
     finite sum of mu([w]) f(w) over the depth-k cylinders charged by mu.
-    Requires pi P = pi within tol and an irreducible charged support (the
-    a.e. orbit interpretation needs ergodicity; integrals of non-ergodic
-    mixtures are out of scope here and rejected rather than misreported).
+    Requires pi P = pi within _INVARIANCE_TOL and an irreducible charged
+    support (the a.e. orbit interpretation needs ergodicity; integrals of
+    non-ergodic mixtures are out of scope here and rejected rather than
+    misreported).
     This is ``_checked_pressures`` on a stack of one: ``mu`` was checked when made.
     """
-    return float(_checked_pressures(mu.initial[None], mu.transition[None], f, tol)[0])
+    return float(_checked_pressures(mu.initial[None], mu.transition[None], f)[0])
 
 
-def _invariant_pressures(
-    pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential, tol: float = 1e-9
-) -> np.ndarray:
+def _invariant_pressures(pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential) -> np.ndarray:
     """exact_invariant_pressure of each (pi[g], P[g]), checked once as a stack."""
     _check_markov(P, pi, ndim=3)
-    return _checked_pressures(pi, P, f, tol)
+    return _checked_pressures(pi, P, f)
 
 
-def _checked_pressures(
-    pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential, tol: float
-) -> np.ndarray:
+def _checked_pressures(pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotential) -> np.ndarray:
     """``_invariant_pressures`` of a stack that passed MarkovMeasure's checks.
 
     The support test runs once per distinct (charged set, arc support), and
@@ -276,10 +272,9 @@ def _checked_pressures(
     Both sums run left to right, as the single-measure loop added them.
     """
     defect = np.abs(np.matmul(pi[:, None], P)[:, 0] - pi).max(axis=1)
-    if (defect > tol).any():
-        raise NonInvariantMeasure(
-            f"pi P deviates from pi by {defect[defect > tol][0]:.3e} (tolerance {tol:.1e})"
-        )
+    drift = defect[defect > _INVARIANCE_TOL]
+    if drift.size:
+        raise NonInvariantMeasure(f"pi P deviates from pi by {drift[0]:.3e} (tolerance {_INVARIANCE_TOL:.1e})")
     charged, arcs = pi > _SUPPORT_EPS, P > 0.0
     logP = np.array([math.log(p) if p > 0.0 else 0.0 for p in P.ravel().tolist()])
     # zero terms (uncharged rows, null arcs) change no left-to-right sum

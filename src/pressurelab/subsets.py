@@ -314,12 +314,7 @@ def count_target_words(sft: Subshift, spec: SubsetSpec, depth: int) -> int:
     return _word_dag(sft, spec, depth)[1][0][0]
 
 
-def iter_target_words(
-    sft: Subshift,
-    spec: SubsetSpec,
-    depth: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Tuple[Word, ...]:
+def iter_target_words(sft: Subshift, spec: SubsetSpec, depth: int) -> Tuple[Word, ...]:
     """All depth-``depth`` words consistent with the spec, lexicographically.
 
     Counts first over the word DAG and raises EnumerationBudgetExceeded
@@ -328,8 +323,8 @@ def iter_target_words(
     """
     edges, counts = _word_dag(sft, spec, depth)
     total = counts[0][0]
-    if total > budget:
-        raise EnumerationBudgetExceeded(total, budget)
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetExceeded(total, DEFAULT_ENUMERATION_BUDGET)
     level = [((), 0)] if total else []
     for d in range(depth):
         level = [(w + (b,), j) for w, i in level for b, j in edges[d][i] if counts[d + 1][j]]

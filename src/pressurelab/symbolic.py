@@ -65,10 +65,6 @@ class Subshift:
             return False
         return all(self.allowed[a][b] for a, b in zip(word, word[1:]))
 
-    def require_admissible(self, word: Sequence[int]) -> None:
-        if not self.is_admissible(word):
-            raise InadmissibleWord(f"word {word!r} is not admissible in {self.label or 'this subshift'}")
-
 
 def full_shift(alphabet_size: int, label: str = "") -> Subshift:
     """The full shift on ``alphabet_size`` symbols (every transition allowed)."""
@@ -160,16 +156,30 @@ def potential_from_table(
     sft: Subshift, depth: int, table: Mapping[Sequence[int], float], label: str = ""
 ) -> LocallyConstantPotential:
     """Build a potential, checking the table covers exactly the admissible words."""
+    from .subsets import _word_dag, whole  # local import to avoid a cycle
+
     fixed: Dict[Word, float] = {}
     for w, v in table.items():
         w = tuple(w)
         if not sft.is_admissible(w):
             raise InadmissibleWord(f"potential key {w!r} is not admissible")
+        if len(w) != depth:
+            raise ValueError(f"table key {w!r} has length {len(w)} != depth {depth}")
         fixed[w] = float(v)
-    missing = [w for w in enumerate_words(sft, depth) if w not in fixed]
-    if missing:
+    # distinct admissible keys of length depth cover every word when they are
+    # as many: count the words, materialize none
+    edges, counts = _word_dag(sft, whole(), depth)
+    missing = counts[0][0] - len(fixed)
+    if missing:  # the first missing word is below the first child short of keys
+        example, keys, node = (), list(fixed), 0
+        for d in range(depth):
+            for b, child in edges[d][node]:
+                below = [w for w in keys if w[d] == b]
+                if len(below) < counts[d + 1][child]:
+                    example, keys, node = example + (b,), below, child
+                    break
         raise ValueError(
-            f"potential table is missing {len(missing)} admissible words, e.g. {missing[0]!r}"
+            f"potential table is missing {missing} admissible words, e.g. {example!r}"
         )
     return LocallyConstantPotential(depth, fixed, label=label)
 
@@ -185,17 +195,15 @@ def count_words(sft: Subshift, n: int) -> int:
     return count_target_words(sft, whole(), n)
 
 
-def enumerate_words(
-    sft: Subshift, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Tuple[Word, ...]:
+def enumerate_words(sft: Subshift, n: int) -> Tuple[Word, ...]:
     """All admissible words of length n, lexicographically.
 
-    Counts first and refuses to materialize more than ``budget`` words.
+    Counts first and refuses to materialize more than the enumeration budget.
     Length 0 yields the empty-word singleton.
     """
     from .subsets import iter_target_words, whole  # local import to avoid a cycle
 
-    return iter_target_words(sft, whole(), n, budget)
+    return iter_target_words(sft, whole(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +264,8 @@ def birkhoff_sum(
 def _extreme_birkhoff(
     sft: Subshift, f: LocallyConstantPotential, w: Word, n: int, want_max: bool
 ) -> float:
-    sft.require_admissible(w)
+    if not sft.is_admissible(w):
+        raise InadmissibleWord(f"word {w!r} is not admissible in {sft.label or 'this subshift'}")
     if n < 1:
         raise ValueError("number of summands must be at least 1")
     k = f.depth

@@ -24,6 +24,7 @@ from .symbolic import LocallyConstantPotential, Subshift, is_strongly_connected
 
 _PERRON_STEP_CAP = 10_000  # power steps after the eig guess before giving up
 _SUM_TOL = 1e-12  # how far a probability vector's sum may sit from 1
+_PERRON_TOL = 1e-12  # absolute pressure tolerance of the Perron solves
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,14 +196,14 @@ def _perron(logw: np.ndarray, tol: float) -> Tuple[PressureValue, np.ndarray]:
     raise RuntimeError(f"Perron bracket wider than {1.98 * tol} after {_PERRON_STEP_CAP} power steps")
 
 
-def spectral_pressure(L: TransferMatrix, tol: float = 1e-12) -> PressureValue:
+def spectral_pressure(L: TransferMatrix, tol: float = _PERRON_TOL) -> PressureValue:
     """log of the Perron root of L, with absolute error at most tol (or the
     rounding floor ``_perron`` reports)."""
     with np.errstate(divide="ignore"):
         return _perron(np.log(L.entries), tol)[0]
 
 
-def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
+def _solve(sft: Subshift, f: LocallyConstantPotential):
     """(pressure, builder of the equilibrium measure) of (sft, f) from one
     Perron solve.
 
@@ -213,7 +214,7 @@ def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
     pressure is still exact.
     """
     logw = _log_weights(sft, f)
-    pressure, v = _perron(logw, tol)
+    pressure, v = _perron(logw, _PERRON_TOL)
 
     def measure() -> MarkovMeasure:
         W = np.exp(logw + v - np.max(logw + v, axis=1, keepdims=True))
@@ -224,8 +225,6 @@ def _solve(sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12):
     return pressure, measure
 
 
-def equilibrium_measure(
-    sft: Subshift, f: LocallyConstantPotential, tol: float = 1e-12
-) -> MarkovMeasure:
+def equilibrium_measure(sft: Subshift, f: LocallyConstantPotential) -> MarkovMeasure:
     """The Gibbs/equilibrium Markov measure of (sft, f); see ``_solve``."""
-    return _solve(sft, f, tol)[1]()
+    return _solve(sft, f)[1]()

@@ -312,7 +312,8 @@ def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]
 
 def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
     """``_engine.leaf_sum_logs`` on the tree ``prog`` as it ran before: the
-    acceptance mask and the tail corrections made again at every depth."""
+    acceptance mask and the tail corrections made again at every depth; None
+    where no word is accepted."""
     NEG_INF = -math.inf
     prefix = [np.zeros(1)]
     for d in range(len(prog.kids)):
@@ -328,7 +329,7 @@ def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
         # the tail runs over every part the word has not left
         tails = np.where(state >= 0, prices[:, suffix].T, NEG_INF).max(axis=1)
         terms = prefix[d][keep] + tails
-        out.append(float(np.logaddexp.reduce(terms)) if terms.size else NEG_INF)
+        out.append(float(np.logaddexp.reduce(terms)) if terms.size else None)
     return out
 
 

@@ -370,8 +370,8 @@ def test_word_walks_run_at_depth_5000():
     assert pl.iter_target_words(FULL2, fixed_points, depth) == ((0,) * depth, (1,) * depth)
 
 
-def _sequential_bisection(log_value, tol, s_seed=0.0):
-    """Reference walk: expand, then bisect, one exponent per evaluation."""
+def _sequential_bisection(log_value, tol):
+    """Reference walk: expand from 0, then bisect, one exponent per evaluation."""
     walk = []
 
     def probe(s):
@@ -379,9 +379,9 @@ def _sequential_bisection(log_value, tol, s_seed=0.0):
         walk.append((s, v))
         return v
 
-    lo = hi = s_seed
+    lo = hi = 0.0
     step = 1.0
-    if probe(s_seed) >= 0.0:
+    if probe(0.0) >= 0.0:
         while True:
             hi = lo + step
             if probe(hi) < 0.0:
@@ -408,7 +408,7 @@ def _sequential_bisection(log_value, tol, s_seed=0.0):
     return lo, hi, walk
 
 
-def _assert_batched_bisection_replays(log_value, tol, s_seed=0.0):
+def _assert_batched_bisection_replays(log_value, tol):
     """The batched bisection walks exactly the reference's probes, in fewer
     evaluations, and returns its bracket; returns the number of batches."""
     batches = []
@@ -417,8 +417,8 @@ def _assert_batched_bisection_replays(log_value, tol, s_seed=0.0):
         batches.append(len(points))
         return [log_value(s) for s in points]
 
-    lo, hi, walk = _sequential_bisection(log_value, tol, s_seed)
-    ce = _bisect_critical(log_values, tol, 1, 1, pl.Scale(1), "bowen", s_seed=s_seed)
+    lo, hi, walk = _sequential_bisection(log_value, tol)
+    ce = _bisect_critical(log_values, tol, 1, 1, pl.Scale(1), "bowen")
     assert (ce.s_low, ce.s_high) == (lo, hi)
     assert [s for s, _ in ce.history] == [s for s, _ in walk]
     for (_, got), (_, v) in zip(ce.history, walk):
@@ -429,20 +429,21 @@ def _assert_batched_bisection_replays(log_value, tol, s_seed=0.0):
 
 def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
     cases = [
-        (lambda s: 0.61 - s, 1e-4, 0.0),  # one upward expansion
-        (lambda s: 37.2 - s, 1e-4, 0.0),  # upward expansion beyond one batch
-        (lambda s: -20.7 - s, 1e-4, 0.0),  # downward expansion
-        (lambda s: 0.625 - s, 1e-4, 0.0),  # a probe lands exactly on the crossing
-        (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3, 0.0),  # a jump, not a crossing
-        (lambda s: 2.5 - 3.0 * s, 1e-7, 0.37),  # another seed, a finer tolerance
-        (lambda s: math.log(2) - s ** 3, 1e-5, -4.0),
-        (lambda s: 700.5 - 1000.0 * s, 1e-6, 0.0),  # finite values above exp(700)
-        (lambda s: 750.5 - 1000.0 * s, 1e-6, 0.0),  # values past exp's range
-        (lambda s: 705.0 if s < 0.3 else -2.0, 1e-3, 0.0),  # s_low's value above exp(700)
+        (lambda s: 0.61 - s, 1e-4),  # one upward expansion
+        (lambda s: 37.2 - s, 1e-4),  # upward expansion beyond one batch
+        (lambda s: -20.7 - s, 1e-4),  # downward expansion
+        (lambda s: 0.625 - s, 1e-4),  # a probe lands exactly on the crossing
+        (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3),  # a jump, not a crossing
+        (lambda s: 2.5 - 3.0 * (s + 0.37), 1e-7),  # a shifted map, a finer tolerance
+        (lambda s: math.log(2) - (s - 4.0) ** 3, 1e-5),  # a shifted cubic, upward
+        (lambda s: math.log(2) - (s + 4.0) ** 3, 1e-5),  # a shifted cubic, downward
+        (lambda s: 700.5 - 1000.0 * s, 1e-6),  # finite values above exp(700)
+        (lambda s: 750.5 - 1000.0 * s, 1e-6),  # values past exp's range
+        (lambda s: 705.0 if s < 0.3 else -2.0, 1e-3),  # s_low's value above exp(700)
     ]
-    for log_value, tol, s_seed in cases:
-        batches = _assert_batched_bisection_replays(log_value, tol, s_seed)
-        probes = len(_sequential_bisection(log_value, tol, s_seed)[2])
+    for log_value, tol in cases:
+        batches = _assert_batched_bisection_replays(log_value, tol)
+        probes = len(_sequential_bisection(log_value, tol)[2])
         assert batches <= 1 + probes // 3
     for log_value, side in ((lambda s: 1.0, "upper"), (lambda s: -1.0, "lower")):
         with pytest.raises(RuntimeError, match=f"no {side} bracket"):
@@ -674,7 +675,9 @@ def _assert_folds_match_oracles(host, spec, f, sigma, L, d_min, exponents, depth
         got = CoverProgram(tree, d_min, centered)(exponents)
         assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
     got = leaf_sum_logs(host, spec, f, sigma, depths)
-    assert np.array(got).tobytes() == np.array(leaf_sum_walk(tree, depths)).tobytes()
+    want = leaf_sum_walk(tree, depths)
+    assert [v is None for v in got] == [v is None for v in want]
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
     return tree
 
 

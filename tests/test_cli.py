@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -85,6 +87,34 @@ def test_parse_config_scale_preconditions():
         parse_config(chain, "verify chain")
     chain["scales"] = [3]
     assert parse_config(chain, "verify chain").scales[0].m == 3
+
+
+def test_parse_config_reports_schema_problems_before_scale_preconditions():
+    # a config with an unknown field and an unusable scale names the field
+    base = {"system": {"alphabet_size": 2}, "potential": {"constant": 0.0}, "bogus": 1}
+    cap = {**base, "scales": [0], "n_range": [2, 6]}
+    chain = {**base, "subset": {"kind": "whole"}, "scales": [2], "s": 0.5, "delta": 0.5,
+             "N": 4, "L": 10}
+    for command, cfg in (("pressure capacity", cap), ("verify chain", chain)):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(cfg, command)
+        assert exc.value.problems == [("bogus", "unknown field")], command
+
+
+def test_parse_config_checks_a_deep_table_without_enumerating_it():
+    # the coverage check counts the 2**18 words an empty table misses and
+    # materializes none of them
+    import tracemalloc
+
+    cfg = {"system": {"alphabet_size": 2}, "potential": {"depth": 18, "table": {}}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"missing 262144 admissible words, e\.g\. \(0, 0, "):
+            parse_config(cfg, "pressure exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_parse_config_unions_needs_union_subset():
@@ -358,6 +388,22 @@ def test_cli_capacity_trace_has_one_row_per_n(tmp_path, capsys):
     assert ns == list(range(4, 25))
     for row in lines[1:]:
         float(row.split(",")[1])
+
+
+def test_cli_capacity_names_the_float_range_at_either_sign(tmp_path, capsys):
+    # at constant -1e308 every log P_n lies below the float range: the
+    # horizons hold words, so the cause is the float range, as at +1e308
+    for c in (1e308, -1e308):
+        path = tmp_path / f"{c:+g}.json"
+        path.write_text(json.dumps({"system": {"alphabet_size": 2}, "potential": {"constant": c},
+                                    "scales": [1], "n_range": [4, 20]}))
+        code, out, err = _run(["pressure", "capacity", "--config", str(path),
+                               "--out", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "RuntimeError",
+            "message": "log P_n leaves the float range at n = 4; the potential is too large",
+        }, c
 
 
 def test_cli_capacity_reads_a_pair_as_its_window(tmp_path, capsys):
@@ -772,20 +818,47 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_traced_layers_resolve():
-    # the benchmark's tracer wraps these functions by name, so deleting or
-    # renaming one breaks `perfbench/run.py --trace 1` and no library test
-    import importlib
-    import importlib.util
+def _perfbench_module(monkeypatch, name: str):
+    """``perfbench/<name>.py`` loaded from its file under a private name."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.TRACED
-    for module, func in tracing.TRACED:
-        assert callable(getattr(importlib.import_module(f"pressurelab.{module}"), func, None)), (
-            module, func,
+
+def test_traced_layers_run_through_the_tracer_hooks(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps every TRACED function by name, and its
+    # hooks read the arguments and results of some; a rename, a signature or
+    # a result shape that breaks `perfbench/run.py --trace 1` fails here.
+    # Every tiny op runs as the benchmark runs it, through module attributes
+    # that the tracer patches.
+    from pressurelab import cli, config
+
+    tracing = _perfbench_module(monkeypatch, "tracing")
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for workload in workloads.WORKLOADS:
+            for op in workloads.generate(workload, 7, tiny=True):
+                cfg = config.parse_config(json.dumps(op.config), op.command)
+                report, _, _ = cli.run(op.command, cfg)
+                config.write_json(str(tmp_path / f"{op.name}.json"), report)
+        # no op prices a weighted cover itself; this call fires the LP-size hook
+        full2 = pressurelab.full_shift(2)
+        pressurelab.weighted_cover_value(
+            full2, pressurelab.whole(), pressurelab.zero_potential(full2), 0.7, 2,
+            pressurelab.Scale(1), 8,
         )
+        metrics = tracer.summary(1)
+    finally:
+        tracer.uninstall()
+    assert list(metrics) == [name for name, _ in tracing.layer_metric_units()]
+    assert all(math.isfinite(v) for v in metrics.values())
+    hooked = ("probes", "lp_leaves", "lp_candidates", "horizons", "orbits", "symbols", "report_bytes")
+    assert all(tracer.counts[name] > 0 for name in hooked), tracer.counts
+    assert not hasattr(cli.run, "__wrapped__")  # uninstalled
 
 
 def _declared_entry_point(name: str) -> str:

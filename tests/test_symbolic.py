@@ -194,6 +194,32 @@ def test_potential_table_rejects_forbidden_word():
 def test_potential_table_requires_full_coverage():
     with pytest.raises(ValueError):
         pl.potential_from_table(FULL2, 1, {(0,): 1.0})
+    # the example is the first missing word in lexicographic order
+    table = {w: 0.0 for w in pl.enumerate_words(GM, 3) if w not in ((0, 1, 0), (1, 0, 1))}
+    with pytest.raises(ValueError, match=r"missing 2 admissible words, e\.g\. \(0, 1, 0\)"):
+        pl.potential_from_table(GM, 3, table)
+    with pytest.raises(ValueError, match="has length 2 != depth 3"):
+        pl.potential_from_table(GM, 3, {**table, (0, 1): 0.0})
+
+
+def test_enumeration_budget_refuses_before_materializing():
+    # 2**27 words exceed the 2**26 budget: the count alone decides, so the
+    # refusal comes at once and allocates next to nothing
+    import tracemalloc
+
+    for enumerate_words in (
+        lambda: pl.enumerate_words(FULL2, 27),
+        lambda: pl.iter_target_words(FULL2, pl.whole(), 27),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+                enumerate_words()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.count, exc.value.budget) == (2 ** 27, 2 ** 26)
+        assert peak < 2 ** 20
 
 
 def test_subshift_from_pairs_roundtrip():
