@@ -827,6 +827,19 @@ def _perfbench_module(monkeypatch, name: str):
     return module
 
 
+def test_traced_layers_resolve(monkeypatch):
+    # the benchmark's tracer wraps these functions by name, so deleting or
+    # renaming one breaks `perfbench/run.py --trace 1` and no library test
+    import importlib
+
+    tracing = _perfbench_module(monkeypatch, "tracing")
+    assert tracing.TRACED
+    for module, func in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"pressurelab.{module}"), func, None)), (
+            module, func,
+        )
+
+
 def test_traced_layers_run_through_the_tracer_hooks(tmp_path, monkeypatch):
     # the benchmark's tracer wraps every TRACED function by name, and its
     # hooks read the arguments and results of some; a rename, a signature or
