@@ -7,14 +7,19 @@ observation that a subtree's value depends on the word only through
 
 - the depth d,
 - the tracker state z,
-- the last r symbols u, with r = max(1, k - 1, sigma),
+- the last r symbols u,
 
 once the common factor exp(S) is pulled out, where S is the sum of the
-potential windows completed inside the word so far. ``subsets.WordLayers``
-builds the distinct (u, z) of every depth once, without recursion, so the
-whole computation costs O(L * |states| * A) instead of O(A^L). Everything
-runs in log space so horizons of thousands of symbols neither overflow nor
-underflow.
+potential windows completed inside the word so far. The suffix must hold
+the other k - 1 symbols of the next window, the sigma symbols the prices
+read (see below) and, when some part's moves depend on it, the last
+symbol: r = max(k - 1, sigma, 1 if so else 0). On a full shift with a
+depth-1 potential and sigma = 0 that is r = 0, and a node is its tracker
+state alone. The forward fold keeps r >= 1 (see ``_TreeProgram``).
+``subsets.WordLayers`` builds the distinct (u, z) of every depth once,
+without recursion, so the whole computation costs O(L * |states| * A)
+instead of O(A^L). Everything runs in log space so horizons of thousands of
+symbols neither overflow nor underflow.
 
 Each depth's arcs are two numpy arrays of shape (max arity, states): the
 child index into the next layer and the window gain, read from one (suffix
@@ -106,9 +111,13 @@ class _TreeProgram:
     """The tracked word tree to ``depth``, merged on (last r symbols, tracker state).
 
     ``layers`` holds the tree (see ``subsets.WordLayers``), with
-    r = max(1, k - 1, sigma). ``gains[d]`` (with a length-1 axis for K exponents)
-    lines up with ``kids[d]``: the potential window each arc's symbol completes,
-    if any (as r >= k - 1, the suffix holds its other symbols), -inf on pads.
+    r = max(k - 1, sigma, 1 if some part's moves depend on the last symbol
+    else 0). ``leaf_order`` keeps r >= 1 for ``fold_forward``: merging
+    states regroups its scattered log-sum-exps and moves leaf sums by an
+    ulp, while the backward fold computes every merged state's value alike.
+    ``gains[d]`` (with a length-1 axis for K exponents) lines up with
+    ``kids[d]``: the potential window each arc's symbol completes, if any
+    (as r >= k - 1, the suffix holds its other symbols), -inf on pads.
     """
 
     def __init__(
@@ -118,6 +127,7 @@ class _TreeProgram:
         f: LocallyConstantPotential,
         sigma: int,
         depth: int,
+        leaf_order: bool = False,
     ):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
@@ -125,8 +135,9 @@ class _TreeProgram:
         self.f = f
         self.sigma = sigma
         self.tracker = build_tracker(spec, sft)
-        k = f.depth
-        self.layers = tree = WordLayers(self.tracker, max(1, k - 1, sigma), depth)
+        moves = self.tracker.moves
+        last = leaf_order or not (moves == moves[:, -1:]).all()
+        self.layers = tree = WordLayers(self.tracker, max(int(last), f.depth - 1, sigma), depth)
         gain = _window_gains(tree.words, tree.next >= 0, f)
         self.kids = tree.kids
         self.gains = tree.per_layer(
@@ -193,7 +204,7 @@ def leaf_sum_logs(
         raise ValueError("depth must be at least 1")
     if depths[0] - sigma < 1:
         raise ValueError("depth must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
+    prog = _TreeProgram(sft, spec, f, sigma, depths[-1], leaf_order=True)
     prefix = prog.fold_forward()
     prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
     # a tree shares layers only when no part counts a symbol: acceptance ignores d

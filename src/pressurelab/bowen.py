@@ -394,6 +394,8 @@ def check_chain(
 
 #: Bisection levels one batched evaluation looks ahead: 2**J - 1 midpoints.
 _LEVELS_PER_PASS = 4
+#: The grid levels a bisection batch keeps when a predicted crossing steers it.
+_LEVELS_WITH_AIM = 2
 
 
 def _expansion(s: float, step: float, sign: float) -> List[float]:
@@ -409,10 +411,12 @@ def _expansion(s: float, step: float, sign: float) -> List[float]:
 def _midpoints(lo: float, hi: float, tol: float, aim: float) -> List[float]:
     """Every midpoint the next levels of bisecting [lo, hi] down to tol can
     probe, then the rest of the one path below them that heads for ``aim``
-    (a guess at the crossing; NaN heads for lo)."""
+    (a guess at the crossing; NaN heads for lo). The grid is 4 levels deep
+    without a guess and 2 with one, where the path is usually the walk."""
+    levels = _LEVELS_PER_PASS if math.isnan(aim) else _LEVELS_WITH_AIM
     points: List[float] = []
     brackets = [(lo, hi)]
-    for _ in range(_LEVELS_PER_PASS):
+    for _ in range(levels):
         deeper = []
         for a, b in brackets:
             mid = 0.5 * (a + b)
@@ -425,7 +429,7 @@ def _midpoints(lo: float, hi: float, tol: float, aim: float) -> List[float]:
         path.append(mid)
         lo, hi = (mid, hi) if mid < aim else (lo, mid)
         mid = 0.5 * (lo + hi)
-    return points + path[_LEVELS_PER_PASS:]
+    return points + path[levels:]
 
 
 def _predicted_crossing(known: Dict[float, float], lo: float, hi: float) -> float:

@@ -2,9 +2,9 @@
 
 The config is a JSON object; the full field-by-field schema is documented
 in the README. parse_config collects every violation it can find and raises
-one SchemaError listing all of them, except that an inadmissible potential
-key raises InadmissibleWord directly (the word is the error, not the
-schema).
+one SchemaError listing all of them; a config whose only fault is an
+inadmissible potential key raises InadmissibleWord instead (the word is the
+error, not the schema).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def parse_config(
 ) -> ExperimentConfig:
     """Parse and validate a JSON config, optionally against one command.
 
-    Raises SchemaError carrying every (field path, message) pair found, or
+    Raises SchemaError carrying every (field path, message) pair found, else
     InadmissibleWord when a potential table key names a forbidden word.
     With ``command`` given, command-specific required fields and scale
     preconditions are enforced here rather than at run time.
@@ -105,7 +105,8 @@ def parse_config(
             problems.append((key, "must not be null"))
 
     system = _parse_system(data.get("system"), problems)
-    potential = _parse_potential(data.get("potential"), system, problems)
+    forbidden: List[str] = []
+    potential = _parse_potential(data.get("potential"), system, problems, forbidden)
     subset = _parse_subset(data.get("subset"), system, problems)
     scales = _parse_scales(data.get("scales"), problems)
     n_range = _parse_n_range(data.get("n_range"), problems)
@@ -142,6 +143,10 @@ def parse_config(
     if problems:
         raise SchemaError(problems)
     # after the schema, so a config with schema problems reports all of them
+    if forbidden:
+        raise InadmissibleWord(
+            f"potential key {forbidden[0]!r} names a forbidden word of the system"
+        )
     if scales is not None and command == "pressure capacity":
         if any(sc.m < 1 for sc in scales):
             raise ScaleTooCoarse(
@@ -232,7 +237,9 @@ def _word_from_key(key: str, alphabet_size: int) -> Word:
     return word
 
 
-def _parse_potential(node, system, problems) -> Optional[LocallyConstantPotential]:
+def _parse_potential(node, system, problems, forbidden) -> Optional[LocallyConstantPotential]:
+    """The potential, or None; appends the table keys that name forbidden
+    words to ``forbidden`` and skips them."""
     if node is None:
         return None
     if system is None:
@@ -268,9 +275,8 @@ def _parse_potential(node, system, problems) -> Optional[LocallyConstantPotentia
             )
             continue
         if not system.is_admissible(word):
-            raise InadmissibleWord(
-                f"potential key {key!r} names a forbidden word of the system"
-            )
+            forbidden.append(key)
+            continue
         if not _is_finite(value):
             problems.append((f"potential.table.{key}", "value must be a finite number"))
             continue

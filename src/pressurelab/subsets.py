@@ -188,7 +188,7 @@ class WordLayers:
     """The target's words to ``depth``, merged per depth on (suffix, tracker state).
 
     A node's suffix is its last r symbols (the whole word while it is
-    shorter): ``words`` lists every suffix the target's words can have, and
+    shorter; the empty word for every node when r = 0): ``words`` lists every suffix the target's words can have, and
     ``next[i, b]`` is the suffix after appending b to ``words[i]``, or -1
     where no part admits b there. ``suffix[d]`` and ``state[d]`` give the
     suffix index and the tracker state (one row) of each depth-d node, in
@@ -205,7 +205,7 @@ class WordLayers:
     dropped child leaves a pad in its slot.
 
     Each layer takes one gather for the children's suffixes, one step of
-    every part, one ``np.unique`` to merge equal children and one scatter
+    every part, one stable sort to merge equal children and one scatter
     to pack the arcs. When a depth's nodes equal an earlier depth's, every
     later layer repeats with that period, and the layers are reused (the
     same array objects) instead of built again; not in trees with frequency
@@ -222,7 +222,7 @@ class WordLayers:
             row = [-1] * k
             for b in range(k):
                 if reach[u[-1] if u else k][b]:
-                    w = (u + (b,))[-r:]
+                    w = (u + (b,))[-r:] if r else ()
                     if w not in index:
                         index[w] = len(words)
                         words.append(w)
@@ -266,20 +266,30 @@ class WordLayers:
                 if size * span >= 2 ** 62:
                     code, size = np.unique(code, return_inverse=True)[1], len(code)
                 code, size = code * span + column, size * span
-            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            rank = np.argsort(order)
+            # one stable sort groups equal codes, each group led by its first
+            # child; the leaders in child order are the new layer's nodes,
+            # and each child's index is its group leader's rank among them
+            order = np.argsort(code, kind="stable")
+            ordered = code[order]
+            new = np.ones(len(code), dtype=bool)
+            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+            leaders = order[new]
+            lead = np.zeros(len(code), dtype=bool)
+            lead[leaders] = True
+            first = np.flatnonzero(lead)
+            rank = np.empty(len(code), dtype=np.intp)
+            rank[order] = (np.cumsum(lead) - 1)[leaders][np.cumsum(new) - 1]
             # pads in dropped slots keep the order of the arcs into each child
             slot = (np.cumsum(allowed.any(axis=1), axis=1) - 1)[parent, symbol]
             width = int(slot.max(initial=-1)) + 1
             kids = np.zeros((width, len(suffix)), dtype=np.intp)
-            kids[slot, parent] = rank[inverse]
+            kids[slot, parent] = rank
             syms = np.full((width, len(suffix)), -1, dtype=np.intp)
             syms[slot, parent] = symbol
             self.kids.append(kids)
             self.syms.append(syms)
-            self.suffix.append(child_suffix[first[order]])
-            self.state.append(child_state[first[order]])
+            self.suffix.append(child_suffix[first])
+            self.state.append(child_state[first])
 
     def per_layer(self, build: Callable[[np.ndarray, np.ndarray, np.ndarray], object]) -> list:
         """``build(suffix, kids, syms)`` for every depth, called once per

@@ -192,7 +192,8 @@ class UnprunedWordLayers:
     The library's layer builder before it pruned frequency states that can
     no longer reach their window at ``depth``, kept verbatim (renamed) as a
     differential oracle: it keeps every state, and its period detector runs
-    on every tree.
+    on every tree. One fix since: with r = 0 every suffix is the empty
+    word, where ``[-0:]`` kept the whole word and the table never closed.
 
     A node's suffix is its last r symbols (the whole word while it is
     shorter): ``words`` lists every suffix the target's words can have, and
@@ -221,7 +222,7 @@ class UnprunedWordLayers:
             row = [-1] * k
             for b in range(k):
                 if reach[u[-1] if u else k][b]:
-                    w = (u + (b,))[-r:]
+                    w = (u + (b,))[-r:] if r else ()
                     if w not in index:
                         index[w] = len(words)
                         words.append(w)

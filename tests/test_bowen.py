@@ -408,10 +408,11 @@ def _sequential_bisection(log_value, tol):
     return lo, hi, walk
 
 
-def _assert_batched_bisection_replays(log_value, tol):
+def _assert_batched_bisection_replays(log_value, tol, batches=None):
     """The batched bisection walks exactly the reference's probes, in fewer
-    evaluations, and returns its bracket; returns the number of batches."""
-    batches = []
+    evaluations, and returns its bracket; returns the number of batches and
+    appends each batch's size to ``batches``."""
+    batches = [] if batches is None else batches
 
     def log_values(points):
         batches.append(len(points))
@@ -457,18 +458,23 @@ def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
 def test_look_ahead_batch_counts_on_synthetic_maps():
     # a bisection batch adds the walk's path toward the zero of the line
     # through known points above the bracket: on a line that path is the
-    # walk itself, except where a probe lands exactly on the crossing
+    # walk itself, except where a probe lands exactly on the crossing; with
+    # such a guess the batch keeps 2 grid levels, without one 4; comments:
+    # batches without the look-ahead, points with a 4-level grid and a guess
     cases = [
-        (lambda s: 0.61 - s, 1e-4, 2),  # 5 batches without the look-ahead
-        (lambda s: 700.5 - 1000.0 * s, 1e-6, 2),  # 6
-        (lambda s: 0.625 - s, 1e-4, 3),  # 5
-        (lambda s: 37.2 - s, 1e-4, 3),  # 7
-        (lambda s: -20.7 - s, 1e-4, 3),  # 7
-        (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3, 4),  # 4: no line predicts a jump
-        (lambda s: 705.0 if s < 0.3 else -2.0, 1e-3, 4),  # 4
+        (lambda s: 0.61 - s, 1e-4, 2, 24),  # 5; 34
+        (lambda s: 700.5 - 1000.0 * s, 1e-6, 2, 30),  # 6; 40
+        (lambda s: 0.625 - s, 1e-4, 3, 36),  # 5; 55
+        (lambda s: 37.2 - s, 1e-4, 3, 33),  # 7; 43
+        (lambda s: -20.7 - s, 1e-4, 3, 32),  # 7; 42
+        (lambda s: 2.5 - 3.0 * (s + 0.37), 1e-7, 2, 34),  # 7; 44
+        (lambda s: 3.0 if s < 0.3 else -2.0, 1e-3, 4, 50),  # 4: no line predicts a jump; 50
+        (lambda s: 705.0 if s < 0.3 else -2.0, 1e-3, 4, 50),  # 4; 50
     ]
-    for log_value, tol, batches in cases:
-        assert _assert_batched_bisection_replays(log_value, tol) == batches
+    for log_value, tol, batches, points in cases:
+        sizes = []
+        assert _assert_batched_bisection_replays(log_value, tol, sizes) == batches
+        assert sum(sizes) == points
 
 
 def test_bisection_ends_at_float_resolution(monkeypatch):
@@ -587,10 +593,54 @@ def test_recurring_layers_are_built_once():
 
 def test_band_layers_keep_only_states_that_can_reach_the_window():
     # symbol 0 in 0.3 +- 0.02 on the full 2-shift: a state's count must stay
-    # at most 0.32 L and still be able to climb to 0.28 L by depth L
+    # at most 0.32 L and still be able to climb to 0.28 L by depth L (the
+    # leaf-sum tree, which keeps each state's last symbol)
     for L, states in ((160, 11_855), (400, 73_873)):
-        tree = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, L)
+        tree = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, L, leaf_order=True)
         assert sum(map(len, tree.layers.suffix)) == states  # 25,761 and 160,401 unpruned
+
+
+def _tree_states(tree):
+    return sum(map(len, tree.layers.suffix))
+
+
+def test_short_suffix_cover_trees_match_the_last_symbol_trees():
+    # a cover tree keeps a state's last symbol only where some part's moves
+    # read it; on full shifts with a depth-1 potential and sigma = 0 the
+    # suffix is empty, and the merged states must give every cover value,
+    # bracket and probe history of the trees with r = max(1, k - 1, sigma)
+    rng = np.random.default_rng(79)
+    shorter = 0
+    for host in (FULL2, pl.full_shift(3)):
+        k = host.alphabet_size
+        specs = (
+            pl.whole(),
+            pl.frequency_level(0, 0.3, 0.1),
+            pl.finite_union(pl.frequency_level(0, 0.2, 0.05), pl.frequency_level(k - 1, 0.6, 0.1)),
+        )
+        for spec, depth, sigma in itertools.product(specs, (1, 2, 3), (0, 1, 2)):
+            table = {w: float(rng.uniform(-1, 1)) for w in all_words(k, depth)}
+            f = pl.potential_from_table(host, depth, table)
+            L = int(rng.integers(8, 25 if k == 2 else 13))
+            d_min = int(rng.integers(sigma + 1, L + 1))
+            exponents = rng.uniform(-1, 2, size=7)
+            short = _TreeProgram(host, spec, f, sigma, L)
+            long = _TreeProgram(host, spec, f, sigma, L, leaf_order=True)
+            for centered in (False, True):
+                got = CoverProgram(short, d_min, centered)(exponents)
+                assert got.tobytes() == CoverProgram(long, d_min, centered)(exponents).tobytes()
+            shorter += _tree_states(short) < _tree_states(long)
+            if sigma:
+                continue
+            N, m = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+            got = pl.bowen_pressure(host, spec, f, pl.Scale(m), N, L, tol=1e-6)
+            program = CoverProgram(_TreeProgram(host, spec, f, 0, L, leaf_order=True), N + m)
+            want = _bisect_critical(program, 1e-6, L, N, pl.Scale(m), "bowen")
+            assert (got.s_low, got.s_high, got.history) == (want.s_low, want.s_high, want.history)
+    assert shorter == 6  # depth 1, sigma 0: three targets on each host
+    # the band of the cover-deep benchmark halves: one state per count
+    band = pl.frequency_level(0, 0.3, 0.02)
+    assert _tree_states(_TreeProgram(FULL2, band, F0, 0, 160)) == 6_011  # 11,855 with it
 
 
 def _random_irreducible_host(rng):
@@ -605,11 +655,14 @@ def test_pruned_layers_match_the_unpruned_oracle(monkeypatch):
     # capacity reads the leaves of every depth of its window from one tree,
     # so the prune may drop no state that some depth up to L accepts: counts,
     # leaf sums and cover values (plain and centered) must equal those read
-    # from the unpruned trees bit for bit
+    # from the unpruned trees bit for bit; the same target on the full shift
+    # with a depth-1 potential adds a cover tree with suffix length 0 where
+    # the target has no sub-SFT part
     import pressurelab._engine as engine
     import pressurelab.subsets as subsets
 
     rng = np.random.default_rng(70)
+    full_rng = np.random.default_rng(71)
 
     def frequency(host):
         symbol = int(rng.integers(0, host.alphabet_size))
@@ -632,10 +685,16 @@ def test_pruned_layers_match_the_unpruned_oracle(monkeypatch):
         depths = list(range(sigma + 1, L + 1))  # every depth a capacity window can read
         d_min = int(rng.integers(1, L + 1))
         exponents = rng.uniform(-1, 2, size=5).tolist()
+        full = pl.full_shift(host.alphabet_size)
+        f1 = pl.potential_from_table(
+            full, 1, {(a,): float(full_rng.uniform(-1, 1)) for a in range(full.alphabet_size)}
+        )
 
         def readings():
             tree = _TreeProgram(host, spec, f, 0, L)
             covers = [CoverProgram(tree, d_min, c)(exponents).tolist() for c in (False, True)]
+            short = _TreeProgram(full, spec, f1, 0, L)
+            covers.append(CoverProgram(short, d_min)(exponents).tolist())
             sums = engine.leaf_sum_logs(host, spec, f, sigma, depths)
             states = sum(map(len, tree.layers.suffix))
             return count_target_words(host, spec, L), sums, covers, states
@@ -675,7 +734,7 @@ def _assert_folds_match_oracles(host, spec, f, sigma, L, d_min, exponents, depth
         got = CoverProgram(tree, d_min, centered)(exponents)
         assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
     got = leaf_sum_logs(host, spec, f, sigma, depths)
-    want = leaf_sum_walk(tree, depths)
+    want = leaf_sum_walk(_TreeProgram(host, spec, f, sigma, L, leaf_order=True), depths)
     assert [v is None for v in got] == [v is None for v in want]
     assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
     return tree

@@ -62,6 +62,11 @@ def test_parse_config_inadmissible_potential_key():
     }
     with pytest.raises(InadmissibleWord):
         parse_config(cfg, "pressure exact")
+    # the forbidden key raises only once the schema is clean, so an unknown
+    # field beside it is reported, not lost
+    with pytest.raises(SchemaError) as exc:
+        parse_config({**cfg, "bogus": 1}, "pressure exact")
+    assert exc.value.problems == [("bogus", "unknown field")]
 
 
 def test_parse_config_scale_preconditions():
