@@ -38,7 +38,7 @@ directions:
   yields the leaf sum of every depth of a capacity window.
 
 Gains, ball prices, acceptance masks and tail corrections are made once per
-distinct layer; depths that repeat one share it. That saves work, no value moves.
+distinct layer and read through ``WordLayers.at``. That saves work, no value moves.
 
 Conventions used throughout:
 
@@ -139,15 +139,17 @@ class _TreeProgram:
         last = leaf_order or not (moves == moves[:, -1:]).all()
         self.layers = tree = WordLayers(self.tracker, max(int(last), f.depth - 1, sigma), depth)
         gain = _window_gains(tree.words, tree.next >= 0, f)
-        self.kids = tree.kids
-        self.gains = tree.per_layer(
-            lambda suffix, _, syms: np.where(syms >= 0, gain[suffix, syms], NEG_INF)[:, :, None]
-        )
+        gains = [
+            np.where(syms >= 0, gain[suffix, syms], NEG_INF)[:, :, None]
+            for suffix, syms in zip(tree.suffix, tree.syms)
+        ]
+        self.kids = [tree.kids[i] for i in tree.at[:-1]]
+        self.gains = [gains[i] for i in tree.at[:-1]]
         self._prices: Dict[Tuple[Relation, bool], np.ndarray] = {}
 
     def accepted(self, d: int) -> np.ndarray:
         """Mask of the depth-``d`` states the tracker accepts at depth d."""
-        return self.tracker.accepts(self.layers.state[d], d)
+        return self.tracker.accepts(self.layers.state[self.layers.at[d]], d)
 
     def prices(self, rel: Relation, want_max: bool) -> np.ndarray:
         """Per suffix, the correction turning the in-word window sum of a
@@ -183,7 +185,7 @@ class _TreeProgram:
         from the root to each state."""
         prefix = [np.zeros(1)]
         for d in range(len(self.kids)):
-            nxt = np.full(len(self.layers.suffix[d + 1]), NEG_INF)
+            nxt = np.full(len(self.layers.suffix[self.layers.at[d + 1]]), NEG_INF)
             np.logaddexp.at(nxt, self.kids[d].ravel(), (self.gains[d] + prefix[-1][:, None]).ravel())
             prefix.append(nxt)
         return prefix
@@ -207,17 +209,17 @@ def leaf_sum_logs(
     prog = _TreeProgram(sft, spec, f, sigma, depths[-1], leaf_order=True)
     prefix = prog.fold_forward()
     prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
-    # a tree shares layers only when no part counts a symbol: acceptance ignores d
+    # a tree repeats layers only when no part counts a symbol: acceptance ignores d
     made: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for d in depths:
-        suffix, state = prog.layers.suffix[d], prog.layers.state[d]
-        if id(state) not in made:
-            keep = prog.accepted(d)
+        i = prog.layers.at[d]
+        if i not in made:
+            suffix, state, keep = prog.layers.suffix[i], prog.layers.state[i], prog.accepted(d)
             # the tail runs over every part the word has not left
             tails = np.where(state[keep] >= 0, prices[:, suffix[keep]].T, NEG_INF).max(axis=1)
-            made[id(state)] = keep, tails
-        keep, tails = made[id(state)]
+            made[i] = keep, tails
+        keep, tails = made[i]
         terms = prefix[d][keep] + tails
         out.append(float(np.logaddexp.reduce(terms)) if terms.size else None)
     return out
@@ -268,9 +270,9 @@ class CoverProgram:
         self._tree = tree
         self._sigma, self._d_min = sigma, d_min
         price = tree.prices(tree.host.allowed, not centered)
-        suffix = tree.layers.suffix[d_min:]  # repeated layers share one ball column
-        balls = {id(u): price[u][:, None] for u in {id(u): u for u in suffix}.values()}
-        self._ball = [balls[id(u)] for u in suffix]
+        at = tree.layers.at[d_min:]  # repeated layers share one ball column
+        balls = {i: price[tree.layers.suffix[i]][:, None] for i in set(at)}
+        self._ball = [balls[i] for i in at]
         # an accepted leaf must take its ball, a rejected one needs none
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()

@@ -205,7 +205,7 @@ def bowen_pressure(
     """Critical exponent of min_cover_value against threshold 1."""
     d_min = _check_window(N, scale, L)
     program = _nonempty_program(_TreeProgram(sft, Z, f, 0, L), d_min)
-    return _bisect_critical(program, tol, depth=L, N=N, scale=scale, method="bowen")
+    return _bisect_critical(program, tol, depth=L, N=N, scale=scale)
 
 
 def weighted_cover_value(
@@ -449,7 +449,6 @@ def _bisect_critical(
     depth: int,
     N: int,
     scale: Scale,
-    method: str,
 ) -> CriticalExponent:
     """Bracket and bisect the s where the log value crosses 0 (value crosses 1).
 
@@ -511,6 +510,6 @@ def _bisect_critical(
         scale=scale,
         value_at_low=_value_from_log(v_lo),
         value_at_high=math.exp(v_hi),
-        method=method,
+        method="bowen",
         history=tuple(history),
     )

@@ -189,6 +189,7 @@ def _parse_system(node, problems) -> Optional[Subshift]:
     if not isinstance(node, dict):
         problems.append(("system", "must be an object"))
         return None
+    _reject_unknown(node, "system", ("alphabet_size", "allowed", "label"), problems)
     k = node.get("alphabet_size")
     if not _is_int(k) or k < 1:
         problems.append(("system.alphabet_size", "must be a positive integer"))
@@ -242,11 +243,13 @@ def _parse_potential(node, system, problems, forbidden) -> Optional[LocallyConst
     words to ``forbidden`` and skips them."""
     if node is None:
         return None
-    if system is None:
-        problems.append(("potential", "needs a system to validate against"))
-        return None
     if not isinstance(node, dict):
         problems.append(("potential", "must be an object"))
+        return None
+    form = ("constant",) if "constant" in node else ("depth", "table", "label")
+    _reject_unknown(node, "potential", form, problems)
+    if system is None:
+        problems.append(("potential", "needs a system to validate against"))
         return None
     if "constant" in node:
         c = node["constant"]
@@ -308,8 +311,10 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
     kind = node.get("kind")
     label = node.get("label", "")
     if kind == "whole":
+        _reject_unknown(node, path, ("kind",), problems)
         return whole()
     if kind == "sub_sft":
+        _reject_unknown(node, path, ("kind", "label", "allowed"), problems)
         allowed = node.get("allowed")
         if not isinstance(allowed, list) or not allowed or any(
             not isinstance(row, list) or any(x not in (0, 1) for x in row) for row in allowed
@@ -322,6 +327,7 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
             return None
         return sub_sft(matrix, label=label)
     if kind == "finite_union":
+        _reject_unknown(node, path, ("kind", "label", "parts"), problems)
         parts_node = node.get("parts")
         if not isinstance(parts_node, list) or len(parts_node) < 2:
             problems.append((f"{path}.parts", "must list at least two subsets"))
@@ -334,6 +340,7 @@ def _subset_from_node(node, problems, path) -> Optional[SubsetSpec]:
             parts.append(spec)
         return finite_union(*parts, label=label)
     if kind == "frequency_level":
+        _reject_unknown(node, path, ("kind", "label", "symbol", "target", "window"), problems)
         symbol = node.get("symbol")
         target = node.get("target")
         window = node.get("window")
@@ -400,8 +407,10 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
         return None
     kind = node.get("kind")
     if kind == "equilibrium":
+        _reject_unknown(node, "measure", ("kind",), problems)
         return {"kind": "equilibrium"}
     if kind == "bernoulli":
+        _reject_unknown(node, "measure", ("kind", "p"), problems)
         p = node.get("p")
         if not _is_distribution(p):
             problems.append(("measure.p", "entries must be finite, >= 0 and sum to 1"))
@@ -415,6 +424,7 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
             return None
         return {"kind": "bernoulli", "p": [float(x) for x in p]}
     if kind == "markov":
+        _reject_unknown(node, "measure", ("kind", "transition", "initial"), problems)
         T = node.get("transition")
         if not isinstance(T, list) or any(not isinstance(r, list) for r in T):
             problems.append(("measure.transition", "must be a row-stochastic matrix"))
@@ -445,6 +455,11 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
         return out
     problems.append(("measure.kind", 'must be "bernoulli", "markov", or "equilibrium"'))
     return None
+
+
+def _reject_unknown(node, path, known, problems) -> None:
+    """Report each key of the object ``node`` outside ``known`` at its own path."""
+    problems.extend((f"{path}.{key}", "unknown field") for key in node if key not in known)
 
 
 def _is_int(v) -> bool:

@@ -28,7 +28,7 @@ from .symbolic import (
     is_strongly_connected,
     strongly_connected_components,
 )
-from .transfer import MarkovMeasure, PressureValue, _solve, stationary_distribution
+from .transfer import MarkovMeasure, PressureValue, _solve, equilibrium_measure, stationary_distribution
 
 _GRID_EPS = 1e-6
 _STACK = 256  # most measures one stack holds, so memory is flat in measure_grid
@@ -278,13 +278,13 @@ def _band_reference(
     adjacent floats. Doubling stops once a transition mass is below
     _MASS_FLOOR: an edge at the host's extreme frequency ends there. A band
     past that extreme (Karp's cycle mean) is EmptyTarget. Needs depth <= 2
-    and an irreducible host, as ``_solve`` does."""
+    and an irreducible host, as ``equilibrium_measure`` does."""
     a, lo, hi, n = K.symbol, K.target - K.window, K.target + K.window, sft.alphabet_size
     arcs = np.array(sft.allowed, dtype=bool)
 
     def tilted(t: float) -> MarkovMeasure:
         table = {w: v + t * (w[0] == a) for w, v in f.table.items()}
-        return _solve(sft, LocallyConstantPotential(f.depth, table, f"{f.label} {t:+}*1[{a}]"))[1]()
+        return equilibrium_measure(sft, LocallyConstantPotential(f.depth, table, f"{f.label} {t:+}*1[{a}]"))
 
     mu = tilted(0.0)
     sign = int(mu.initial[a] < lo) - int(mu.initial[a] > hi)  # the side the band lies on

@@ -29,7 +29,7 @@ node is the index of its last r symbols plus its tracker state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,14 +188,16 @@ class WordLayers:
     """The target's words to ``depth``, merged per depth on (suffix, tracker state).
 
     A node's suffix is its last r symbols (the whole word while it is
-    shorter; the empty word for every node when r = 0): ``words`` lists every suffix the target's words can have, and
-    ``next[i, b]`` is the suffix after appending b to ``words[i]``, or -1
-    where no part admits b there. ``suffix[d]`` and ``state[d]`` give the
-    suffix index and the tracker state (one row) of each depth-d node, in
-    order of first discovery: parents in order, each parent's children in
-    symbol order. Column i of ``kids[d]`` and ``syms[d]`` holds the child
-    index and the symbol of each child of node i, in symbol order, padded
-    with child 0 and symbol -1 (see below for dropped children).
+    shorter; the empty word when r = 0). ``words`` lists every suffix the
+    target's words can have, and ``next[i, b]`` is the suffix after
+    appending b to ``words[i]``, or -1 where no part admits b there. The
+    layer at depth d is layer ``at[d]``: ``suffix[i]`` and ``state[i]`` give
+    the suffix index and the tracker state (one row) of each node of layer
+    i, in order of first discovery: parents in order, each parent's children
+    in symbol order. Column j of ``kids[i]`` and ``syms[i]`` holds the child
+    index (into the next depth's layer) and the symbol of each child of node
+    j, in symbol order, padded with child 0 and symbol -1 (see below for
+    dropped children).
 
     A child is dropped when every part has been left or is a frequency part
     whose count z cannot end in its window at ``depth`` (z > (alpha + eta)
@@ -206,9 +208,10 @@ class WordLayers:
 
     Each layer takes one gather for the children's suffixes, one step of
     every part, one stable sort to merge equal children and one scatter
-    to pack the arcs. When a depth's nodes equal an earlier depth's, every
-    later layer repeats with that period, and the layers are reused (the
-    same array objects) instead of built again; not in trees with frequency
+    to pack the arcs. When the nodes of depth d equal those of an earlier
+    depth e, every later layer repeats with period d - e, so ``at[t]`` is
+    e + (t - e) % (d - e) for t >= d and no layer past depth d - 1 is built;
+    else ``at`` is range(depth + 1), as always in trees with frequency
     parts, whose pruned layers can match while the bounds ahead differ.
     """
 
@@ -241,14 +244,15 @@ class WordLayers:
         ) for w in target.windows]).T[:, :, None]
         periodic = not np.isfinite(high).any()
         seen: Dict[bytes, int] = {}
+        self.at = list(range(depth + 1))
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
             if periodic:
                 key = suffix.tobytes() + state.tobytes()
                 if key in seen:  # every later layer repeats with period d - e
                     e = seen[key]
-                    for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
-                        seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
+                    del self.suffix[d], self.state[d]
+                    self.at[d:] = [e + (t - e) % (d - e) for t in range(d, depth + 1)]
                     break
                 seen[key] = d
             allowed = moves[suffix] & (state >= 0)[:, :, None]
@@ -291,15 +295,6 @@ class WordLayers:
             self.suffix.append(child_suffix[first])
             self.state.append(child_state[first])
 
-    def per_layer(self, build: Callable[[np.ndarray, np.ndarray, np.ndarray], object]) -> list:
-        """``build(suffix, kids, syms)`` for every depth, called once per
-        distinct layer and shared by the depths that repeat it."""
-        made: Dict[int, object] = {}
-        for suffix, kids, syms in zip(self.suffix, self.kids, self.syms):
-            if id(kids) not in made:
-                made[id(kids)] = build(suffix, kids, syms)
-        return [made[id(kids)] for kids in self.kids]
-
 
 def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):
     """(edges, counts): edges[d][i] lists one (symbol, child index) pair per
@@ -310,10 +305,11 @@ def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):
         raise ValueError("word length must be nonnegative")
     target = build_tracker(spec, sft)
     tree = WordLayers(target, 1, depth)
-    edges = tree.per_layer(lambda _, kids, syms: [
+    layers = [[
         [(b, j) for b, j in zip(s, c) if b >= 0] for s, c in zip(syms.T.tolist(), kids.T.tolist())
-    ])
-    counts = [target.accepts(tree.state[depth], depth).astype(int).tolist()]
+    ] for kids, syms in zip(tree.kids, tree.syms)]
+    edges = [layers[i] for i in tree.at[:-1]]
+    counts = [target.accepts(tree.state[tree.at[depth]], depth).astype(int).tolist()]
     for rows in reversed(edges):
         counts.append([sum(counts[-1][j] for _, j in row) for row in rows])
     return edges, counts[::-1]

@@ -192,24 +192,26 @@ class UnprunedWordLayers:
     The library's layer builder before it pruned frequency states that can
     no longer reach their window at ``depth``, kept verbatim (renamed) as a
     differential oracle: it keeps every state, and its period detector runs
-    on every tree. One fix since: with r = 0 every suffix is the empty
-    word, where ``[-0:]`` kept the whole word and the table never closed.
+    on every tree. Fixes since: with r = 0 every suffix is the empty word,
+    where ``[-0:]`` kept the whole word and the table never closed; and it
+    keeps each distinct layer once, indexed by ``at``, as the library does.
 
     A node's suffix is its last r symbols (the whole word while it is
     shorter): ``words`` lists every suffix the target's words can have, and
     ``next[i, b]`` is the suffix after appending b to ``words[i]``, or -1
-    where no part admits b there. ``suffix[d]`` and ``state[d]`` give the
-    suffix index and the tracker state (one row) of each depth-d node, in
-    order of first discovery: parents in order, each parent's children in
-    symbol order. Column i of ``kids[d]`` and ``syms[d]`` holds the child
-    index and the symbol of each child of node i, in symbol order, padded
-    with child 0 and symbol -1.
+    where no part admits b there. ``at[d]`` is the index of the layer at
+    depth d. ``suffix[i]`` and ``state[i]`` give the suffix index and the
+    tracker state (one row) of each node of layer i, in order of first
+    discovery: parents in order, each parent's children in symbol order.
+    Column j of ``kids[i]`` and ``syms[i]`` holds the child index and the
+    symbol of each child of node j, in symbol order, padded with child 0 and
+    symbol -1.
 
     Each layer takes one gather for the children's suffixes, one step of
     every part, one ``np.unique`` to merge equal children and one scatter
-    to pack the arcs. When a depth's nodes equal an earlier depth's, every
-    later layer repeats with that period, and the layers are reused (the
-    same array objects) instead of built again.
+    to pack the arcs. When the nodes of depth d equal those of an earlier
+    depth e, every later layer repeats with period d - e, and ``at`` maps
+    the later depths onto the layers already built.
     """
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
@@ -235,13 +237,14 @@ class UnprunedWordLayers:
         self.kids: List[np.ndarray] = []
         self.syms: List[np.ndarray] = []
         seen: Dict[bytes, int] = {}
+        self.at = list(range(depth + 1))
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
             key = suffix.tobytes() + state.tobytes()
             if key in seen:  # every later layer repeats with period d - e
                 e = seen[key]
-                for seq, shift in (self.kids, 0), (self.syms, 0), (self.suffix, 1), (self.state, 1):
-                    seq.extend([seq[e + shift + (t - e) % (d - e)] for t in range(d, depth)])
+                del self.suffix[d], self.state[d]
+                self.at[d:] = [e + (t - e) % (d - e) for t in range(d, depth + 1)]
                 break
             seen[key] = d
             allowed = moves[suffix] & (state >= 0)[:, :, None]
@@ -271,15 +274,6 @@ class UnprunedWordLayers:
             self.suffix.append(child_suffix[first[order]])
             self.state.append(child_state[first[order]])
 
-    def per_layer(self, build: Callable[[np.ndarray, np.ndarray, np.ndarray], object]) -> list:
-        """``build(suffix, kids, syms)`` for every depth, called once per
-        distinct layer and shared by the depths that repeat it."""
-        made: Dict[int, object] = {}
-        for suffix, kids, syms in zip(self.suffix, self.kids, self.syms):
-            if id(kids) not in made:
-                made[id(kids)] = build(suffix, kids, syms)
-        return [made[id(kids)] for kids in self.kids]
-
 
 # the engine's folds before they shared per-layer work, kept as oracles: they
 # read a library tree (``_engine._TreeProgram``) and redo everything per depth
@@ -291,8 +285,8 @@ def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]
     per arity row, chained by binary log-sum-exps."""
     NEG_INF = -math.inf
     price = tree.prices(tree.host.allowed, not centered)
-    suffix = tree.layers.suffix
-    ball = {d: price[suffix[d]][:, None] for d in range(d_min, len(tree.kids) + 1)}
+    suffix, at = tree.layers.suffix, tree.layers.at
+    ball = {d: price[suffix[at[d]]][:, None] for d in range(d_min, len(tree.kids) + 1)}
     leaves = np.where(tree.accepted(len(tree.kids)), math.inf, NEG_INF)[:, None]
     neg_s = -np.asarray(exponents, dtype=float)
     kids, gains = tree.kids, [g[:, :, 0] for g in tree.gains]
@@ -318,7 +312,7 @@ def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
     NEG_INF = -math.inf
     prefix = [np.zeros(1)]
     for d in range(len(prog.kids)):
-        nxt = np.full(len(prog.layers.suffix[d + 1]), NEG_INF)
+        nxt = np.full(len(prog.layers.suffix[prog.layers.at[d + 1]]), NEG_INF)
         arcs = prog.gains[d][:, :, 0] + prefix[-1]
         np.logaddexp.at(nxt, prog.kids[d].ravel(), arcs.ravel())
         prefix.append(nxt)
@@ -326,7 +320,8 @@ def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
     out = []
     for d in depths:
         keep = prog.accepted(d)
-        suffix, state = prog.layers.suffix[d][keep], prog.layers.state[d][keep]
+        i = prog.layers.at[d]
+        suffix, state = prog.layers.suffix[i][keep], prog.layers.state[i][keep]
         # the tail runs over every part the word has not left
         tails = np.where(state >= 0, prices[:, suffix].T, NEG_INF).max(axis=1)
         terms = prefix[d][keep] + tails

@@ -9,7 +9,7 @@ import pressurelab as pl
 from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log, leaf_sum_logs
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
-from pressurelab.subsets import count_target_words
+from pressurelab.subsets import TargetAutomaton, count_target_words
 from pressurelab.symbolic import is_strongly_connected
 from brute import (
     UnprunedWordLayers,
@@ -419,7 +419,7 @@ def _assert_batched_bisection_replays(log_value, tol, batches=None):
         return [log_value(s) for s in points]
 
     lo, hi, walk = _sequential_bisection(log_value, tol)
-    ce = _bisect_critical(log_values, tol, 1, 1, pl.Scale(1), "bowen")
+    ce = _bisect_critical(log_values, tol, 1, 1, pl.Scale(1))
     assert (ce.s_low, ce.s_high) == (lo, hi)
     assert [s for s, _ in ce.history] == [s for s, _ in walk]
     for (_, got), (_, v) in zip(ce.history, walk):
@@ -450,9 +450,7 @@ def test_batched_bisection_replays_sequential_walk_on_synthetic_maps():
         with pytest.raises(RuntimeError, match=f"no {side} bracket"):
             _sequential_bisection(log_value, 1e-4)
         with pytest.raises(RuntimeError, match=f"no {side} bracket"):
-            _bisect_critical(
-                lambda ss: [log_value(s) for s in ss], 1e-4, 1, 1, pl.Scale(1), "bowen"
-            )
+            _bisect_critical(lambda ss: [log_value(s) for s in ss], 1e-4, 1, 1, pl.Scale(1))
 
 
 def test_look_ahead_batch_counts_on_synthetic_maps():
@@ -495,7 +493,7 @@ def test_bisection_ends_at_float_resolution(monkeypatch):
     ce = pl.bowen_pressure(FULL2, pl.whole(), pl.zero_potential(FULL2), pl.Scale(1), 2, 8, tol=1e-300)
     assert ce.s_high == math.nextafter(ce.s_low, math.inf)
     assert len(probes) < 100
-    walk = _bisect_critical(lambda ss: [0.3 - s for s in ss], 1e-300, 1, 1, pl.Scale(1), "bowen")
+    walk = _bisect_critical(lambda ss: [0.3 - s for s in ss], 1e-300, 1, 1, pl.Scale(1))
     assert walk.s_low <= 0.3 < walk.s_high == math.nextafter(walk.s_low, math.inf)
 
 
@@ -577,18 +575,43 @@ def test_nested_unions_with_a_frequency_part_match_oracles():
 
 def test_recurring_layers_are_built_once():
     # whole and sub-SFT targets repeat their layers after a few depths, some
-    # with period 2; every repeat reuses the arrays of the first occurrence
+    # with period 2; every repeat maps onto the layer of its first occurrence
     tree = _TreeProgram(FULL2, pl.whole(), F0, 0, 1100)
-    assert len(tree.kids) == 1100
-    assert len({id(kids) for kids in tree.kids}) <= 3
+    assert len(tree.kids) == 1100 and len(tree.layers.at) == 1101
+    assert len(tree.layers.kids) == len(set(tree.layers.at[:-1])) <= 3
     flip = pl.sub_sft(((False, True), (True, False)))
     tree = _TreeProgram(FULL2, flip, F0, 0, 301)
-    last = [[tree.layers.words[i] for i in tree.layers.suffix[d]] for d in (1, 2, 3)]
+    layers = tree.layers
+    last = [[layers.words[i] for i in layers.suffix[layers.at[d]]] for d in (1, 2, 3)]
     assert last == [[(0,), (1,)], [(1,), (0,)], [(0,), (1,)]]
-    assert len({id(kids) for kids in tree.kids}) == 3
+    assert layers.at[:6] == [0, 1, 2, 1, 2, 1]
+    assert len(layers.kids) == len(layers.suffix) == 3
     # the tag count of a frequency target grows, so no layer repeats
     band = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, 40)
-    assert len({id(kids) for kids in band.kids}) == 40
+    assert band.layers.at == list(range(41))
+    assert len(band.layers.kids) == 40
+
+
+def test_work_stays_per_distinct_layer(monkeypatch):
+    # a period-2 sub-SFT: a capacity window over depths 40-180 checks
+    # acceptance once per distinct layer among its depths, and the gains and
+    # ball columns are one array per distinct layer, read through ``at``
+    flip = pl.sub_sft(((False, True), (True, False)))
+    f = pl.potential_from_table(FULL2, 2, {(a, b): 0.1 * (2 * a + b) for a in (0, 1) for b in (0, 1)})
+    depths = list(range(40, 181))
+    calls = []
+    accepts = TargetAutomaton.accepts
+    monkeypatch.setattr(TargetAutomaton, "accepts", lambda *a: calls.append(a[2]) or accepts(*a))
+    sums = leaf_sum_logs(FULL2, flip, f, 1, depths)
+    tree = _TreeProgram(FULL2, flip, f, 1, 180, leaf_order=True)
+    at = tree.layers.at
+    assert len(calls) == len(set(at[40:181])) == 2
+    assert all(v is not None for v in sums)
+    tree = _TreeProgram(FULL2, flip, f, 0, 180)
+    at = tree.layers.at
+    assert len({id(g) for g in tree.gains}) == len(set(at[:-1])) == len(tree.layers.syms)
+    program = CoverProgram(tree, 40)
+    assert len({id(b) for b in program._ball}) == len(set(at[40:])) == 2
 
 
 def test_band_layers_keep_only_states_that_can_reach_the_window():
@@ -597,11 +620,12 @@ def test_band_layers_keep_only_states_that_can_reach_the_window():
     # leaf-sum tree, which keeps each state's last symbol)
     for L, states in ((160, 11_855), (400, 73_873)):
         tree = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, L, leaf_order=True)
-        assert sum(map(len, tree.layers.suffix)) == states  # 25,761 and 160,401 unpruned
+        assert _tree_states(tree) == states  # 25,761 and 160,401 unpruned
 
 
 def _tree_states(tree):
-    return sum(map(len, tree.layers.suffix))
+    """The number of states over every depth of the tree."""
+    return sum(len(tree.layers.suffix[i]) for i in tree.layers.at)
 
 
 def test_short_suffix_cover_trees_match_the_last_symbol_trees():
@@ -635,7 +659,7 @@ def test_short_suffix_cover_trees_match_the_last_symbol_trees():
             N, m = int(rng.integers(1, 3)), int(rng.integers(0, 3))
             got = pl.bowen_pressure(host, spec, f, pl.Scale(m), N, L, tol=1e-6)
             program = CoverProgram(_TreeProgram(host, spec, f, 0, L, leaf_order=True), N + m)
-            want = _bisect_critical(program, 1e-6, L, N, pl.Scale(m), "bowen")
+            want = _bisect_critical(program, 1e-6, L, N, pl.Scale(m))
             assert (got.s_low, got.s_high, got.history) == (want.s_low, want.s_high, want.history)
     assert shorter == 6  # depth 1, sigma 0: three targets on each host
     # the band of the cover-deep benchmark halves: one state per count
@@ -696,7 +720,7 @@ def test_pruned_layers_match_the_unpruned_oracle(monkeypatch):
             short = _TreeProgram(full, spec, f1, 0, L)
             covers.append(CoverProgram(short, d_min)(exponents).tolist())
             sums = engine.leaf_sum_logs(host, spec, f, sigma, depths)
-            states = sum(map(len, tree.layers.suffix))
+            states = _tree_states(tree)
             return count_target_words(host, spec, L), sums, covers, states
 
         *got, states = readings()
@@ -766,7 +790,7 @@ def test_folds_match_the_per_depth_oracles():
     tree = _assert_folds_match_oracles(
         FULL2, band, F0, 1, 40, 2, np.linspace(0, 1, 7), list(range(2, 41))
     )
-    assert [len(u) for u in tree.layers.suffix[9:12]] == [17, 17, 17]
+    assert [len(tree.layers.suffix[i]) for i in tree.layers.at[9:12]] == [17, 17, 17]
     # no depth-1 node of the golden mean has a child that can still reach
     # the window, so layer 1 is childless and every later layer empty
     tree = _assert_folds_match_oracles(

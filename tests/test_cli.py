@@ -242,6 +242,71 @@ def test_parse_config_reports_a_present_field_once(command, cfg, problems):
     assert exc.value.problems == problems
 
 
+_MARKOV = {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]]}
+_FIXED = [{"kind": "sub_sft", "allowed": [[1, 0], [0, 0]]}, {"kind": "sub_sft", "allowed": [[0, 0], [0, 1]]}]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    [
+        ("pressure exact", dict(_BOWEN, system=dict(GM_SYSTEM, allowd=GM_SYSTEM["allowed"])),
+         "system.allowd"),
+        ("pressure bowen", dict(_BOWEN, potential={"constant": 0.0, "depth": 1}), "potential.depth"),
+        ("pressure bowen", dict(_BOWEN, potential={"depth": 1, "table": {"0": 0, "1": 1}, "tabel": {}}),
+         "potential.tabel"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "whole", "allowed": [[1, 1], [1, 1]]}),
+         "subset.allowed"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "whole", "label": "all"}), "subset.label"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "sub_sft", "allowed": [[1, 1], [1, 0]],
+                                                "symbol": 0}), "subset.symbol"),
+        ("pressure bowen", dict(_BOWEN, subset={"kind": "frequency_level", "symbol": 0,
+                                                "target": 0.5, "window": 0.1, "windw": 0.2}),
+         "subset.windw"),
+        ("verify unions", dict(_BOWEN, subset={"kind": "finite_union", "parts": _FIXED, "part": []}),
+         "subset.part"),
+        ("verify unions", dict(_BOWEN, subset={"kind": "finite_union", "parts": [
+            _FIXED[0], dict(_FIXED[1], allowd=[[1, 1], [1, 1]])]}), "subset.parts[1].allowd"),
+        ("pressure measure", dict(_MEASURE, measure=dict(_MARKOV, intial=[1.0, 0.0])),
+         "measure.intial"),
+        ("pressure measure", dict(_MEASURE, measure={"kind": "bernoulli", "p": [0.5, 0.5], "q": 1}),
+         "measure.q"),
+        ("pressure measure", dict(_MEASURE, measure={"kind": "equilibrium", "p": [0.5, 0.5]}),
+         "measure.p"),
+    ],
+)
+def test_parse_config_rejects_unknown_keys_in_nested_objects(command, cfg, path):
+    # a misspelt key must not fall back to a default: "allowd" would run
+    # the full shift, "intial" the stationary row
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(cfg), command)
+    assert exc.value.problems == [(path, "unknown field")]
+
+
+def test_parse_config_takes_labels_where_it_reads_them():
+    cfg = parse_config(json.dumps(dict(
+        _BOWEN,
+        system=dict(GM_SYSTEM, label="gm"),
+        potential={"depth": 1, "table": {"0": 0.0, "1": 1.0}, "label": "f"},
+        subset={"kind": "finite_union", "label": "u", "parts": [
+            dict(_FIXED[0], label="s"),
+            {"kind": "frequency_level", "symbol": 0, "target": 0.5, "window": 0.1, "label": "b"},
+        ]},
+    )), "pressure bowen")
+    assert (cfg.system.label, cfg.potential.label, cfg.subset.label) == ("gm", "f", "u")
+    assert [p.label for p in cfg.subset.parts] == ["s", "b"]
+
+
+def test_cli_misspelt_system_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "allowd.json"
+    path.write_text(json.dumps({
+        "system": {"alphabet_size": 2, "allowd": [[0, 0], [0, 1], [1, 0]]},
+        "potential": {"constant": 0},
+    }))
+    code, out, err = _run(["pressure", "exact", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["problems"] == [["system.allowd", "unknown field"]]
+
+
 @pytest.mark.parametrize(
     "cfg, path",
     [
