@@ -15,7 +15,8 @@ the other k - 1 symbols of the next window, the sigma symbols the prices
 read (see below) and, when some part's moves depend on it, the last
 symbol: r = max(k - 1, sigma, 1 if so else 0). On a full shift with a
 depth-1 potential and sigma = 0 that is r = 0, and a node is its tracker
-state alone. The forward fold keeps r >= 1 (see ``_TreeProgram``).
+state alone; a band's layer is then an interval of counts, made without a
+sort. The forward fold keeps r >= 1 (see ``_TreeProgram``).
 ``subsets.WordLayers`` builds the distinct (u, z) of every depth once,
 without recursion, so the whole computation costs O(L * |states| * A)
 instead of O(A^L). Everything runs in log space so horizons of thousands of

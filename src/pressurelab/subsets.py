@@ -23,11 +23,13 @@ symbol (0 for a part that tags none). A word that has left every part leads
 to no accepted leaf, and its branch is pruned. ``WordLayers`` grows the
 target's word tree over the higher-block presentation of the host (Lind &
 Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995, 2.3): a
-node is the index of its last r symbols plus its tracker state.
+node is the index of its last r symbols plus its tracker state. With r = 0,
+one frequency part and a full shift, each layer is one interval of counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -213,6 +215,13 @@ class WordLayers:
     e + (t - e) % (d - e) for t >= d and no layer past depth d - 1 is built;
     else ``at`` is range(depth + 1), as always in trees with frequency
     parts, whose pruned layers can match while the bounds ahead differ.
+
+    With r = 0, one frequency part and a full shift, a node is its count
+    and no sort is needed: the children of the interval [lo, hi] of depth d
+    are [lo + min tag, hi + 1], cut by the prune's bounds. Each parent lists
+    z + 1 first when the tagged symbol is 0 and z first otherwise, so the
+    discovery order is descending or ascending counts, a child's rank is
+    its distance from the end it starts at, and its slot is its symbol.
     """
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
@@ -242,9 +251,12 @@ class WordLayers:
         low, high = np.array([(-np.inf, np.inf) if w is None else (
             (w[0] - w[1]) * depth - slack, (w[0] + w[1]) * depth + slack
         ) for w in target.windows]).T[:, :, None]
+        self.at = list(range(depth + 1))
+        if _one_band(target, r):
+            self._grow_band(target.tags[0], low.item(), high.item(), depth)
+            return
         periodic = not np.isfinite(high).any()
         seen: Dict[bytes, int] = {}
-        self.at = list(range(depth + 1))
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
             if periodic:
@@ -294,6 +306,41 @@ class WordLayers:
             self.syms.append(syms)
             self.suffix.append(child_suffix[first])
             self.state.append(child_state[first])
+
+    def _grow_band(self, tags: np.ndarray, low: float, high: float, depth: int) -> None:
+        """The layers of a band on a full shift with r = 0 (see the class docstring)."""
+        k, a, step = len(tags), int(tags.argmax()), int(tags.min())
+        down = a == 0  # discovery order: each parent's count z + 1 comes first
+        counts = np.arange(depth + 1, dtype=np.int64)[::-1 if down else 1, None]
+        # the prune's test on a child's count c, with bounds clipped to [-1, depth]
+        top = math.floor(high) if high < depth else depth  # c <= high
+        bottom = math.ceil(low) if low > -1 else -1  # c + rest >= low
+        zeros = np.zeros(depth + 1, dtype=np.intp)
+        tags, symbols = tags[:, None], np.arange(k)[:, None]
+        lo = hi = 0
+        for d in range(depth):
+            new_lo, new_hi = max(lo + step, bottom - (depth - d - 1)), min(hi + 1, top)
+            if new_lo > new_hi:  # empty, and so is every later layer
+                new_lo, new_hi = depth + 1, -1
+            child = self.state[d][:, 0] + tags  # one row per symbol
+            ok = (child >= new_lo) & (child <= new_hi)
+            rank = new_hi - child if down else child - new_lo
+            # the last slot holds the highest symbol some node keeps
+            tagged = max(lo + 1, new_lo) <= min(hi + 1, new_hi)
+            plain = k > 1 and max(lo, new_lo) <= min(hi, new_hi)
+            width = max(a + 1 if tagged else 0, k - (a == k - 1) if plain else 0)
+            self.kids.append(np.where(ok, rank, 0)[:width])
+            self.syms.append(np.where(ok, symbols, -1)[:width])
+            lo, hi = new_lo, new_hi
+            self.suffix.append(zeros[: max(hi - lo + 1, 0)])
+            self.state.append(counts[depth - hi : depth - lo + 1] if down else counts[lo : hi + 1])
+
+
+def _one_band(target: TargetAutomaton, r: int) -> bool:
+    """Whether ``WordLayers`` builds the tree by count arithmetic: one
+    frequency part, a full shift and r = 0."""
+    windows = target.windows
+    return r == 0 and len(windows) == 1 and windows[0] is not None and bool(target.moves.all())
 
 
 def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):

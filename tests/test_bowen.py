@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pressurelab as pl
 from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log, leaf_sum_logs
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
-from pressurelab.subsets import TargetAutomaton, count_target_words
+from pressurelab.subsets import TargetAutomaton, WordLayers, count_target_words
 from pressurelab.symbolic import is_strongly_connected
 from brute import (
     UnprunedWordLayers,
@@ -34,6 +35,7 @@ F0 = pl.zero_potential(FULL2)
 F10 = pl.potential_from_table(FULL2, 1, {(0,): 1.0, (1,): 0.0})
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +619,100 @@ def test_work_stays_per_distinct_layer(monkeypatch):
 def test_band_layers_keep_only_states_that_can_reach_the_window():
     # symbol 0 in 0.3 +- 0.02 on the full 2-shift: a state's count must stay
     # at most 0.32 L and still be able to climb to 0.28 L by depth L (the
-    # leaf-sum tree, which keeps each state's last symbol)
-    for L, states in ((160, 11_855), (400, 73_873)):
-        tree = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, L, leaf_order=True)
+    # leaf-sum tree, which keeps each state's last symbol; the cover tree
+    # keeps one state per count)
+    band = pl.frequency_level(0, 0.3, 0.02)
+    for L, states, counts in ((160, 11_855, 6_011), (400, 73_873, 37_145)):
+        tree = _TreeProgram(FULL2, band, F0, 0, L, leaf_order=True)
         assert _tree_states(tree) == states  # 25,761 and 160,401 unpruned
+        assert _tree_states(_TreeProgram(FULL2, band, F0, 0, L)) == counts
 
 
 def _tree_states(tree):
     """The number of states over every depth of the tree."""
     return sum(len(tree.layers.suffix[i]) for i in tree.layers.at)
+
+
+def _layer_arrays(tree):
+    """Every table and layer of a ``WordLayers`` tree, with dtypes and shapes."""
+    return tree.words, tree.at, [
+        [(a.dtype, a.shape, a.tolist()) for a in arrays]
+        for arrays in ([tree.next], tree.suffix, tree.state, tree.kids, tree.syms)
+    ]
+
+
+def _counting_band_builds(monkeypatch):
+    """A list that gains each depth ``WordLayers`` builds a tree to by count arithmetic."""
+    built = []
+    grow = WordLayers._grow_band
+    monkeypatch.setattr(WordLayers, "_grow_band", lambda *a: built.append(a[-1]) or grow(*a))
+    return built
+
+
+def test_band_count_layers_equal_the_sort_merge(monkeypatch):
+    # one frequency part on a full shift with r = 0 has one interval of
+    # counts per layer, built by arithmetic; every array, and every bracket
+    # and probe history read from them, must equal the sort-merge's
+    import pressurelab.subsets as subsets
+
+    windows = ((0.3, 0.02), (0.0, 0.02), (1.0, 0.02), (0.5, 0.7), (0.3, 1e-300), (0.3, 1e308))
+    depths = (1, 2, 3, 4, 5, 7, 10, 13, 29, 50, 101, 200)
+    built = _counting_band_builds(monkeypatch)
+    targets = empty = 0
+    for k in (1, 2, 3):
+        host = pl.full_shift(k)
+        f = pl.potential_from_table(host, 1, {(a,): 0.3 * a - 0.2 for a in range(k)})
+        for symbol, (alpha, eta) in itertools.product(range(k), windows):
+            spec = pl.frequency_level(symbol, alpha, eta)
+            tracker = TargetAutomaton(host, spec)
+
+            def readings():
+                out = [_layer_arrays(WordLayers(tracker, 0, L)) for L in depths]
+                for L in (20, 97):
+                    try:
+                        got = pl.bowen_pressure(host, spec, f, pl.Scale(1), 3, L, tol=1e-6)
+                        out.append((got.s_low, got.s_high, got.history))
+                    except pl.EmptyTarget as error:
+                        out.append(str(error))
+                return out
+
+            got = readings()
+            with monkeypatch.context() as m:
+                m.setattr(subsets, "_one_band", lambda target, r: False)
+                assert readings() == got, (k, symbol, alpha, eta)
+            targets += 1
+            empty += sum(isinstance(v, str) for v in got)
+    assert len(built) == targets * (len(depths) + 2) and targets == 36
+    assert empty == 11  # 1e-300 at L=97, and the 1-shift's bands that miss frequency 1
+
+
+def test_band_trees_take_the_count_path_only_where_layers_are_intervals(monkeypatch, tmp_path):
+    # the shipped band configs build every cover tree by count arithmetic;
+    # a host with a forbidden move, a depth-2 potential (r = 1), a union and
+    # a capacity tree (r >= 1 for the forward fold) keep the sort-merge
+    from pressurelab.cli import main
+
+    built = _counting_band_builds(monkeypatch)
+    trees = []
+    init = _TreeProgram.__init__
+    monkeypatch.setattr(_TreeProgram, "__init__", lambda *a, **kw: trees.append(1) or init(*a, **kw))
+    for name, command in itertools.product(
+        ("frequency_band.json", "frequency_band_deep.json"), ("pressure bowen", "verify variational")
+    ):
+        before = len(trees)
+        argv = [*command.split(), "--config", str(CONFIGS / name), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(built) == len(trees) > before, (name, command)
+    built.clear()
+    band = pl.frequency_level(0, 0.3, 0.05)
+    gm_band = pl.frequency_level(1, 0.3, 0.05)
+    f2 = pl.potential_from_table(FULL2, 2, {w: 0.1 * sum(w) for w in all_words(2, 2)})
+    pl.bowen_pressure(GM, gm_band, pl.zero_potential(GM), pl.Scale(1), 3, 30)
+    pl.bowen_pressure(FULL2, band, f2, pl.Scale(1), 3, 30)
+    union = pl.finite_union(band, pl.frequency_level(1, 0.9, 0.05))
+    pl.bowen_pressure(FULL2, union, F0, pl.Scale(1), 3, 30)
+    leaf_sum_logs(FULL2, band, F0, 0, list(range(10, 31)))
+    assert built == []
 
 
 def test_short_suffix_cover_trees_match_the_last_symbol_trees():

@@ -780,6 +780,16 @@ def test_cli_frequency_band_runs(tmp_path, capsys):
     assert 0.4 < report["results"]["m=1"]["midpoint"] < 0.7
 
 
+def test_cli_band_window_past_the_float_range_runs(tmp_path, capsys):
+    # "window": 1e308 passes the schema; the prune's bounds overflow to
+    # +-inf and keep every count, so the band covers like the whole 2-shift
+    cfg = json.loads((CONFIGS / "frequency_band.json").read_text())
+    cfg["subset"]["window"] = 1e308
+    code, report, _ = _run_config(tmp_path, capsys, "pressure bowen", cfg, "wide")
+    assert code == 0
+    assert report["results"]["m=1"]["midpoint"] == 0.69287109375
+
+
 def test_cli_chain_overflowing_cover_values_report_inf(tmp_path, capsys):
     cfg = json.loads((CONFIGS / "chain_full2.json").read_text())
     cfg["s"] = -80  # cover values near exp(14 * 80), past the float range
