@@ -23,6 +23,7 @@ from .config import (
     ExperimentConfig,
     json_ready,
     parse_config,
+    parse_scalar,
     svg_line_plot,
     write_csv,
     write_json,
@@ -220,9 +221,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = fh.read()
         cfg = parse_config(text, command)
         if args.seed is not None:
-            if args.seed < 0 or args.seed >= 2 ** 64:
-                raise SchemaError([("--seed", "must fit in an unsigned 64-bit integer")])
-            cfg.seed = args.seed
+            problems: List[Tuple[str, str]] = []
+            cfg.seed = parse_scalar("seed", args.seed, problems, path="--seed")
+            if problems:
+                raise SchemaError(problems)
         report, trace, passed = run(command, cfg)
         os.makedirs(args.out, exist_ok=True)
         stem = command.replace(" ", "_")

@@ -30,8 +30,9 @@ from .symbolic import (
     constant_potential,
     full_shift,
     potential_from_table,
+    subshift_from_pairs,
 )
-from .transfer import _SUM_TOL, MarkovMeasure
+from .transfer import _SUM_TOL
 
 _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "pressure exact": ("system", "potential"),
@@ -47,6 +48,25 @@ _REQUIRED: Dict[str, Tuple[str, ...]] = {
 }
 
 COMMANDS = tuple(_REQUIRED)
+
+# name -> (type, bound, default) of each scalar field, in the order its problems
+# are reported; an int must be >= its bound, a float with bound 0 must be > 0
+SCALARS: Dict[str, Tuple[type, Optional[int], object]] = {
+    "N": (int, 1, None),
+    "L": (int, 1, None),
+    "tol": (float, 0, 1e-4),
+    "seed": (int, 0, 0),
+    "s": (float, None, None),
+    "delta": (float, 0, None),
+    "samples": (int, 1, 100),
+    "measure_grid": (int, 2, 200),
+    "trials": (int, 1, 100),
+}
+
+# every top-level key a config may have
+FIELDS = frozenset(
+    {"system", "potential", "subset", "scales", "n_range", "measure", "betas", "label", *SCALARS}
+)
 
 
 @dataclass
@@ -93,13 +113,8 @@ def parse_config(
         raise SchemaError([("", "config must be a JSON object")])
 
     problems: List[Tuple[str, str]] = []
-    known = {
-        "system", "potential", "subset", "scales", "n_range", "N", "L",
-        "tol", "seed", "s", "delta", "samples", "measure", "measure_grid",
-        "trials", "betas", "label",
-    }
     for key in data:
-        if key not in known:
+        if key not in FIELDS:
             problems.append((key, "unknown field"))
         elif data[key] is None:
             problems.append((key, "must not be null"))
@@ -111,15 +126,7 @@ def parse_config(
     scales = _parse_scales(data.get("scales"), problems)
     n_range = _parse_n_range(data.get("n_range"), problems)
 
-    N = _opt_int(data, "N", problems, minimum=1)
-    L = _opt_int(data, "L", problems, minimum=1)
-    tol = _opt_float(data, "tol", problems, default=1e-4, positive=True)
-    seed = _opt_int(data, "seed", problems, minimum=0, default=0)
-    s = _opt_float(data, "s", problems, default=None)
-    delta = _opt_float(data, "delta", problems, default=None, positive=True)
-    samples = _opt_int(data, "samples", problems, minimum=1, default=100)
-    measure_grid = _opt_int(data, "measure_grid", problems, minimum=2, default=200)
-    trials = _opt_int(data, "trials", problems, minimum=1, default=100)
+    scalars = {name: parse_scalar(name, data.get(name), problems) for name in SCALARS}
     betas = _parse_betas(data.get("betas"), problems)
     measure_spec = _parse_measure(data.get("measure"), system, problems)
 
@@ -164,17 +171,9 @@ def parse_config(
         subset=subset if subset is not None else whole(),
         scales=scales if scales is not None else (Scale(1),),
         n_range=n_range,
-        N=N,
-        L=L,
-        tol=tol,
-        seed=seed,
-        s=s,
-        delta=delta,
-        samples=samples,
         measure_spec=measure_spec,
-        measure_grid=measure_grid,
-        trials=trials,
         betas=betas,
+        **scalars,
         raw=data,
     )
 
@@ -196,30 +195,20 @@ def _parse_system(node, problems) -> Optional[Subshift]:
         return None
     allowed = node.get("allowed", "full")
     label = node.get("label", "")
-    try:
-        if allowed == "full":
-            sft = full_shift(k, label=label or f"full-{k}-shift")
-        elif isinstance(allowed, list) and all(
-            isinstance(p, list) and len(p) == 2 for p in allowed
-        ):
-            rows = [[False] * k for _ in range(k)]
-            for a, b in allowed:
-                if not (_is_int(a) and _is_int(b) and 0 <= a < k and 0 <= b < k):
-                    problems.append(
-                        ("system.allowed", f"pair [{a}, {b}] outside alphabet")
-                    )
-                    return None
-                rows[a][b] = True
-            sft = Subshift(k, tuple(tuple(r) for r in rows), label=label)
-        else:
-            problems.append(
-                ("system.allowed", 'must be "full" or a list of [from, to] pairs')
-            )
+    if allowed == "full":
+        return full_shift(k, label)
+    if not isinstance(allowed, list) or any(not isinstance(p, list) or len(p) != 2 for p in allowed):
+        problems.append(("system.allowed", 'must be "full" or a list of [from, to] pairs'))
+        return None
+    for a, b in allowed:
+        if not (_is_int(a) and _is_int(b) and 0 <= a < k and 0 <= b < k):
+            problems.append(("system.allowed", f"pair [{a}, {b}] outside alphabet"))
             return None
-    except ValueError as e:
+    try:
+        return subshift_from_pairs(k, allowed, label)
+    except ValueError as e:  # a symbol without a successor or a predecessor
         problems.append(("system.allowed", str(e)))
         return None
-    return sft
 
 
 def _word_from_key(key: str, alphabet_size: int) -> Word:
@@ -480,30 +469,25 @@ def _is_distribution(v) -> bool:
     return entries and abs(np.sum(np.asarray(v, dtype=float)) - 1.0) <= _SUM_TOL
 
 
-def _opt_int(data, key, problems, minimum=None, default=None):
-    if data.get(key) is None:  # absent, or null (reported as such)
+def parse_scalar(name: str, value, problems, path: Optional[str] = None):
+    """``value`` as config field ``name`` of SCALARS, or the field's default
+    when it is None (absent, or a null reported as such) or fails its check,
+    the problem then appended at ``path`` (default ``name``)."""
+    kind, bound, default = SCALARS[name]
+    if value is None:
         return default
-    v = data[key]
-    if not _is_int(v):
-        problems.append((key, "must be an integer"))
-        return default
-    if minimum is not None and v < minimum:
-        problems.append((key, f"must be >= {minimum}"))
-        return default
-    return v
-
-
-def _opt_float(data, key, problems, default=None, positive=False):
-    if data.get(key) is None:
-        return default
-    v = data[key]
-    if not _is_finite(v):
-        problems.append((key, "must be a finite number"))
-        return default
-    if positive and v <= 0:
-        problems.append((key, "must be positive"))
-        return default
-    return float(v)
+    if kind is int and not _is_int(value):
+        problem = "must be an integer"
+    elif kind is int and value < bound:
+        problem = f"must be >= {bound}"
+    elif kind is float and not _is_finite(value):
+        problem = "must be a finite number"
+    elif kind is float and bound is not None and value <= bound:
+        problem = "must be positive"
+    else:
+        return kind(value)
+    problems.append((path or name, problem))
+    return default
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +498,8 @@ def json_ready(obj):
     """Recursively convert report objects into JSON-safe structures.
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" so emitted files
-    stay strict JSON; bisection histories are dropped here because they are
-    emitted as CSV traces instead.
+    stay strict JSON, and arrays become nested lists; bisection histories are
+    dropped here because they are emitted as CSV traces instead.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -552,35 +536,8 @@ def json_ready(obj):
             "p_n": [[n, json_ready(v)] for n, v in obj.p_n],
             "empty_n": list(obj.empty_n),
         }
-    if isinstance(obj, Scale):
-        return obj.m
-    if isinstance(obj, Subshift):
-        return {
-            "alphabet_size": obj.alphabet_size,
-            "allowed": [[1 if x else 0 for x in row] for row in obj.allowed],
-            "label": obj.label,
-        }
-    if isinstance(obj, MarkovMeasure):
-        return {
-            "label": obj.label,
-            "initial": [json_ready(float(x)) for x in obj.initial],
-            "transition": [
-                [json_ready(float(x)) for x in row] for row in obj.transition
-            ],
-        }
-    if isinstance(obj, SubsetSpec):
-        out: Dict[str, object] = {"kind": obj.kind, "label": obj.label}
-        if obj.allowed is not None:
-            out["allowed"] = [[1 if x else 0 for x in row] for row in obj.allowed]
-        if obj.parts:
-            out["parts"] = [json_ready(p) for p in obj.parts]
-        if obj.kind == "frequency_level":
-            out.update(
-                symbol=obj.symbol,
-                target=json_ready(obj.target),
-                window=json_ready(obj.window),
-            )
-        return out
+    if isinstance(obj, (np.ndarray, np.generic)):  # arrays and the other numpy scalars
+        return json_ready(obj.tolist())
     if is_dataclass(obj):
         skip = {"history", "trace", "raw"}
         return {
@@ -592,8 +549,6 @@ def json_ready(obj):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return json_ready(obj.item())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

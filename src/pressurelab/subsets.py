@@ -63,7 +63,7 @@ class SubsetSpec:
                 raise ValueError("frequency_level spec needs symbol, target, window")
             if not 0.0 <= self.target <= 1.0:
                 raise ValueError("frequency target must lie in [0, 1]")
-            if self.window <= 0.0:
+            if not self.window > 0.0:
                 raise ValueError("frequency window must be positive")
 
 
@@ -209,12 +209,14 @@ class WordLayers:
     dropped child leaves a pad in its slot.
 
     Each layer takes one gather for the children's suffixes, one step of
-    every part, one stable sort to merge equal children and one scatter
-    to pack the arcs. When the nodes of depth d equal those of an earlier
-    depth e, every later layer repeats with period d - e, so ``at[t]`` is
-    e + (t - e) % (d - e) for t >= d and no layer past depth d - 1 is built;
-    else ``at`` is range(depth + 1), as always in trees with frequency
-    parts, whose pruned layers can match while the bounds ahead differ.
+    every part, one ``np.unique`` to merge equal children, one sort that
+    ranks the merged nodes by the index of their first child, which is
+    their discovery order, and one scatter to pack the arcs. When the
+    nodes of depth d equal those of an earlier depth e, every later layer
+    repeats with period d - e, so ``at[t]`` is e + (t - e) % (d - e) for
+    t >= d and no layer past depth d - 1 is built; else ``at`` is
+    range(depth + 1), as always in trees with frequency parts, whose
+    pruned layers can match while the bounds ahead differ.
 
     With r = 0, one frequency part and a full shift, a node is its count
     and no sort is needed: the children of the interval [lo, hi] of depth d
@@ -282,30 +284,22 @@ class WordLayers:
                 if size * span >= 2 ** 62:
                     code, size = np.unique(code, return_inverse=True)[1], len(code)
                 code, size = code * span + column, size * span
-            # one stable sort groups equal codes, each group led by its first
-            # child; the leaders in child order are the new layer's nodes,
-            # and each child's index is its group leader's rank among them
-            order = np.argsort(code, kind="stable")
-            ordered = code[order]
-            new = np.ones(len(code), dtype=bool)
-            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-            leaders = order[new]
-            lead = np.zeros(len(code), dtype=bool)
-            lead[leaders] = True
-            first = np.flatnonzero(lead)
-            rank = np.empty(len(code), dtype=np.intp)
-            rank[order] = (np.cumsum(lead) - 1)[leaders][np.cumsum(new) - 1]
+            # one node per code, ranked by its first child: discovery order
+            _, first, group = np.unique(code, return_index=True, return_inverse=True)
+            order = np.argsort(first, kind="stable")  # quicksort would page in another kernel
+            rank = np.empty(len(first), dtype=np.intp)
+            rank[order] = np.arange(len(first))
             # pads in dropped slots keep the order of the arcs into each child
             slot = (np.cumsum(allowed.any(axis=1), axis=1) - 1)[parent, symbol]
             width = int(slot.max(initial=-1)) + 1
             kids = np.zeros((width, len(suffix)), dtype=np.intp)
-            kids[slot, parent] = rank
+            kids[slot, parent] = rank[group]
             syms = np.full((width, len(suffix)), -1, dtype=np.intp)
             syms[slot, parent] = symbol
             self.kids.append(kids)
             self.syms.append(syms)
-            self.suffix.append(child_suffix[first])
-            self.state.append(child_state[first])
+            self.suffix.append(child_suffix[first[order]])
+            self.state.append(child_state[first[order]])
 
     def _grow_band(self, tags: np.ndarray, low: float, high: float, depth: int) -> None:
         """The layers of a band on a full shift with r = 0 (see the class docstring)."""

@@ -14,6 +14,7 @@ at blocks of any fixed depth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -99,8 +100,8 @@ class Scale:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("scale exponent m must be nonnegative")
+        if not isinstance(self.m, numbers.Integral) or self.m < 0:
+            raise ValueError("scale exponent m must be a nonnegative integer")
 
     def coarsen(self, steps: int) -> "Scale":
         """The scale 2^-(m - steps); raises if that would leave m negative."""

@@ -296,6 +296,99 @@ def test_parse_config_takes_labels_where_it_reads_them():
     assert [p.label for p in cfg.subset.parts] == ["s", "b"]
 
 
+_ABSENT = object()
+# the scalar fields as the schema has them: an int's default and least value,
+# a float's default and whether it must be positive
+_INTS = {"N": (None, 1), "L": (None, 1), "seed": (0, 0), "samples": (100, 1),
+         "measure_grid": (200, 2), "trials": (100, 1)}
+_FLOATS = {"tol": (1e-4, True), "s": (None, False), "delta": (None, True)}
+
+
+def _scalar_cases():
+    """(field, value or _ABSENT, the problems, the parsed value when none)."""
+    for name, (default, least) in _INTS.items():
+        yield name, _ABSENT, [], default
+        yield name, None, [(name, "must not be null")], None
+        for value in (True, "1", 1.5, 2.0):
+            yield name, value, [(name, "must be an integer")], None
+        yield name, least - 1, [(name, f"must be >= {least}")], None
+        yield name, least, [], least
+    for name, (default, positive) in _FLOATS.items():
+        yield name, _ABSENT, [], default
+        yield name, None, [(name, "must not be null")], None
+        for value in (True, "1", NAN, INF, -INF, 10 ** 400):
+            yield name, value, [(name, "must be a finite number")], None
+        for value in (0, -1.5):
+            yield name, value, [(name, "must be positive")] if positive else [], float(value)
+        yield name, 2, [], 2.0
+
+
+@pytest.mark.parametrize("name, value, problems, parsed", list(_scalar_cases()))
+def test_parse_config_checks_each_scalar_field(name, value, problems, parsed):
+    cfg = {"system": {"alphabet_size": 2}, "potential": {"constant": 0.0}}
+    if value is not _ABSENT:
+        cfg[name] = value
+    if problems:
+        with pytest.raises(SchemaError) as exc:
+            parse_config(cfg)
+        assert exc.value.problems == problems
+    else:
+        got = getattr(parse_config(cfg), name)
+        assert got == parsed and type(got) is type(parsed)
+
+
+def test_parse_config_reports_scalar_problems_in_schema_order():
+    # the config lists the scalars backwards; their problems keep the
+    # schema's order, after n_range's and before betas'
+    names = ["N", "L", "tol", "seed", "s", "delta", "samples", "measure_grid", "trials"]
+    cfg = {"system": {"alphabet_size": 2}, "potential": {"constant": 0.0}, "betas": [],
+           **{name: "x" for name in reversed(names)}, "n_range": [1], "bogus": 0}
+    with pytest.raises(SchemaError) as exc:
+        parse_config(cfg)
+    assert exc.value.problems == [
+        ("bogus", "unknown field"),
+        ("n_range", "must be [lo, hi] or an increasing integer list"),
+        *[(name, "must be a finite number" if name in _FLOATS else "must be an integer")
+          for name in names],
+        ("betas", "must be a nonempty list of positive finite numbers"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "system, problems",
+    [
+        ({"alphabet_size": 2, "allowed": [[0, 1], [1, 2]]},
+         [("system.allowed", "pair [1, 2] outside alphabet")]),
+        ({"alphabet_size": 2, "allowed": [[0, "1"]]}, [("system.allowed", "pair [0, 1] outside alphabet")]),
+        ({"alphabet_size": 2, "allowed": [[-1, 0]]}, [("system.allowed", "pair [-1, 0] outside alphabet")]),
+        ({"alphabet_size": 2, "allowed": "golden"},
+         [("system.allowed", 'must be "full" or a list of [from, to] pairs')]),
+        ({"alphabet_size": 2, "allowed": [[0, 1, 1]]},
+         [("system.allowed", 'must be "full" or a list of [from, to] pairs')]),
+        ({"alphabet_size": 2, "allowed": [[0, 1]]},
+         [("system.allowed", "symbol 0 has no allowed predecessor")]),
+        ({"alphabet_size": 0}, [("system.alphabet_size", "must be a positive integer")]),
+    ],
+)
+def test_parse_config_checks_the_system_relation(system, problems):
+    with pytest.raises(SchemaError) as exc:
+        parse_config({"system": system})
+    assert exc.value.problems == problems
+
+
+@pytest.mark.parametrize(
+    "system, expected",
+    [
+        ({"alphabet_size": 3}, pressurelab.full_shift(3)),
+        ({"alphabet_size": 2, "allowed": "full", "label": "two"}, pressurelab.full_shift(2, "two")),
+        (GM_SYSTEM, pressurelab.Subshift(2, ((True, True), (True, False)), "")),
+        (dict(GM_SYSTEM, label="gm"), pressurelab.golden_mean_shift("gm")),
+    ],
+)
+def test_parse_config_builds_the_system_with_its_label(system, expected):
+    assert parse_config({"system": system}).system == expected  # the label included
+
+
 def test_cli_misspelt_system_key_exits_1(tmp_path, capsys):
     path = tmp_path / "allowd.json"
     path.write_text(json.dumps({
@@ -639,6 +732,30 @@ def test_cli_seed_override_and_unknown_flag_validated(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(err.strip())["problems"] == [["argv", "unrecognized arguments: --threads 0"]]
+
+
+def test_cli_seed_override_takes_every_seed_the_config_takes(tmp_path, capsys):
+    # numpy's SeedSequence takes any nonnegative int, and --seed is checked
+    # by the config's own rule for seed
+    cfg = json.loads((CONFIGS / "measure_uniform.json").read_text())
+    del cfg["seed"]
+    cfg.update(n_range=[40, 60], samples=4)
+    reports = []
+    for tag, extra in (("flag", ["--seed", str(10 ** 23)]), ("config", [])):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(dict(cfg, seed=10 ** 23) if tag == "config" else cfg))
+        out = tmp_path / tag
+        code, _, err = _run(["pressure", "measure", "--config", str(path), "--out", str(out)] + extra,
+                            capsys)
+        assert (code, err) == (0, "")
+        reports.append(json.loads((out / "pressure_measure_report.json").read_text()))
+    flag, config = reports
+    assert flag["results"] == config["results"]
+    assert flag["effective"] == config["effective"] == {"seed": 10 ** 23}
+    code, _, err = _run(["pressure", "measure", "--config", str(tmp_path / "flag.json"),
+                         "--out", str(tmp_path / "neg"), "--seed", "-1"], capsys)
+    assert code == 1
+    assert json.loads(err)["problems"] == [["--seed", "must be >= 0"]]
 
 
 @pytest.mark.parametrize(

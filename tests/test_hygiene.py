@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import itertools
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +66,15 @@ def test_every_function_perfbench_traces_exists():
     missing = [f"{module}.{func}" for module, func in traced
                if not hasattr(importlib.import_module(f"pressurelab.{module}"), func)]
     assert missing == []
+
+
+def test_readme_config_table_lists_every_top_level_key():
+    # the keys in the first column of README's config table, against the
+    # keys the schema accepts, in both directions
+    from pressurelab.config import FIELDS
+
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| key | meaning |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert documented == FIELDS

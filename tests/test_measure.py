@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -468,6 +469,19 @@ def test_mc_estimate_deterministic_and_keeps_the_first_trace():
     assert a.trace.liminf_estimate == a.per_orbit[0]
     # the trace goes to the CLI's CSV, never into the report
     assert set(json_ready(a)) == {"mean", "stderr", "samples", "excluded", "seed", "per_orbit"}
+
+
+@pytest.mark.parametrize("mu", [
+    pl.bernoulli_measure([0.3, 0.7]), pl.equilibrium_measure(GM, pl.zero_potential(GM)),
+], ids=["bernoulli", "equilibrium"])
+def test_json_ready_writes_a_measure_as_its_label_and_rows(mu):
+    # what the serializer's former MarkovMeasure branch wrote
+    written = {
+        "label": mu.label,
+        "initial": [float(x) for x in mu.initial],
+        "transition": [[float(x) for x in row] for row in mu.transition],
+    }
+    assert json.dumps(json_ready(mu), sort_keys=True) == json.dumps(written, sort_keys=True)
 
 
 def test_mc_estimate_seed_changes_orbits():

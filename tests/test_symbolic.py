@@ -264,6 +264,20 @@ def test_frequency_level_words_by_filter():
     assert got == expected
 
 
+def test_frequency_level_rejects_a_nan_window():
+    # NaN <= 0 is False, so a NaN half-width used to pass and make every
+    # word miss the window
+    with pytest.raises(ValueError, match="window must be positive"):
+        pl.frequency_level(0, 0.3, float("nan"))
+
+
+def test_scale_rejects_a_non_integer_exponent():
+    # a float m is no slice bound and no range() argument; numpy ints are
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        pl.Scale(1.5)
+    assert pl.Scale(np.int64(2)).coarsen(1) == pl.Scale(1)
+
+
 def _random_host(rng: np.random.Generator, k: int) -> pl.Subshift:
     while True:
         rel = rng.random((k, k)) < 0.6
