@@ -27,6 +27,7 @@ from .symbolic import (
     Scale,
     Subshift,
     Word,
+    _is_int,
     constant_potential,
     full_shift,
     potential_from_table,
@@ -449,11 +450,6 @@ def _parse_measure(node, system, problems) -> Optional[Dict[str, object]]:
 def _reject_unknown(node, path, known, problems) -> None:
     """Report each key of the object ``node`` outside ``known`` at its own path."""
     problems.extend((f"{path}.{key}", "unknown field") for key in node if key not in known)
-
-
-def _is_int(v) -> bool:
-    """True for a JSON integer; json reads true/false as bool, an int subclass."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_finite(v) -> bool:

@@ -18,7 +18,7 @@ from .bowen import CriticalExponent, bowen_pressure, min_cover_value
 from .capacity import capacity_pressure, log_partition_function
 from .errors import EmptyTarget
 from .measure import _invariant_pressures, exact_invariant_pressure
-from .subsets import SubsetSpec, finite_union, sub_sft
+from .subsets import SubsetSpec, build_tracker, finite_union, sub_sft
 from .symbolic import (
     LocallyConstantPotential,
     Scale,
@@ -118,23 +118,18 @@ def _invariant_core(
     sft: Subshift, spec: SubsetSpec, f: LocallyConstantPotential
 ) -> Tuple[Subshift, Tuple[int, ...], LocallyConstantPotential, PressureValue,
            Callable[[], MarkovMeasure]]:
-    """Restrict a sub-SFT target to its top irreducible component.
+    """Restrict a whole-space or sub-SFT target to its top irreducible component.
 
     Invariant measures on the target live on the strongly connected
-    components of its transition relation; the variational supremum is
-    attained on the component of largest pressure. Returns that component as
-    a standalone subshift (symbols relabeled 0..c-1), the host symbols it
-    uses, the restricted potential, its transfer-operator pressure, and the
-    builder of its equilibrium measure; each component is Perron-solved once.
+    components of the relation its compile follows (the host's or the
+    trimmed sub-relation); the variational supremum is attained on the
+    component of largest pressure, returned as a standalone subshift
+    (symbols relabeled 0..c-1) with its host symbols, the restricted
+    potential, its pressure and its equilibrium builder, one Perron solve each.
     """
-    if spec.kind == "whole":
-        relation = sft.allowed
-    elif spec.kind == "sub_sft":
-        relation = spec.allowed
-    else:
-        raise ValueError(
-            "invariant-core extraction applies to whole-space or sub-SFT targets"
-        )
+    if spec.kind not in ("whole", "sub_sft"):
+        raise ValueError("invariant-core extraction applies to whole-space or sub-SFT targets")
+    (relation,) = build_tracker(spec, sft).relations
     comps = [c for c in strongly_connected_components(relation) if len(c) > 1 or relation[c[0]][c[0]]]
     if not comps:
         raise EmptyTarget("target relation has no recurrent component")

@@ -7,24 +7,25 @@ approximation). Four kinds are supported:
 - ``whole``: the entire host space, tracked as the sub-SFT of the host
   relation itself.
 - ``sub_sft``: points whose transitions stay inside a sub-relation forever.
-  The sub-relation is trimmed to its forward-alive part at build time, since
-  symbols without infinite continuations cannot occur in any point.
+  The compile trims it (``trim_forward``) to the arcs between symbols with
+  an infinite forward path, since no other symbol occurs in any point.
 - ``finite_union``: a finite union of other specs.
 - ``frequency_level``: points whose empirical frequency of one symbol sits in
   a window [target - tol, target + tol]; realized at depth L by counting
   occurrences in the length-L word. Not compact and not invariant, which is
   exactly why it is here.
 
-Every spec compiles to one ``TargetAutomaton``: nested unions flatten to a
-list of parts, and each part is a relation with an optional tagged symbol
-whose frequency must end in a window. A tracker state holds one integer per
-part: -1 once the word has left the part, otherwise the count of its tagged
-symbol (0 for a part that tags none). A word that has left every part leads
-to no accepted leaf, and its branch is pruned. ``WordLayers`` grows the
-target's word tree over the higher-block presentation of the host (Lind &
-Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995, 2.3): a
-node is the index of its last r symbols plus its tracker state. With r = 0,
-one frequency part and a full shift, each layer is one interval of counts.
+``build_tracker`` checks a spec against its host and compiles it to one
+``TargetAutomaton``: nested unions flatten to a list of parts, and each
+part is a relation with an optional tagged symbol whose frequency must end
+in a window. A tracker state holds one integer per part: -1 once the word
+has left the part, otherwise the count of its tagged symbol (0 for a part
+that tags none). A word that has left every part leads to no accepted
+leaf, and its branch is pruned. ``WordLayers`` grows the target's word
+tree over the higher-block presentation of the host (Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, 1995, 2.3): a node is the
+index of its last r symbols plus its tracker state. With r = 0, one
+frequency part and a full shift, each layer is one interval of counts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded
-from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word
+from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word, _is_int
 
 FREQUENCY_GUARD = 1e-9  # absorbs float noise in |count - alpha*L| <= eta*L
 
@@ -56,11 +57,15 @@ class SubsetSpec:
             raise ValueError(f"unknown subset kind {self.kind!r}")
         if self.kind == "sub_sft" and self.allowed is None:
             raise ValueError("sub_sft spec needs a transition sub-relation")
+        if self.kind == "sub_sft" and any(len(row) != len(self.allowed) for row in self.allowed):
+            raise ValueError("sub-relation must be square")
         if self.kind == "finite_union" and not self.parts:
             raise ValueError("finite_union spec needs at least one part")
         if self.kind == "frequency_level":
             if self.symbol is None or self.target is None or self.window is None:
                 raise ValueError("frequency_level spec needs symbol, target, window")
+            if not _is_int(self.symbol):
+                raise ValueError("frequency symbol must be an integer")
             if not 0.0 <= self.target <= 1.0:
                 raise ValueError("frequency target must lie in [0, 1]")
             if not self.window > 0.0:
@@ -94,48 +99,34 @@ def frequency_level(
 
 
 def validate_spec(spec: SubsetSpec, sft: Subshift) -> None:
-    """Check a spec against its host; raises ValueError on mismatch."""
-    if spec.kind == "sub_sft":
-        k = sft.alphabet_size
-        if len(spec.allowed) != k:
-            raise ValueError("sub-relation size differs from host alphabet")
-        for a in range(k):
-            for b in range(k):
-                if spec.allowed[a][b] and not sft.allowed[a][b]:
-                    raise ValueError(
-                        f"sub-relation allows {a}->{b} which the host forbids"
-                    )
-    elif spec.kind == "finite_union":
-        for p in spec.parts:
-            validate_spec(p, sft)
-    elif spec.kind == "frequency_level":
-        if not 0 <= spec.symbol < sft.alphabet_size:
-            raise ValueError(f"frequency symbol {spec.symbol} outside alphabet")
+    """Check the spec's parts against the host in union order; raises
+    ValueError at the first misfit (for a sub-relation: its size, then its
+    first arc in row-major order that the host forbids)."""
+    k = sft.alphabet_size
+    for p in _parts(spec):
+        if p.kind == "sub_sft":
+            if len(p.allowed) != k:
+                raise ValueError("sub-relation size differs from host alphabet")
+            for a in range(k):
+                for b in range(k):
+                    if p.allowed[a][b] and not sft.allowed[a][b]:
+                        raise ValueError(f"sub-relation allows {a}->{b} which the host forbids")
+        elif p.kind == "frequency_level" and not 0 <= p.symbol < k:
+            raise ValueError(f"frequency symbol {p.symbol} outside alphabet")
 
 
 def trim_forward(relation: Tuple[Tuple[bool, ...], ...]) -> Tuple[Tuple[bool, ...], ...]:
-    """Restrict a relation to symbols with admissible infinite continuations.
+    """Drop every arc into a symbol with no successor, until none is left.
 
-    Iteratively removes symbols without successors; arcs into removed symbols
-    go with them. The result may be all-False, meaning the sub-SFT is empty.
-    """
-    k = len(relation)
-    alive = [any(row) for row in relation]
-    changed = True
-    rel = [list(row) for row in relation]
-    while changed:
-        changed = False
-        for a in range(k):
-            if not alive[a]:
-                continue
-            for b in range(k):
-                if rel[a][b] and not alive[b]:
-                    rel[a][b] = False
-                    changed = True
-            if not any(rel[a]):
-                alive[a] = False
-                changed = True
-    return tuple(tuple(row) for row in rel)
+    The arcs that stay join symbols with an infinite forward path (Lind &
+    Marcus 1995, 2.2); an all-False result means the sub-SFT is empty."""
+    rel = tuple(map(tuple, relation))
+    while True:
+        dead = {b for b, row in enumerate(rel) if not any(row)}
+        trimmed = tuple(tuple(ok and b not in dead for b, ok in enumerate(row)) for row in rel)
+        if trimmed == rel:
+            return rel
+        rel = trimmed
 
 
 def _parts(spec: SubsetSpec) -> List[SubsetSpec]:

@@ -116,6 +116,50 @@ def random_sub_relation(rng: np.random.Generator, allowed: Sequence[Sequence[boo
     return tuple(tuple(row) for row in rel)
 
 
+def trim_forward_loop(relation: Relation) -> Relation:
+    """The library's forward trim before it was stated as a fixpoint, kept
+    verbatim as a differential oracle: an ``alive`` flag per symbol, cleared
+    once its row has no arc left into a live symbol."""
+    k = len(relation)
+    alive = [any(row) for row in relation]
+    changed = True
+    rel = [list(row) for row in relation]
+    while changed:
+        changed = False
+        for a in range(k):
+            if not alive[a]:
+                continue
+            for b in range(k):
+                if rel[a][b] and not alive[b]:
+                    rel[a][b] = False
+                    changed = True
+            if not any(rel[a]):
+                alive[a] = False
+                changed = True
+    return tuple(tuple(row) for row in rel)
+
+
+def validate_spec_recursive(spec, sft) -> None:
+    """The library's spec check before it walked the flattened parts, kept
+    verbatim as a differential oracle: it recurses into nested unions."""
+    if spec.kind == "sub_sft":
+        k = sft.alphabet_size
+        if len(spec.allowed) != k:
+            raise ValueError("sub-relation size differs from host alphabet")
+        for a in range(k):
+            for b in range(k):
+                if spec.allowed[a][b] and not sft.allowed[a][b]:
+                    raise ValueError(
+                        f"sub-relation allows {a}->{b} which the host forbids"
+                    )
+    elif spec.kind == "finite_union":
+        for p in spec.parts:
+            validate_spec_recursive(p, sft)
+    elif spec.kind == "frequency_level":
+        if not 0 <= spec.symbol < sft.alphabet_size:
+            raise ValueError(f"frequency symbol {spec.symbol} outside alphabet")
+
+
 # ---------------------------------------------------------------------------
 # potentials and Birkhoff sums by literal evaluation
 

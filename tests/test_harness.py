@@ -12,6 +12,8 @@ from brute import (
     dirichlet_grid_walk,
     frequency_family_walk,
     random_sub_relation,
+    tarjan_components,
+    trim_forward_loop,
     worst_log_ratio,
     worst_log_ratios_walk,
 )
@@ -23,7 +25,7 @@ from pressurelab.harness import (
     _worst_log_ratios,
 )
 from pressurelab.symbolic import is_strongly_connected
-from pressurelab.transfer import MarkovMeasure
+from pressurelab.transfer import MarkovMeasure, _solve
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -224,6 +226,43 @@ def test_gibbs_ratio_pass_equals_the_pair_walk():
         ns = list(range(int(rng.integers(1, 4)), int(rng.integers(5, 12))))
         got = _worst_log_ratios(sub, mu, f, ns, pl.Scale(m))
         assert got == worst_log_ratios_walk(sub.successors, pi, P, f, ns, m)
+
+
+def _untrimmed_core(relation, f):
+    """(symbols, pressure, equilibrium) of the top recurrent component of a
+    relation as it stands, its transient symbols kept, components by Tarjan."""
+    best = None
+    for comp in tarjan_components(relation):
+        if len(comp) == 1 and not relation[comp[0]][comp[0]]:
+            continue
+        sub = pl.Subshift(len(comp), tuple(tuple(relation[a][b] for b in comp) for a in comp))
+        table = {w: f.value(tuple(comp[i] for i in w)) for w in pl.enumerate_words(sub, f.depth)}
+        pressure, equilibrium = _solve(sub, pl.potential_from_table(sub, f.depth, table))
+        if best is None or pressure.value > best[1].value:
+            best = (comp, pressure, equilibrium)
+    return best
+
+
+def test_invariant_core_is_blind_to_transient_symbols():
+    # the core is read from the compiled (trimmed) sub-relation; on relations
+    # the trim changes, the untrimmed relation gives the same core symbols,
+    # pressure and equilibrium rows, bit for bit
+    rng = np.random.default_rng(2306)
+    checked = 0
+    while checked < 60:
+        k = int(rng.integers(2, 6))
+        host = _random_host(rng, k)
+        rel = tuple(tuple(bool(ok and rng.random() < 0.5) for ok in row) for row in host.allowed)
+        f = harness._random_potential(host, rng, depth_cap=2, amplitude=0.8)
+        want = _untrimmed_core(rel, f)
+        if trim_forward_loop(rel) == rel or want is None:
+            continue
+        _, symbols, _, spectral, equilibrium = _invariant_core(host, pl.sub_sft(rel), f)
+        assert (symbols, spectral.value) == (want[0], want[1].value)
+        mu, nu = equilibrium(), want[2]()
+        assert (mu.transition.tobytes(), mu.initial.tobytes()) == (
+            nu.transition.tobytes(), nu.initial.tobytes())
+        checked += 1
 
 
 def test_core_measure_pressure_equals_its_host_embedding():

@@ -6,6 +6,8 @@ import itertools
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pressurelab"
 
@@ -78,3 +80,14 @@ def test_readme_config_table_lists_every_top_level_key():
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
     documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
     assert documented == FIELDS
+
+
+def test_pyproject_reads_the_version_from_the_package():
+    # the version is written once, in pressurelab/_version.py
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]
+    assert attr == {"attr": "pressurelab._version.__version__"}
+    module, name = attr["attr"].rsplit(".", 1)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", getattr(importlib.import_module(module), name))

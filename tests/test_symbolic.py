@@ -13,6 +13,8 @@ from brute import (
     orbit_metric,
     sup_birkhoff,
     tarjan_components,
+    trim_forward_loop,
+    validate_spec_recursive,
 )
 from pressurelab._engine import extreme_tails
 from pressurelab.subsets import trim_forward
@@ -276,6 +278,90 @@ def test_scale_rejects_a_non_integer_exponent():
     with pytest.raises(ValueError, match="nonnegative integer"):
         pl.Scale(1.5)
     assert pl.Scale(np.int64(2)).coarsen(1) == pl.Scale(1)
+
+
+def test_subshift_from_pairs_rejects_non_integer_symbols():
+    # a float symbol used to fail as a list index, and True built the arc 0 -> 1
+    for pair in ((0, 1.0), (0, True), (np.bool_(False), 1)):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            pl.subshift_from_pairs(2, [pair, (1, 0), (0, 0)])
+    sft = pl.subshift_from_pairs(2, [(np.int64(0), np.int32(1)), (1, 0), (0, 0)])
+    assert sft.allowed == GM.allowed
+
+
+def test_frequency_level_rejects_a_non_integer_symbol():
+    # 1.5 tagged no symbol, so a band search ended without a lower bracket;
+    # 0.0 and True ran as symbols 0 and 1
+    for symbol in (1.5, 0.0, True):
+        with pytest.raises(ValueError, match="symbol must be an integer"):
+            pl.frequency_level(symbol, 0.3, 0.05)
+    assert pl.frequency_level(np.int64(1), 0.3, 0.05).symbol == 1
+
+
+def test_scale_rejects_a_bool_exponent():
+    # True is a numbers.Integral, and a report wrote it as "m": true
+    for m in (True, False):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            pl.Scale(m)
+
+
+def test_sub_sft_rejects_a_ragged_relation():
+    # the host check counted rows only and then indexed past a short row
+    with pytest.raises(ValueError, match="must be square"):
+        pl.sub_sft([[1, 1], [1]])
+    with pytest.raises(ValueError, match="must be square"):
+        pl.sub_sft([[1, 1, 0], [1, 0, 1]])
+
+
+def test_trim_forward_matches_the_alive_flag_loop():
+    rng = np.random.default_rng(2303)
+    trimmed = 0
+    for _ in range(10_000):
+        k = int(rng.integers(1, 7))
+        rel = tuple(map(tuple, (rng.random((k, k)) < rng.uniform(0.05, 0.6)).tolist()))
+        got = trim_forward(rel)
+        assert got == trim_forward_loop(rel)
+        trimmed += got != rel
+    assert trimmed > 2_000  # the draws reach relations the trim changes, not only fixpoints
+
+
+def _random_spec(rng: np.random.Generator, k: int, depth: int = 0) -> pl.SubsetSpec:
+    """A nested spec for a k-symbol host, often one that does not fit it: a
+    sub-relation of another size or with arcs the host forbids, or a
+    frequency symbol outside the alphabet."""
+    kind = int(rng.integers(4 if depth < 3 else 3))
+    if kind == 0:
+        return pl.whole()
+    if kind == 1:
+        n = k if rng.random() < 0.85 else int(rng.integers(1, k + 2))
+        return pl.sub_sft((rng.random((n, n)) < rng.uniform(0.2, 0.9)).tolist())
+    if kind == 2:
+        return pl.frequency_level(int(rng.integers(-1, k + 1)), 0.5, 0.1)
+    return pl.finite_union(*(_random_spec(rng, k, depth + 1) for _ in range(rng.integers(1, 4))))
+
+
+def _first_error(check, spec, host):
+    try:
+        check(spec, host)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_validate_spec_matches_the_recursive_check():
+    # the first error, message and all, or none, on nested specs over full
+    # shifts, the golden mean and a 3-symbol host with forbidden arcs
+    rng = np.random.default_rng(2304)
+    hosts = (FULL2, GM, pl.full_shift(3), pl.subshift_from_pairs(3, [(0, 1), (1, 2), (2, 0), (2, 2)]))
+    outcomes = []
+    for trial in range(3_000):
+        host = hosts[trial % len(hosts)]
+        spec = _random_spec(rng, host.alphabet_size)
+        want = _first_error(validate_spec_recursive, spec, host)
+        assert _first_error(pl.validate_spec, spec, host) == want
+        outcomes.append(want)
+    assert min(outcomes.count(None), len(outcomes) - outcomes.count(None)) > 500
+    assert {msg.split()[1] for msg in outcomes if msg} == {"size", "allows", "symbol"}
 
 
 def _random_host(rng: np.random.Generator, k: int) -> pl.Subshift:
