@@ -33,7 +33,9 @@ directions:
 - Backward, for the minimal cover value. Values carry a trailing axis of K
   exponents. Each layer gathers its children's values in one block, adds
   the gains, log-sum-exps over the arity axis and takes the minimum with
-  its ball prices, so one pass from the leaves to the root prices K exponents.
+  its ball thresholds, so one pass from the leaves to the root prices K
+  exponents. The thresholds are made per block of at most 32 depths, with
+  one add for all the depths of the block that share a ball column.
 - Forward, for the partition functions. Each layer scatters its log prefix
   sums, plus the arc gains, into its children, so one pass from the root
   yields the leaf sum of every depth of a capacity window.
@@ -67,6 +69,8 @@ from .subsets import SubsetSpec, WordLayers, build_tracker, whole
 from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word
 
 Relation = Tuple[Tuple[bool, ...], ...]
+
+_BLOCK = 32  # most depths whose ball thresholds a cover fold holds at once
 
 
 def _window_gains(
@@ -271,9 +275,20 @@ class CoverProgram:
         self._tree = tree
         self._sigma, self._d_min = sigma, d_min
         price = tree.prices(tree.host.allowed, not centered)
-        at = tree.layers.at[d_min:]  # repeated layers share one ball column
-        balls = {i: price[tree.layers.suffix[i]][:, None] for i in set(at)}
-        self._ball = [balls[i] for i in at]
+        # with one suffix (r = 0) every depth takes the root layer's (1, 1)
+        # column; else the depths that repeat a layer share its column
+        keys = [0 if len(price) == 1 else i for i in tree.layers.at[d_min:]]
+        columns = {i: price[tree.layers.suffix[i]][:, None] for i in set(keys)}
+        self._ball = [columns[i] for i in keys]
+        # per block of depths, per column several share: their decay rows and
+        # places in the block, slices as a tree repeats with one period
+        self._blocks = []
+        for lo in range(0, d_max - d_min, _BLOCK):
+            groups: Dict[int, List[int]] = {}
+            for j in range(lo, min(lo + _BLOCK, d_max - d_min)):
+                groups.setdefault(keys[j], []).append(j)
+            shared = [(js[0], js[-1] + 1, js[1] - js[0]) for js in groups.values() if len(js) > 1]
+            self._blocks.append([(slice(*g), slice(g[0] - lo, g[1] - lo, g[2])) for g in shared])
         # an accepted leaf must take its ball, a rejected one needs none
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()
@@ -281,14 +296,16 @@ class CoverProgram:
 
     @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
-        """One backward fold for all ``exponents``: per layer one gather into an
+        """One backward fold for all ``exponents``: per block of depths one add per
+        ball column that its depths share, then per layer one gather into an
         (arity, states, K) block, one in-place add of the gains, binary log-sum-exps
-        over the arity rows in reduce order and one in-place minimum with the balls,
-        made once per distinct layer; values equal a per-row fold's bit for bit."""
+        over the arity rows in reduce order and one in-place minimum with the ball
+        thresholds; values equal a per-row fold's bit for bit."""
         neg_s = -np.asarray(exponents, dtype=float)
         kids, gains, ball, d_min = self._tree.kids, self._tree.gains, self._ball, self._d_min
         decay = np.multiply.outer(np.arange(d_min, len(kids) + 1) - self._sigma, neg_s)
         values = np.minimum(decay[-1] + ball[-1], self._leaves)
+        limits: List[Optional[np.ndarray]] = []
         for d in range(len(kids) - 1, -1, -1):
             arcs = values[kids[d]]
             arcs += gains[d]
@@ -296,10 +313,16 @@ class CoverProgram:
             for i in range(1, len(arcs)):
                 np.logaddexp(values, arcs[i], out=values)
             if d >= d_min:
+                if not limits:  # d tops its block
+                    limits = [None] * ((d - d_min) % _BLOCK + 1)
+                    for rows, place in self._blocks[(d - d_min) // _BLOCK]:
+                        limits[place] = decay[rows, None, :] + ball[rows.start]
+                if limits[-1] is None:  # no other depth of the block shares its column
+                    limits[-1] = decay[d - d_min] + ball[d - d_min]
                 # a node takes its ball where that is cheaper than covering its
                 # children; exact ties resolve toward the shallower ball, which
                 # pins down which cover the DP means
-                np.minimum(decay[d - d_min] + ball[d - d_min], values, out=values)
+                np.minimum(limits.pop(), values, out=values)
         return values[0]
 
     def at(self, s: float) -> float:

@@ -201,13 +201,9 @@ def _parse_system(node, problems) -> Optional[Subshift]:
     if not isinstance(allowed, list) or any(not isinstance(p, list) or len(p) != 2 for p in allowed):
         problems.append(("system.allowed", 'must be "full" or a list of [from, to] pairs'))
         return None
-    for a, b in allowed:
-        if not (_is_int(a) and _is_int(b) and 0 <= a < k and 0 <= b < k):
-            problems.append(("system.allowed", f"pair [{a}, {b}] outside alphabet"))
-            return None
     try:
         return subshift_from_pairs(k, allowed, label)
-    except ValueError as e:  # a symbol without a successor or a predecessor
+    except ValueError as e:  # a pair outside the alphabet, a symbol with no successor or predecessor
         problems.append(("system.allowed", str(e)))
         return None
 

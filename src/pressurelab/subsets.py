@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,11 +146,12 @@ class TargetAutomaton:
     ``windows[p]`` is (target, window) for a frequency part, else None.
     ``moves[p, a, b]`` is True when part p admits symbol b after a; row
     ``a = k`` (k the alphabet size) holds the symbols a word may start
-    with. ``tags[p, b]`` is 1 when part p counts symbol b.
+    with. ``tags[p, b]`` is 1 when part p counts symbol b. Both are made
+    on their first read.
     """
 
     def __init__(self, sft: Subshift, spec: SubsetSpec):
-        k = sft.alphabet_size
+        self._k = sft.alphabet_size
         parts = _parts(spec)
         self.relations = tuple(
             trim_forward(p.allowed) if p.kind == "sub_sft" else sft.allowed for p in parts
@@ -157,10 +159,16 @@ class TargetAutomaton:
         self.windows = tuple(
             (p.target, p.window) if p.kind == "frequency_level" else None for p in parts
         )
-        rel = np.array(self.relations, dtype=bool).reshape(len(parts), k, k)
-        self.moves = np.concatenate([rel, rel.any(axis=2)[:, None, :]], axis=1)
-        tagged = [p.symbol if p.kind == "frequency_level" else -1 for p in parts]
-        self.tags = (np.arange(k) == np.array(tagged)[:, None]).astype(np.int64)
+        self._tagged = [p.symbol if p.kind == "frequency_level" else -1 for p in parts]
+
+    @cached_property
+    def moves(self) -> np.ndarray:
+        rel = np.array(self.relations, dtype=bool).reshape(len(self.relations), self._k, self._k)
+        return np.concatenate([rel, rel.any(axis=2)[:, None, :]], axis=1)
+
+    @cached_property
+    def tags(self) -> np.ndarray:
+        return (np.arange(self._k) == np.array(self._tagged)[:, None]).astype(np.int64)
 
     def accepts(self, states: np.ndarray, depth: int) -> np.ndarray:
         """Mask of the tracker states (one row each) accepted at ``depth``."""
@@ -215,6 +223,8 @@ class WordLayers:
     z + 1 first when the tagged symbol is 0 and z first otherwise, so the
     discovery order is descending or ascending counts, a child's rank is
     its distance from the end it starts at, and its slot is its symbol.
+    The intervals come from scalar arithmetic; the arcs of all layers come
+    from one pass over every parent, and ``kids[i]``, ``syms[i]`` are views.
     """
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
@@ -301,24 +311,34 @@ class WordLayers:
         top = math.floor(high) if high < depth else depth  # c <= high
         bottom = math.ceil(low) if low > -1 else -1  # c + rest >= low
         zeros = np.zeros(depth + 1, dtype=np.intp)
-        tags, symbols = tags[:, None], np.arange(k)[:, None]
+        # per depth: the offset that makes a child's rank, hi - c (down) or
+        # c - lo, from +-c, the span hi - lo of kept ranks and the slot width
+        bounds = []
         lo = hi = 0
         for d in range(depth):
             new_lo, new_hi = max(lo + step, bottom - (depth - d - 1)), min(hi + 1, top)
             if new_lo > new_hi:  # empty, and so is every later layer
                 new_lo, new_hi = depth + 1, -1
-            child = self.state[d][:, 0] + tags  # one row per symbol
-            ok = (child >= new_lo) & (child <= new_hi)
-            rank = new_hi - child if down else child - new_lo
             # the last slot holds the highest symbol some node keeps
             tagged = max(lo + 1, new_lo) <= min(hi + 1, new_hi)
             plain = k > 1 and max(lo, new_lo) <= min(hi, new_hi)
             width = max(a + 1 if tagged else 0, k - (a == k - 1) if plain else 0)
-            self.kids.append(np.where(ok, rank, 0)[:width])
-            self.syms.append(np.where(ok, symbols, -1)[:width])
+            bounds.append((new_hi if down else -new_lo, new_hi - new_lo, width))
             lo, hi = new_lo, new_hi
             self.suffix.append(zeros[: max(hi - lo + 1, 0)])
             self.state.append(counts[depth - hi : depth - lo + 1] if down else counts[lo : hi + 1])
+        # one pass over the parents of all depths; counts become ranks in place
+        sizes = [len(u) for u in self.suffix[:-1]]
+        offsets, spans, widths = np.array(bounds, dtype=np.int64).reshape(-1, 3).T
+        kids = np.concatenate([counts[:0], *self.state[:-1]])[:, 0] + tags[:, None]  # a row per symbol
+        kids *= -1 if down else 1
+        kids += np.repeat(offsets, sizes)
+        ok = (kids >= 0) & (kids <= np.repeat(spans, sizes))
+        kids *= ok
+        syms = np.where(ok, np.arange(k)[:, None], -1)
+        for width, end, size in zip(widths.tolist(), np.cumsum(sizes, dtype=np.intp).tolist(), sizes):
+            self.kids.append(kids[:width, end - size : end])
+            self.syms.append(syms[:width, end - size : end])
 
 
 def _one_band(target: TargetAutomaton, r: int) -> bool:

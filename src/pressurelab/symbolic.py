@@ -94,7 +94,7 @@ def subshift_from_pairs(
     rows = [[False] * alphabet_size for _ in range(alphabet_size)]
     for a, b in pairs:
         if not (_is_int(a) and _is_int(b) and 0 <= a < alphabet_size and 0 <= b < alphabet_size):
-            raise ValueError(f"transition ({a},{b}) outside alphabet")
+            raise ValueError(f"pair [{a}, {b}] outside alphabet")
         rows[a][b] = True
     return Subshift(alphabet_size, tuple(tuple(r) for r in rows), label)
 

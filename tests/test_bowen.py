@@ -597,7 +597,10 @@ def test_recurring_layers_are_built_once():
 def test_work_stays_per_distinct_layer(monkeypatch):
     # a period-2 sub-SFT: a capacity window over depths 40-180 checks
     # acceptance once per distinct layer among its depths, and the gains and
-    # ball columns are one array per distinct layer, read through ``at``
+    # ball columns are one array per distinct layer, read through ``at``; a
+    # cover fold makes the ball thresholds of each block of depths with one
+    # add per column that some of them share: 2 on this tree, 1 on a band's
+    # r = 0 tree and none on its r = 1 tree, whose depths share no column
     flip = pl.sub_sft(((False, True), (True, False)))
     f = pl.potential_from_table(FULL2, 2, {(a, b): 0.1 * (2 * a + b) for a in (0, 1) for b in (0, 1)})
     depths = list(range(40, 181))
@@ -614,6 +617,10 @@ def test_work_stays_per_distinct_layer(monkeypatch):
     assert len({id(g) for g in tree.gains}) == len(set(at[:-1])) == len(tree.layers.syms)
     program = CoverProgram(tree, 40)
     assert len({id(b) for b in program._ball}) == len(set(at[40:])) == 2
+    assert [len(block) for block in program._blocks] == [2] * 5  # depths 40-179
+    band = pl.frequency_level(0, 0.3, 0.02)
+    assert [len(block) for block in CoverProgram(_TreeProgram(FULL2, band, F0, 0, 180), 40)._blocks] == [1] * 5
+    assert CoverProgram(_TreeProgram(FULL2, band, f, 0, 180), 40)._blocks == [[]] * 5
 
 
 def test_band_layers_keep_only_states_that_can_reach_the_window():
@@ -884,6 +891,39 @@ def test_folds_match_the_per_depth_oracles():
         GM, pl.frequency_level(1, 1.0, 0.01), pl.zero_potential(GM), 0, 12, 1, [0.5], [1, 2, 12]
     )
     assert tree.kids[1].shape == (0, 1)
+
+
+@pytest.mark.parametrize("L", (129, 200, 300))
+def test_cover_fold_blocks_match_the_per_depth_oracle(L):
+    # trees of four blocks of depths or more, whose ball thresholds the fold
+    # makes per block and per shared column: layers repeating with periods
+    # 1, 2 and 3, an r = 0 and an r = 1 band and a union with a frequency part
+    rng = np.random.default_rng(L)
+    full3 = pl.full_shift(3)
+
+    def potential(host, depth):
+        table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
+        return pl.potential_from_table(host, depth, table)
+
+    band = pl.frequency_level(0, 0.3, 0.02)
+    cycle = tuple(tuple(b == (a + 1) % 3 for b in range(3)) for a in range(3))
+    cases = [
+        (FULL2, pl.whole(), potential(FULL2, 2), 1),
+        (FULL2, pl.sub_sft(((False, True), (True, False))), potential(FULL2, 2), 2),
+        (full3, pl.sub_sft(cycle), potential(full3, 2), 3),
+        (FULL2, band, potential(FULL2, 1), None),
+        (FULL2, band, potential(FULL2, 2), None),
+        (FULL2, pl.finite_union(band, pl.sub_sft(GM.allowed)), potential(FULL2, 2), None),
+    ]
+    for host, spec, f, period in cases:
+        tree = _TreeProgram(host, spec, f, 0, L)
+        at = tree.layers.at
+        assert at == list(range(L + 1)) if period is None else len(set(at[-6:])) == period
+        for centered, K in itertools.product((False, True), (1, int(rng.integers(40, 60)))):
+            d_min = int(rng.integers(1, L - 127))  # four blocks or more
+            exponents = rng.uniform(-1, 2, size=K)
+            got = CoverProgram(tree, d_min, centered)(exponents)
+            assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
 
 
 def test_many_counted_parts_count_exactly():

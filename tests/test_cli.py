@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import pressurelab
+import pressurelab.harness as harness
 from pressurelab.cli import main, run
 from pressurelab.config import parse_config
 from pressurelab.errors import InadmissibleWord, ScaleTooCoarse, SchemaError
+from pressurelab.subsets import build_tracker
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -465,6 +467,18 @@ def test_cli_exact_golden_mean(tmp_path, capsys):
     report = json.loads((tmp_path / "pressure_exact_report.json").read_text())
     assert report["results"]["pressure"]["value"] == pytest.approx(0.4812118, abs=1e-6)
     assert not (tmp_path / "pressure_exact_trace.csv").exists()
+
+
+def test_cli_exact_never_builds_the_move_tables(tmp_path, capsys, monkeypatch):
+    # the invariant core reads only the relations of its compile, never the
+    # moves and tags arrays that the word trees step through
+    trackers = []
+    monkeypatch.setattr(harness, "build_tracker", lambda *a: trackers.append(build_tracker(*a)) or trackers[-1])
+    cfg = dict(system=GM_SYSTEM, potential={"constant": 0.0},
+               subset={"kind": "sub_sft", "allowed": [[True, True], [True, False]]})
+    code, report, _ = _run_config(tmp_path, capsys, "pressure exact", cfg, "core")
+    assert code == 0 and report["results"]["core_size"] == 2 and len(trackers) == 1
+    assert not {"moves", "tags"} & set(vars(trackers[0]))
 
 
 def _golden_tilt_config(t, **extra):
