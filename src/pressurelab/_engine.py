@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .subsets import SubsetSpec, WordLayers, build_tracker, whole
+from .subsets import SubsetSpec, WordLayers, build_tracker, suffix_table
 from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word
 
 Relation = Tuple[Tuple[bool, ...], ...]
@@ -93,33 +93,34 @@ def extreme_tails(
     ``steps``-symbol continuations that follow ``rel`` of the sum of the
     potential windows those symbols complete; -inf where none exists.
 
-    The contexts are the suffix table of the host's word layers with
-    r = max(k - 1, 1) (see ``subsets.WordLayers``): every admissible word of
-    at most r symbols, the empty one included, which may start with any
-    symbol that has a successor in ``rel``. One backward fold of ``steps``
-    layers over that table, masked to the arcs of ``rel``, prices every
-    context at once, so no recursion bounds ``steps``.
+    The contexts are the host's suffix table (``subsets.suffix_table``) with
+    r = max(k - 1, 1), read off the host relation alone: every admissible
+    word of at most r symbols, the empty one included, which may start with
+    any symbol that has a successor in ``rel``. One backward fold of
+    ``steps`` layers over that table, masked to the arcs of ``rel``, prices
+    every context at once, so no recursion bounds ``steps``.
     """
-    table = WordLayers(build_tracker(whole(), sft), max(f.depth - 1, 1), 0)
+    words, nxt = suffix_table((*sft.allowed, tuple(map(any, sft.allowed))), max(f.depth - 1, 1))
     moves = np.vstack([rel, np.any(rel, axis=1)])  # last row: the empty context
-    live = (table.next >= 0) & moves[[u[-1] if u else len(rel) for u in table.words]]
-    gain, ends = _window_gains(table.words, live, f), live.any(axis=1)
+    live = (nxt >= 0) & moves[[u[-1] if u else len(rel) for u in words]]
+    gain, ends = _window_gains(words, live, f), live.any(axis=1)
     pick, pad = (np.max, NEG_INF) if want_max else (np.min, math.inf)
-    values = np.zeros(len(table.words))
+    values = np.zeros(len(words))
     for _ in range(steps):  # off the arcs, index -1 reads a value the mask drops
-        arcs = np.where(live, gain + values[table.next], pad)
+        arcs = np.where(live, gain + values[nxt], pad)
         values = np.where(ends, pick(arcs, axis=1), NEG_INF)
-    return dict(zip(table.words, values.tolist()))
+    return dict(zip(words, values.tolist()))
 
 
 class _TreeProgram:
     """The tracked word tree to ``depth``, merged on (last r symbols, tracker state).
 
-    ``layers`` holds the tree (see ``subsets.WordLayers``), with
-    r = max(k - 1, sigma, 1 if some part's moves depend on the last symbol
-    else 0). ``leaf_order`` keeps r >= 1 for ``fold_forward``: merging
-    states regroups its scattered log-sum-exps and moves leaf sums by an
-    ulp, while the backward fold computes every merged state's value alike.
+    ``layers`` holds the tree (see ``subsets.WordLayers``) less its ``syms``,
+    which only the gains read, with r = max(k - 1, sigma, 1 if some part's
+    moves depend on the last symbol else 0). ``leaf_order`` keeps r >= 1 for
+    ``fold_forward``: merging states regroups its scattered log-sum-exps and
+    moves leaf sums by an ulp, while the backward fold computes every merged
+    state's value alike.
     ``gains[d]`` (with a length-1 axis for K exponents) lines up with
     ``kids[d]``: the potential window each arc's symbol completes, if any
     (as r >= k - 1, the suffix holds its other symbols), -inf on pads.
@@ -148,6 +149,7 @@ class _TreeProgram:
             np.where(syms >= 0, gain[suffix, syms], NEG_INF)[:, :, None]
             for suffix, syms in zip(tree.suffix, tree.syms)
         ]
+        tree.syms = None  # 9.4 MB of the L=1600 band tree that nothing reads again
         self.kids = [tree.kids[i] for i in tree.at[:-1]]
         self.gains = [gains[i] for i in tree.at[:-1]]
         self._prices: Dict[Tuple[Relation, bool], np.ndarray] = {}

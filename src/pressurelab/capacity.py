@@ -113,14 +113,13 @@ def capacity_pressure(
 def _normalize_range(
     n_range: Sequence[int] | Tuple[int, int], minimum_points: int = 4
 ) -> Tuple[int, ...]:
-    # a pair is the window [lo, hi] unless it can stand as two explicit horizons
+    # a pair is the window [lo, hi] unless it can stand as two explicit horizons;
+    # a window increases by construction, so only a list is checked pair by pair
     seq = list(n_range)
-    if len(seq) == 2 and (seq[1] - seq[0] >= 4 or minimum_points > 2):
-        ns = tuple(range(seq[0], seq[1] + 1))
-    else:
-        ns = tuple(seq)
+    window = len(seq) == 2 and (seq[1] - seq[0] >= 4 or minimum_points > 2)
+    ns = tuple(range(seq[0], seq[1] + 1)) if window else tuple(seq)
     if len(ns) < minimum_points:
         raise ValueError(f"horizon window needs at least {minimum_points} entries")
-    if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+    if ns[0] < 1 or not window and any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("horizons must be strictly increasing and positive")
     return ns

@@ -223,7 +223,7 @@ def measure_pressure_mc(
     # draw only extends the orbit, so shallower potentials see the same one
     n_draw = ns[-1] + max(0, f.depth - 1 - scale.m)
     traces = (
-        local_pressure(mu, f, sample_orbit(mu, n_draw, scale, child), scale, ns)
+        local_pressure(mu, f, sample_orbit(mu, n_draw, scale, child), scale, n_range)
         for child in seeds.tolist()
     )
     first = next(traces)

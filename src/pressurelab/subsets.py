@@ -229,21 +229,8 @@ class WordLayers:
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
         parts, _, k = target.moves.shape
-        reach = target.moves.any(axis=0).tolist()
-        words: List[Word] = [()]
-        index = {(): 0}
-        nxt = []
-        for u in words:  # grows while it is read
-            row = [-1] * k
-            for b in range(k):
-                if reach[u[-1] if u else k][b]:
-                    w = (u + (b,))[-r:] if r else ()
-                    if w not in index:
-                        index[w] = len(words)
-                        words.append(w)
-                    row[b] = index[w]
-            nxt.append(row)
-        self.words, self.next = words, np.array(nxt, dtype=np.intp).reshape(len(words), k)
+        self.words, self.next = suffix_table(target.moves.any(axis=0).tolist(), r)
+        words = self.words
         moves = target.moves[:, [u[-1] if u else k for u in words]].transpose(1, 0, 2)
         self.suffix = [np.zeros(1, dtype=np.intp)]
         self.state = [np.zeros((1, parts), dtype=np.int64)]
@@ -339,6 +326,29 @@ class WordLayers:
         for width, end, size in zip(widths.tolist(), np.cumsum(sizes, dtype=np.intp).tolist(), sizes):
             self.kids.append(kids[:width, end - size : end])
             self.syms.append(syms[:width, end - size : end])
+
+
+def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], np.ndarray]:
+    """(words, next): every suffix of at most r symbols that a word whose
+    moves follow ``reach`` can end in, the empty one first, in order of
+    discovery; ``next[i, b]`` is the index of the suffix after appending b
+    to ``words[i]``, or -1 where ``reach`` forbids b there. ``reach[a][b]``
+    allows b after a, and its last row (index k) holds the first symbols."""
+    k = len(reach[-1])
+    words: List[Word] = [()]
+    index = {(): 0}
+    nxt = []
+    for u in words:  # grows while it is read
+        row = [-1] * k
+        for b in range(k):
+            if reach[u[-1] if u else k][b]:
+                w = (u + (b,))[-r:] if r else ()
+                if w not in index:
+                    index[w] = len(words)
+                    words.append(w)
+                row[b] = index[w]
+        nxt.append(row)
+    return words, np.array(nxt, dtype=np.intp).reshape(len(words), k)
 
 
 def _one_band(target: TargetAutomaton, r: int) -> bool:

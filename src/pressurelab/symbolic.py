@@ -17,9 +17,9 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InadmissibleWord, InsufficientDepth, ScaleTooCoarse
+from .errors import EnumerationBudgetExceeded, InadmissibleWord, InsufficientDepth, ScaleTooCoarse
 
 Word = Tuple[int, ...]
 
@@ -162,9 +162,14 @@ def constant_potential(sft: Subshift, c: float) -> LocallyConstantPotential:
 def potential_from_table(
     sft: Subshift, depth: int, table: Mapping[Sequence[int], float], label: str = ""
 ) -> LocallyConstantPotential:
-    """Build a potential, checking the table covers exactly the admissible words."""
-    from .subsets import _word_dag, whole  # local import to avoid a cycle
+    """Build a potential, checking the table covers exactly the admissible words.
 
+    Distinct admissible keys of length ``depth`` cover every admissible word
+    when they are as many as ``count_words`` counts, so no word is
+    materialized. Otherwise the first missing word in lexicographic order is
+    found from the same path counts: it lies below the first symbol whose
+    keys fall short of the words that continue through it.
+    """
     fixed: Dict[Word, float] = {}
     for w, v in table.items():
         w = tuple(w)
@@ -173,17 +178,15 @@ def potential_from_table(
         if len(w) != depth:
             raise ValueError(f"table key {w!r} has length {len(w)} != depth {depth}")
         fixed[w] = float(v)
-    # distinct admissible keys of length depth cover every word when they are
-    # as many: count the words, materialize none
-    edges, counts = _word_dag(sft, whole(), depth)
-    missing = counts[0][0] - len(fixed)
-    if missing:  # the first missing word is below the first child short of keys
-        example, keys, node = (), list(fixed), 0
+    missing = count_words(sft, depth) - len(fixed)
+    if missing:
+        paths = _path_counts(sft, depth)
+        example, keys, options = (), list(fixed), range(sft.alphabet_size)
         for d in range(depth):
-            for b, child in edges[d][node]:
+            for b in options:
                 below = [w for w in keys if w[d] == b]
-                if len(below) < counts[d + 1][child]:
-                    example, keys, node = example + (b,), below, child
+                if len(below) < paths[depth - d - 1][b]:
+                    example, keys, options = example + (b,), below, sft.successors[b]
                     break
         raise ValueError(
             f"potential table is missing {missing} admissible words, e.g. {example!r}"
@@ -195,22 +198,42 @@ def potential_from_table(
 # word enumeration
 
 
-def count_words(sft: Subshift, n: int) -> int:
-    """Exact number of admissible words of length n (exact integers)."""
-    from .subsets import count_target_words, whole  # local import to avoid a cycle
+def _path_counts(sft: Subshift, n: int) -> List[List[int]]:
+    """``paths[j][a]``, for j < n: the exact number of admissible words of
+    j + 1 symbols that start with a, that is row a of A^j 1 for the host's
+    0-1 matrix A (Lind & Marcus 1995, Prop. 2.2.12)."""
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+    paths = [[1] * sft.alphabet_size] if n else []
+    for _ in range(n - 1):
+        paths.append([sum(paths[-1][b] for b in row) for row in sft.successors])
+    return paths
 
-    return count_target_words(sft, whole(), n)
+
+def count_words(sft: Subshift, n: int) -> int:
+    """Exact number of admissible words of length n, 1^T A^(n-1) 1 for the
+    host's 0-1 matrix A: a Python integer, the sum of the per-first-symbol
+    path counts (see ``_path_counts``); 1 for n = 0."""
+    paths = _path_counts(sft, n)
+    return sum(paths[-1]) if paths else 1
 
 
 def enumerate_words(sft: Subshift, n: int) -> Tuple[Word, ...]:
     """All admissible words of length n, lexicographically.
 
-    Counts first and refuses to materialize more than the enumeration budget.
-    Length 0 yields the empty-word singleton.
+    Counts first (``count_words``) and refuses to materialize more than the
+    enumeration budget. The words then grow one symbol at a time: each word
+    gains, in order, the symbols of its last symbol's row of the host
+    relation, which keeps the list sorted. Length 0 yields the empty-word
+    singleton.
     """
-    from .subsets import iter_target_words, whole  # local import to avoid a cycle
-
-    return iter_target_words(sft, whole(), n)
+    total = count_words(sft, n)
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetExceeded(total, DEFAULT_ENUMERATION_BUDGET)
+    words = [(a,) for a in range(sft.alphabet_size)] if n else [()]
+    for _ in range(n - 1):
+        words = [w + (b,) for w in words for b in sft.successors[w[-1]]]
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,26 @@ def admissible_words(allowed: Sequence[Sequence[bool]], n: int) -> List[Word]:
     return out
 
 
+def missing_word_descent(edges, counts, fixed: Dict[Word, float]) -> Tuple[int, Word]:
+    """(missing, example) for a potential table ``fixed`` of distinct
+    admissible keys, by the descent over a word DAG that
+    ``potential_from_table`` made before it counted paths: ``edges`` and
+    ``counts`` are ``subsets._word_dag(sft, whole(), depth)``, and the example
+    is the first missing word in lexicographic order (empty when none is)."""
+    depth = len(edges)
+    missing = counts[0][0] - len(fixed)
+    example = ()
+    if missing:  # the first missing word is below the first child short of keys
+        example, keys, node = (), list(fixed), 0
+        for d in range(depth):
+            for b, child in edges[d][node]:
+                below = [w for w in keys if w[d] == b]
+                if len(below) < counts[d + 1][child]:
+                    example, keys, node = example + (b,), below, child
+                    break
+    return missing, example
+
+
 def metric(x: Sequence[int], y: Sequence[int]) -> float:
     """d(x, y) = 2^-(first differing index), on equal-length truncations."""
     for i, (a, b) in enumerate(zip(x, y)):

@@ -614,13 +614,43 @@ def test_work_stays_per_distinct_layer(monkeypatch):
     assert all(v is not None for v in sums)
     tree = _TreeProgram(FULL2, flip, f, 0, 180)
     at = tree.layers.at
-    assert len({id(g) for g in tree.gains}) == len(set(at[:-1])) == len(tree.layers.syms)
+    assert len({id(g) for g in tree.gains}) == len(set(at[:-1])) == len(tree.layers.kids)
     program = CoverProgram(tree, 40)
     assert len({id(b) for b in program._ball}) == len(set(at[40:])) == 2
     assert [len(block) for block in program._blocks] == [2] * 5  # depths 40-179
     band = pl.frequency_level(0, 0.3, 0.02)
     assert [len(block) for block in CoverProgram(_TreeProgram(FULL2, band, F0, 0, 180), 40)._blocks] == [1] * 5
     assert CoverProgram(_TreeProgram(FULL2, band, f, 0, 180), 40)._blocks == [[]] * 5
+
+
+def test_tree_program_releases_the_arc_symbols(monkeypatch):
+    # only the gains read ``layers.syms``: on the r = 0 band at L=1600 a
+    # program retains at least 9 MB less than one whose symbols stay held,
+    # and both hold the same arcs and fold to the same values
+    import tracemalloc
+
+    band = pl.frequency_level(0, 0.3, 0.02)
+
+    def retained():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prog = _TreeProgram(FULL2, band, F0, 0, 1600)
+            return prog, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    released, light = retained()
+    held_syms = []
+    init = WordLayers.__init__
+    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or held_syms.append(tree.syms))
+    held, heavy = retained()
+    assert released.layers.syms is None and len(held_syms) == 1
+    assert heavy - light >= 9_000_000
+    for name in ("kids", "gains"):
+        assert [a.tobytes() for a in getattr(released, name)] == [a.tobytes() for a in getattr(held, name)]
+    exponents = [0.55, 0.6, 0.62, 0.7]
+    assert CoverProgram(released, 400)(exponents).tobytes() == CoverProgram(held, 400)(exponents).tobytes()
 
 
 def test_band_layers_keep_only_states_that_can_reach_the_window():

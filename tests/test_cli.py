@@ -481,6 +481,27 @@ def test_cli_exact_never_builds_the_move_tables(tmp_path, capsys, monkeypatch):
     assert not {"moves", "tags"} & set(vars(trackers[0]))
 
 
+def test_host_words_build_no_word_tree(tmp_path, capsys, monkeypatch):
+    # table checks, the invariant core and equilibrium measures count and
+    # list host words from the host relation alone: parsing every shipped
+    # config, an exact pressure and an equilibrium measure build no word tree
+    import pressurelab.subsets as subsets
+
+    built = []
+    init = subsets.WordLayers.__init__
+    monkeypatch.setattr(subsets.WordLayers, "__init__", lambda *a: built.append(a[2:]) or init(*a))
+    for path in sorted(CONFIGS.glob("*.json")):
+        parse_config(path.read_text())
+    table = {"00": 0.3, "01": -0.2, "10": 0.1}
+    cfg = dict(system=GM_SYSTEM, potential={"depth": 2, "table": table})
+    code, report, _ = _run_config(tmp_path, capsys, "pressure exact", cfg, "exact")
+    assert code == 0 and report["results"]["core_size"] == 2
+    cfg.update(scales=[1], n_range=[20, 40], samples=3, seed=0, measure={"kind": "equilibrium"})
+    code, report, trace = _run_config(tmp_path, capsys, "pressure measure", cfg, "measure")
+    assert code == 0 and "value" in report["results"]["exact"] and trace
+    assert built == []
+
+
 def _golden_tilt_config(t, **extra):
     return dict(system=GM_SYSTEM, potential={"depth": 1, "table": {"0": 0.0, "1": t}}, **extra)
 

@@ -508,6 +508,29 @@ def test_mc_estimate_draws_the_windows_of_a_deep_potential():
         assert x.word[:61] == pl.sample_orbit(mu, 60, pl.Scale(1), s).word
 
 
+def test_a_window_and_its_explicit_horizons_give_equal_traces():
+    # a window is expanded without the pairwise check that an explicit list
+    # gets; both spellings must trace alike, and a list that does not
+    # strictly increase must still be refused
+    mu = pl.markov_measure([[0.3, 0.7], [0.6, 0.4]])
+    f = pl.potential_from_table(FULL2, 2, {w: 0.2 * w[0] - 0.1 * w[1] for w in all_words(2, 2)})
+    window, horizons = (40, 90), tuple(range(40, 91))
+    x = pl.sample_orbit(mu, 90, pl.Scale(2), 5)
+    assert pl.local_pressure(mu, f, x, pl.Scale(2), window) == pl.local_pressure(
+        mu, f, x, pl.Scale(2), horizons
+    )
+    assert pl.measure_pressure_mc(mu, f, pl.Scale(1), window, 4, 3) == pl.measure_pressure_mc(
+        mu, f, pl.Scale(1), list(horizons), 4, 3
+    )
+    for bad in ((5, 5), (40, 60, 59, 70), (3, 2, 1)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pl.local_pressure(mu, f, x, pl.Scale(2), bad)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pl.measure_pressure_mc(mu, f, pl.Scale(1), bad, 2, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pl.capacity_pressure(FULL2, pl.whole(), f, pl.Scale(1), (4, 5, 5, 6))
+
+
 @pytest.mark.parametrize("c", [1e308, -1e308])
 def test_mc_names_birkhoff_sums_past_the_float_range(c):
     # every ball has positive measure; f_n leaves the float range at n = 2

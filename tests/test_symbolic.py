@@ -10,6 +10,7 @@ from brute import (
     extreme_tail_walk,
     max_separated_set_size,
     metric,
+    missing_word_descent,
     orbit_metric,
     sup_birkhoff,
     tarjan_components,
@@ -17,7 +18,7 @@ from brute import (
     validate_spec_recursive,
 )
 from pressurelab._engine import extreme_tails
-from pressurelab.subsets import trim_forward
+from pressurelab.subsets import _word_dag, trim_forward
 from pressurelab.symbolic import is_strongly_connected, strongly_connected_components
 
 FULL2 = pl.full_shift(2)
@@ -58,6 +59,51 @@ def test_enumerate_words_matches_filter_oracle():
     for n in range(1, 7):
         assert sorted(pl.enumerate_words(GM, n)) == sorted(
             admissible_words(GM.allowed, n)
+        )
+
+
+def _random_hosts(rng, k, count):
+    """The full k-shift, then ``count`` random hosts that forbid some arc."""
+    hosts = [pl.full_shift(k)]
+    while len(hosts) <= count:
+        host = _random_host(rng, k)
+        if not all(map(all, host.allowed)):
+            hosts.append(host)
+    return hosts
+
+
+def test_host_word_counts_and_lists_match_the_target_tree_and_the_filter():
+    # the path recurrence and the row expansion against the whole-space word
+    # tree they replaced and against filtering every k^n word
+    rng = np.random.default_rng(25)
+    for k in range(1, 6):
+        for host in _random_hosts(rng, k, 2 if k > 1 else 0):
+            for n in range(9):
+                words = pl.enumerate_words(host, n)
+                count = pl.count_words(host, n)
+                assert type(count) is int and count == len(words)
+                assert count == pl.count_target_words(host, pl.whole(), n)
+                assert words == pl.iter_target_words(host, pl.whole(), n)
+                assert words == tuple(admissible_words(host.allowed, n))
+
+
+def test_potential_table_misses_what_the_word_dag_descent_finds():
+    # the missing count and first missing word, from path counts, against
+    # the descent over the whole-space word DAG; every table lacks some word
+    rng = np.random.default_rng(2025)
+    for trial in range(600):
+        k, depth = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+        host = _random_host(rng, k) if trial % 2 else pl.full_shift(k)
+        words = pl.enumerate_words(host, depth)
+        keep = rng.random(len(words)) < rng.uniform(0.0, 1.0)
+        keep[rng.integers(len(words))] = False
+        table = {w: 0.5 for w, ok in zip(words, keep) if ok}
+        missing, example = missing_word_descent(*_word_dag(host, pl.whole(), depth), table)
+        assert missing > 0
+        with pytest.raises(ValueError) as error:
+            pl.potential_from_table(host, depth, table)
+        assert str(error.value) == (
+            f"potential table is missing {missing} admissible words, e.g. {example!r}"
         )
 
 
