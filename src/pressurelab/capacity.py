@@ -120,6 +120,6 @@ def _normalize_range(
     ns = tuple(range(seq[0], seq[1] + 1)) if window else tuple(seq)
     if len(ns) < minimum_points:
         raise ValueError(f"horizon window needs at least {minimum_points} entries")
-    if ns[0] < 1 or not window and any(b <= a for a, b in zip(ns, ns[1:])):
+    if ns[0] < 1 or (not window and any(b <= a for a, b in zip(ns, ns[1:]))):
         raise ValueError("horizons must be strictly increasing and positive")
     return ns
