@@ -34,14 +34,17 @@ directions:
   exponents. Each layer gathers its children's values in one block, adds
   the gains, log-sum-exps over the arity axis and takes the minimum with
   its ball thresholds, so one pass from the leaves to the root prices K
-  exponents. The thresholds are made per block of at most 32 depths, with
-  one add for all the depths of the block that share a ball column.
+  exponents; the layer's arrays come from a list the program makes once.
+  The thresholds are made per block of at most 32 depths, with one add for
+  all the depths of the block that share a ball column.
 - Forward, for the partition functions. Each layer scatters its log prefix
   sums, plus the arc gains, into its children, so one pass from the root
   yields the leaf sum of every depth of a capacity window.
 
 Gains, ball prices, acceptance masks and tail corrections are made once per
-distinct layer and read through ``WordLayers.at``. That saves work, no value moves.
+distinct layer and read through ``WordLayers.at``; the gains of all layers
+come from one lookup over the tree's arcs, each layer's a view of that
+array. That saves work, no value moves.
 
 Conventions used throughout:
 
@@ -123,7 +126,10 @@ class _TreeProgram:
     state's value alike.
     ``gains[d]`` (with a length-1 axis for K exponents) lines up with
     ``kids[d]``: the potential window each arc's symbol completes, if any
-    (as r >= k - 1, the suffix holds its other symbols), -inf on pads.
+    (as r >= k - 1, the suffix holds its other symbols), -inf on pads. One
+    lookup of the (suffix x symbol) gain table over ``layers.arcs`` makes
+    them all; each distinct layer's is a view, shared by the depths that
+    repeat it.
     """
 
     def __init__(
@@ -144,12 +150,13 @@ class _TreeProgram:
         moves = self.tracker.moves
         last = leaf_order or not (moves == moves[:, -1:]).all()
         self.layers = tree = WordLayers(self.tracker, max(int(last), f.depth - 1, sigma), depth)
+        # one lookup over the arcs of every layer; a pad's symbol -1 reads column k
         gain = _window_gains(tree.words, tree.next >= 0, f)
-        gains = [
-            np.where(syms >= 0, gain[suffix, syms], NEG_INF)[:, :, None]
-            for suffix, syms in zip(tree.suffix, tree.syms)
-        ]
-        tree.syms = None  # 9.4 MB of the L=1600 band tree that nothing reads again
+        gain = np.hstack([gain, np.full((len(gain), 1), NEG_INF)])
+        parents = np.concatenate([tree.suffix[0][:0], *tree.suffix[: len(tree.cuts)]])
+        arcs = gain[parents, tree.arcs][:, :, None]
+        gains = [arcs[:w, s:e] for w, s, e in tree.cuts]
+        tree.syms = tree.arcs = None  # 9.4 MB of the L=1600 band tree that nothing reads again
         self.kids = [tree.kids[i] for i in tree.at[:-1]]
         self.gains = [gains[i] for i in tree.at[:-1]]
         self._prices: Dict[Tuple[Relation, bool], np.ndarray] = {}
@@ -274,7 +281,6 @@ class CoverProgram:
             raise ValueError("need 1 <= d_min <= d_max")
         if d_min - sigma < 1:
             raise ValueError("d_min must exceed sigma")
-        self._tree = tree
         self._sigma, self._d_min = sigma, d_min
         price = tree.prices(tree.host.allowed, not centered)
         # with one suffix (r = 0) every depth takes the root layer's (1, 1)
@@ -282,19 +288,42 @@ class CoverProgram:
         keys = [0 if len(price) == 1 else i for i in tree.layers.at[d_min:]]
         columns = {i: price[tree.layers.suffix[i]][:, None] for i in set(keys)}
         self._ball = [columns[i] for i in keys]
-        # per block of depths, per column several share: their decay rows and
-        # places in the block, slices as a tree repeats with one period
-        self._blocks = []
+        # per block of depths, per column several share: their decay rows, a
+        # slice as a tree repeats with one period, and that column; every
+        # other depth adds its own column at its turn
+        own, self._blocks = self._ball[:-1], []
         for lo in range(0, d_max - d_min, _BLOCK):
             groups: Dict[int, List[int]] = {}
             for j in range(lo, min(lo + _BLOCK, d_max - d_min)):
                 groups.setdefault(keys[j], []).append(j)
-            shared = [(js[0], js[-1] + 1, js[1] - js[0]) for js in groups.values() if len(js) > 1]
-            self._blocks.append([(slice(*g), slice(g[0] - lo, g[1] - lo, g[2])) for g in shared])
+            shared = [slice(js[0], js[-1] + 1, js[1] - js[0]) for js in groups.values() if len(js) > 1]
+            self._blocks.append([(rows, own[rows.start]) for rows in shared])
+            for rows in shared:
+                own[rows] = [None] * len(own[rows])
         # an accepted leaf must take its ball, a rejected one needs none
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()
-        self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
+        leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
+        # the fold starts at the leaves or at the first childless layer, whose
+        # nodes are -inf (every deeper layer is empty)
+        top = d_max
+        while top and not len(tree.kids[top - 1]):
+            top -= 1
+        self._top, n = top, max(top - d_min, 0)
+        self._start = np.full((tree.kids[top].shape[1], 1), NEG_INF) if top < d_max else leaves
+        # per layer above it, deepest first, one list each (a list of tuples
+        # would hold a tuple per depth): its children, gains and rows past the
+        # first and, from d_min on, its decay row, its own column and, on the
+        # first layer of a block that the fold meets, the block's shared columns
+        after = [tuple(range(1, w)) for w in range(tree.host.alphabet_size + 1)]
+        firsts = [None] * n
+        for lo in range(0, n, _BLOCK):
+            firsts[min(lo + _BLOCK, n) - 1] = self._blocks[lo // _BLOCK]
+        pad = [None] * (top - n)
+        self._layers = [column[::-1] for column in (
+            tree.kids[:top], tree.gains[:top], [after[len(kid)] for kid in tree.kids[:top]],
+            pad + list(range(n)), pad + own[:n], pad + firsts,
+        )]
 
     @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
@@ -304,27 +333,30 @@ class CoverProgram:
         over the arity rows in reduce order and one in-place minimum with the ball
         thresholds; values equal a per-row fold's bit for bit."""
         neg_s = -np.asarray(exponents, dtype=float)
-        kids, gains, ball, d_min = self._tree.kids, self._tree.gains, self._ball, self._d_min
-        decay = np.multiply.outer(np.arange(d_min, len(kids) + 1) - self._sigma, neg_s)
-        values = np.minimum(decay[-1] + ball[-1], self._leaves)
-        limits: List[Optional[np.ndarray]] = []
-        for d in range(len(kids) - 1, -1, -1):
-            arcs = values[kids[d]]
-            arcs += gains[d]
-            values = arcs[0] if len(arcs) else np.full(arcs.shape[1:], NEG_INF)  # childless
-            for i in range(1, len(arcs)):
-                np.logaddexp(values, arcs[i], out=values)
-            if d >= d_min:
-                if not limits:  # d tops its block
-                    limits = [None] * ((d - d_min) % _BLOCK + 1)
-                    for rows, place in self._blocks[(d - d_min) // _BLOCK]:
-                        limits[place] = decay[rows, None, :] + ball[rows.start]
-                if limits[-1] is None:  # no other depth of the block shares its column
-                    limits[-1] = decay[d - d_min] + ball[d - d_min]
-                # a node takes its ball where that is cheaper than covering its
-                # children; exact ties resolve toward the shallower ball, which
-                # pins down which cover the DP means
-                np.minimum(limits.pop(), values, out=values)
+        d_min, top, ball, start = self._d_min, self._top, self._ball, self._start
+        decay = np.multiply.outer(np.arange(d_min, len(ball) + d_min) - self._sigma, neg_s)
+        logaddexp, minimum = np.logaddexp, np.minimum
+        if top >= d_min:
+            values = minimum(decay[top - d_min] + ball[top - d_min], start)
+        else:
+            values = np.full((len(start), len(neg_s)), NEG_INF)
+        for kid, gain, rows, j, column, shared in zip(*self._layers):
+            if shared is not None:  # d tops its block: the thresholds its depths share
+                made = {}
+                for js, col in shared:
+                    made.update(zip(range(len(decay))[js], decay[js, None, :] + col))
+            arcs = values.take(kid, 0)  # as values[kid], by a faster path
+            arcs += gain
+            values = arcs[0]
+            for i in rows:
+                logaddexp(values, arcs[i], out=values)
+            # a node takes its ball where that is cheaper than covering its
+            # children; exact ties resolve toward the shallower ball, which
+            # pins down which cover the DP means
+            if column is not None:
+                minimum(decay[j] + column, values, out=values)
+            elif j is not None:
+                minimum(made[j], values, out=values)
         return values[0]
 
     def at(self, s: float) -> float:

@@ -198,7 +198,9 @@ class WordLayers:
     in symbol order. Column j of ``kids[i]`` and ``syms[i]`` holds the child
     index (into the next depth's layer) and the symbol of each child of node
     j, in symbol order, padded with child 0 and symbol -1 (see below for
-    dropped children).
+    dropped children). ``syms[i]`` is ``arcs[:w, s:e]`` for (w, s, e) =
+    ``cuts[i]``: ``arcs`` holds the layers' symbols side by side, one
+    column per node of a built layer, so one lookup reads every arc.
 
     A child is dropped when every part has been left or is a frequency part
     whose count z cannot end in its window at ``depth`` (z > (alpha + eta)
@@ -223,8 +225,9 @@ class WordLayers:
     z + 1 first when the tagged symbol is 0 and z first otherwise, so the
     discovery order is descending or ascending counts, a child's rank is
     its distance from the end it starts at, and its slot is its symbol.
-    The intervals come from scalar arithmetic; the arcs of all layers come
-    from one pass over every parent, and ``kids[i]``, ``syms[i]`` are views.
+    The intervals, slot widths and rank offsets of all depths come from
+    whole-depth arrays (the lower bounds are a cumulative max), and the arcs
+    of all layers from one pass over every parent; ``kids[i]`` are views too.
     """
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
@@ -236,6 +239,7 @@ class WordLayers:
         self.state = [np.zeros((1, parts), dtype=np.int64)]
         self.kids: List[np.ndarray] = []
         self.syms: List[np.ndarray] = []
+        self.cuts: List[Tuple[int, int, int]] = []
         # per part, the counts that can still end in its window at ``depth``
         slack = 2 * FREQUENCY_GUARD  # so that rounding can only keep extra states
         low, high = np.array([(-np.inf, np.inf) if w is None else (
@@ -247,6 +251,7 @@ class WordLayers:
             return
         periodic = not np.isfinite(high).any()
         seen: Dict[bytes, int] = {}
+        columns = 0
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
             if periodic:
@@ -286,8 +291,14 @@ class WordLayers:
             syms[slot, parent] = symbol
             self.kids.append(kids)
             self.syms.append(syms)
+            self.cuts.append((width, columns, columns + len(suffix)))
+            columns += len(suffix)
             self.suffix.append(child_suffix[first[order]])
             self.state.append(child_state[first[order]])
+        self.arcs = np.full((max((w for w, _, _ in self.cuts), default=0), columns), -1, dtype=np.intp)
+        for (w, s, e), syms in zip(self.cuts, self.syms):
+            self.arcs[:w, s:e] = syms
+        self.syms = [self.arcs[:w, s:e] for w, s, e in self.cuts]
 
     def _grow_band(self, tags: np.ndarray, low: float, high: float, depth: int) -> None:
         """The layers of a band on a full shift with r = 0 (see the class docstring)."""
@@ -297,35 +308,36 @@ class WordLayers:
         # the prune's test on a child's count c, with bounds clipped to [-1, depth]
         top = math.floor(high) if high < depth else depth  # c <= high
         bottom = math.ceil(low) if low > -1 else -1  # c + rest >= low
+        # per depth d, the kept counts [lo, hi]: hi = min(hi + 1, top) from hi = 0
+        # is min(d, top), and lo = max(lo + step, bottom - (depth - d)) from lo = 0
+        # is a cumulative max; every layer after an empty one is empty
+        d = np.arange(depth + 1)
+        lo = step * d + np.maximum.accumulate(np.maximum(bottom - depth + d, 0) - step * d)
+        hi = np.minimum(d, top)
+        empty = np.logical_or.accumulate(lo > hi)
+        lo, hi = np.where(empty, depth + 1, lo), np.where(empty, -1, hi)
+        sizes = np.maximum(hi - lo + 1, 0)
+        # per child layer: the last slot holds the highest symbol some node keeps
+        tagged = np.maximum(lo[:-1] + 1, lo[1:]) <= np.minimum(hi[:-1] + 1, hi[1:])
+        plain = (np.maximum(lo[:-1], lo[1:]) <= np.minimum(hi[:-1], hi[1:])) & (k > 1)
+        widths = np.maximum(tagged * (a + 1), plain * (k - (a == k - 1)))
         zeros = np.zeros(depth + 1, dtype=np.intp)
-        # per depth: the offset that makes a child's rank, hi - c (down) or
-        # c - lo, from +-c, the span hi - lo of kept ranks and the slot width
-        bounds = []
-        lo = hi = 0
-        for d in range(depth):
-            new_lo, new_hi = max(lo + step, bottom - (depth - d - 1)), min(hi + 1, top)
-            if new_lo > new_hi:  # empty, and so is every later layer
-                new_lo, new_hi = depth + 1, -1
-            # the last slot holds the highest symbol some node keeps
-            tagged = max(lo + 1, new_lo) <= min(hi + 1, new_hi)
-            plain = k > 1 and max(lo, new_lo) <= min(hi, new_hi)
-            width = max(a + 1 if tagged else 0, k - (a == k - 1) if plain else 0)
-            bounds.append((new_hi if down else -new_lo, new_hi - new_lo, width))
-            lo, hi = new_lo, new_hi
-            self.suffix.append(zeros[: max(hi - lo + 1, 0)])
-            self.state.append(counts[depth - hi : depth - lo + 1] if down else counts[lo : hi + 1])
-        # one pass over the parents of all depths; counts become ranks in place
-        sizes = [len(u) for u in self.suffix[:-1]]
-        offsets, spans, widths = np.array(bounds, dtype=np.int64).reshape(-1, 3).T
+        self.suffix += [zeros[:n] for n in sizes[1:].tolist()]
+        first, stop = (depth - hi, depth - lo + 1) if down else (lo, hi + 1)
+        self.state += [counts[i:j] for i, j in zip(first[1:].tolist(), stop[1:].tolist())]
+        # one pass over the parents of all depths; counts become ranks in place:
+        # a child's rank is hi - c (down) or c - lo, kept where 0 <= rank <= hi - lo
+        sizes = sizes[:-1]
         kids = np.concatenate([counts[:0], *self.state[:-1]])[:, 0] + tags[:, None]  # a row per symbol
         kids *= -1 if down else 1
-        kids += np.repeat(offsets, sizes)
-        ok = (kids >= 0) & (kids <= np.repeat(spans, sizes))
+        kids += np.repeat(hi[1:] if down else -lo[1:], sizes)
+        ok = (kids >= 0) & (kids <= np.repeat(hi[1:] - lo[1:], sizes))
         kids *= ok
-        syms = np.where(ok, np.arange(k)[:, None], -1)
-        for width, end, size in zip(widths.tolist(), np.cumsum(sizes, dtype=np.intp).tolist(), sizes):
-            self.kids.append(kids[:width, end - size : end])
-            self.syms.append(syms[:width, end - size : end])
+        self.arcs = np.where(ok, np.arange(k)[:, None], -1)
+        ends = np.cumsum(sizes)
+        self.cuts = list(zip(widths.tolist(), (ends - sizes).tolist(), ends.tolist()))
+        self.kids = [kids[:w, s:e] for w, s, e in self.cuts]
+        self.syms = [self.arcs[:w, s:e] for w, s, e in self.cuts]
 
 
 def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], np.ndarray]:

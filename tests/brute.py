@@ -257,8 +257,10 @@ class UnprunedWordLayers:
     no longer reach their window at ``depth``, kept verbatim (renamed) as a
     differential oracle: it keeps every state, and its period detector runs
     on every tree. Fixes since: with r = 0 every suffix is the empty word,
-    where ``[-0:]`` kept the whole word and the table never closed; and it
-    keeps each distinct layer once, indexed by ``at``, as the library does.
+    where ``[-0:]`` kept the whole word and the table never closed; it
+    keeps each distinct layer once, indexed by ``at``, and it lays the
+    layers' symbols side by side in ``arcs`` (``syms[i]`` is
+    ``arcs[:w, s:e]`` for (w, s, e) = ``cuts[i]``), as the library does.
 
     A node's suffix is its last r symbols (the whole word while it is
     shorter): ``words`` lists every suffix the target's words can have, and
@@ -337,6 +339,54 @@ class UnprunedWordLayers:
             self.syms.append(syms)
             self.suffix.append(child_suffix[first[order]])
             self.state.append(child_state[first[order]])
+        ends = np.cumsum([s.shape[1] for s in self.syms], dtype=int)
+        self.cuts = [(len(s), e - s.shape[1], e) for s, e in zip(self.syms, ends.tolist())]
+        self.arcs = np.full((max(map(len, self.syms), default=0), ends[-1] if len(ends) else 0), -1)
+        for (w, s, e), syms in zip(self.cuts, self.syms):
+            self.arcs[:w, s:e] = syms
+
+
+def grow_band_loop(self, tags: np.ndarray, low: float, high: float, depth: int) -> None:
+    """``subsets.WordLayers._grow_band`` as it was when it found each depth's
+    interval, slot width and rank offset with a scalar loop, kept verbatim
+    (as a function of the tree) as a differential oracle: install it on
+    ``WordLayers`` with monkeypatch. The layers of a band on a full shift
+    with r = 0 (see the class docstring)."""
+    k, a, step = len(tags), int(tags.argmax()), int(tags.min())
+    down = a == 0  # discovery order: each parent's count z + 1 comes first
+    counts = np.arange(depth + 1, dtype=np.int64)[::-1 if down else 1, None]
+    # the prune's test on a child's count c, with bounds clipped to [-1, depth]
+    top = math.floor(high) if high < depth else depth  # c <= high
+    bottom = math.ceil(low) if low > -1 else -1  # c + rest >= low
+    zeros = np.zeros(depth + 1, dtype=np.intp)
+    # per depth: the offset that makes a child's rank, hi - c (down) or
+    # c - lo, from +-c, the span hi - lo of kept ranks and the slot width
+    bounds = []
+    lo = hi = 0
+    for d in range(depth):
+        new_lo, new_hi = max(lo + step, bottom - (depth - d - 1)), min(hi + 1, top)
+        if new_lo > new_hi:  # empty, and so is every later layer
+            new_lo, new_hi = depth + 1, -1
+        # the last slot holds the highest symbol some node keeps
+        tagged = max(lo + 1, new_lo) <= min(hi + 1, new_hi)
+        plain = k > 1 and max(lo, new_lo) <= min(hi, new_hi)
+        width = max(a + 1 if tagged else 0, k - (a == k - 1) if plain else 0)
+        bounds.append((new_hi if down else -new_lo, new_hi - new_lo, width))
+        lo, hi = new_lo, new_hi
+        self.suffix.append(zeros[: max(hi - lo + 1, 0)])
+        self.state.append(counts[depth - hi : depth - lo + 1] if down else counts[lo : hi + 1])
+    # one pass over the parents of all depths; counts become ranks in place
+    sizes = [len(u) for u in self.suffix[:-1]]
+    offsets, spans, widths = np.array(bounds, dtype=np.int64).reshape(-1, 3).T
+    kids = np.concatenate([counts[:0], *self.state[:-1]])[:, 0] + tags[:, None]  # a row per symbol
+    kids *= -1 if down else 1
+    kids += np.repeat(offsets, sizes)
+    ok = (kids >= 0) & (kids <= np.repeat(spans, sizes))
+    kids *= ok
+    syms = np.where(ok, np.arange(k)[:, None], -1)
+    for width, end, size in zip(widths.tolist(), np.cumsum(sizes, dtype=np.intp).tolist(), sizes):
+        self.kids.append(kids[:width, end - size : end])
+        self.syms.append(syms[:width, end - size : end])
 
 
 # the engine's folds before they shared per-layer work, kept as oracles: they

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab._engine import CoverProgram, _TreeProgram, cover_min_log, leaf_sum_logs
+from pressurelab._engine import CoverProgram, _TreeProgram, _window_gains, cover_min_log, leaf_sum_logs
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
 from pressurelab.subsets import TargetAutomaton, WordLayers, count_target_words
@@ -18,6 +18,7 @@ from brute import (
     all_words,
     brute_min_cover,
     cover_fold_walk,
+    grow_band_loop,
     inf_birkhoff,
     interval_min_cover,
     leaf_sum_walk,
@@ -723,6 +724,93 @@ def test_band_count_layers_equal_the_sort_merge(monkeypatch):
     assert empty == 11  # 1e-300 at L=97, and the 1-shift's bands that miss frequency 1
 
 
+def test_band_bounds_match_the_scalar_loop(monkeypatch):
+    # the band builder finds every depth's interval, slot width and rank
+    # offset from whole-depth arrays; every array must equal the scalar
+    # loop's, with its dtype and shape: full shifts k = 1-3 (k = 1 tags every
+    # symbol, so each step raises the count), every tagged symbol, bands that
+    # empty mid-tree and windows from 1e-300 to 1e308
+    windows = ((0.3, 0.02), (0.0, 0.02), (1.0, 0.02), (0.5, 0.7), (0.3, 1e-300), (0.3, 1e308))
+    depths = (*range(1, 61), 97, 160, 400, 1600)
+    emptied = 0
+    for k in (1, 2, 3):
+        for symbol, (alpha, eta) in itertools.product(range(k), windows):
+            tracker = TargetAutomaton(pl.full_shift(k), pl.frequency_level(symbol, alpha, eta))
+            for L in depths:
+                got = WordLayers(tracker, 0, L)
+                with monkeypatch.context() as m:
+                    m.setattr(WordLayers, "_grow_band", grow_band_loop)
+                    want = WordLayers(tracker, 0, L)
+                assert got.at == want.at
+                for name in ("suffix", "state", "kids", "syms"):
+                    pairs = list(itertools.zip_longest(getattr(got, name), getattr(want, name)))
+                    assert all(
+                        a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs
+                    ), (k, symbol, alpha, eta, L, name)
+                sizes = [len(u) for u in got.suffix]
+                emptied += 0 in sizes[:-1]
+    assert emptied == 189  # trees with an empty layer above depth L
+
+
+def test_band_build_work_does_not_grow_with_depth():
+    # a band cover tree takes its intervals, arcs and gains from whole-tree
+    # arrays: building it makes as many calls into C at L=400 as at L=40
+    band = pl.frequency_level(0, 0.3, 0.02)
+
+    def c_calls(L):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "c_call" and calls.append(arg))
+        try:
+            _TreeProgram(FULL2, band, F0, 0, L)
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    assert c_calls(40) == c_calls(400)
+
+
+def test_gains_are_the_per_layer_lookups(monkeypatch):
+    # one lookup over the arcs of every layer gives each layer's gains; each
+    # must equal the per-layer lookup on the tree's symbols before the
+    # program releases them: band trees (r = 0, count path), whole and
+    # sub-SFT targets with depth-1 to 3 potentials, a band on the golden
+    # mean (sort-merge, no layer repeats) and unions
+    rng = np.random.default_rng(83)
+    held = []
+    init = WordLayers.__init__
+    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or held.append(tree.syms))
+
+    def potential(host, depth):
+        table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
+        return pl.potential_from_table(host, depth, table)
+
+    flip = pl.sub_sft(((False, True), (True, False)))
+    cases = [(pl.full_shift(k), pl.frequency_level(k - 1, 0.3, 0.05), 1, 0) for k in (1, 2, 3)]
+    cases += [(pl.full_shift(1), pl.frequency_level(0, 0.0, 0.02), 1, 0)]  # empty from depth 1
+    cases += [(host, spec, depth, sigma) for host, spec in (
+        (FULL2, pl.whole()), (pl.full_shift(3), pl.whole()), (GM, pl.whole()), (FULL2, flip),
+        (GM, pl.frequency_level(1, 0.3, 0.05)),
+        (FULL2, pl.finite_union(pl.frequency_level(0, 0.3, 0.05), flip)),
+        (GM, pl.finite_union(pl.frequency_level(0, 0.7, 0.1), pl.frequency_level(1, 0.2, 0.1))),
+    ) for depth in (1, 2, 3) for sigma in (0, 2)]
+    shared = 0
+    for (host, spec, depth, sigma), leaf_order in itertools.product(cases, (False, True)):
+        f = potential(host, depth)
+        prog = _TreeProgram(host, spec, f, sigma, 40, leaf_order=leaf_order)
+        tree, syms = prog.layers, held.pop()
+        assert tree.syms is None and not held
+        gain = _window_gains(tree.words, tree.next >= 0, f)
+        want = [
+            np.where(s >= 0, gain[suffix, s], -math.inf)[:, :, None] for suffix, s in zip(tree.suffix, syms)
+        ]
+        assert len(prog.gains) == 40 and len({id(g) for g in prog.gains}) == len(syms)
+        for d, g in enumerate(prog.gains):
+            w = want[tree.at[d]]
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        shared += len(syms) < 40
+    assert shared == 48  # whole and sub-SFT trees repeat their layers
+
+
 def test_band_trees_take_the_count_path_only_where_layers_are_intervals(monkeypatch, tmp_path):
     # the shipped band configs build every cover tree by count arithmetic;
     # a host with a forbidden move, a depth-2 potential (r = 1), a union and
@@ -921,6 +1009,25 @@ def test_folds_match_the_per_depth_oracles():
         GM, pl.frequency_level(1, 1.0, 0.01), pl.zero_potential(GM), 0, 12, 1, [0.5], [1, 2, 12]
     )
     assert tree.kids[1].shape == (0, 1)
+    # every node of a full 1-shift has one child and of a full 4-shift four;
+    # symbol 0 at frequency 0 on the 1-shift leaves even the root childless
+    for host, K in itertools.product((pl.full_shift(1), pl.full_shift(4)), (1, 9)):
+        k = host.alphabet_size
+        specs = (pl.whole(), pl.frequency_level(0, 0.8, 0.3), pl.frequency_level(0, 0.0, 0.01))
+        for spec, depth, d_min in itertools.product(specs, (1, 2), (1, 3)):
+            table = {w: float(rng.uniform(-1, 1)) for w in all_words(k, depth)}
+            f = pl.potential_from_table(host, depth, table)
+            exponents = rng.uniform(-1, 2, size=K)
+            tree = _assert_folds_match_oracles(host, spec, f, 0, 9, d_min, exponents, [1, 5, 9])
+            assert {len(kid) for kid in tree.kids} <= {0, k}
+    # d_max - d_min across the edges of the 32-depth blocks of ball thresholds
+    flip = pl.sub_sft(((False, True), (True, False)))
+    band = pl.frequency_level(0, 0.3, 0.1)
+    for span, spec, depth in itertools.product((31, 32, 33, 64), (pl.whole(), flip, band), (1, 2)):
+        table = {w: float(rng.uniform(-1, 1)) for w in all_words(2, depth)}
+        f = pl.potential_from_table(FULL2, depth, table)
+        L = span + int(rng.integers(1, 4))
+        _assert_folds_match_oracles(FULL2, spec, f, 0, L, L - span, rng.uniform(-1, 2, size=7), [L])
 
 
 @pytest.mark.parametrize("L", (129, 200, 300))
