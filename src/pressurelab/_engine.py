@@ -16,7 +16,7 @@ read (see below) and, when some part's moves depend on it, the last
 symbol: r = max(k - 1, sigma, 1 if so else 0). On a full shift with a
 depth-1 potential and sigma = 0 that is r = 0, and a node is its tracker
 state alone; a band's layer is then an interval of counts, made without a
-sort. The forward fold keeps r >= 1 (see ``_TreeProgram``).
+sort. The capacity and cover folds of a target read this one tree.
 ``subsets.WordLayers`` builds the distinct (u, z) of every depth once,
 without recursion, so the whole computation costs O(L * |states| * A)
 instead of O(A^L). Everything runs in log space so horizons of thousands of
@@ -120,10 +120,7 @@ class _TreeProgram:
 
     ``layers`` holds the tree (see ``subsets.WordLayers``) less its ``syms``,
     which only the gains read, with r = max(k - 1, sigma, 1 if some part's
-    moves depend on the last symbol else 0). ``leaf_order`` keeps r >= 1 for
-    ``fold_forward``: merging states regroups its scattered log-sum-exps and
-    moves leaf sums by an ulp, while the backward fold computes every merged
-    state's value alike.
+    moves depend on the last symbol else 0); capacity and cover build one tree.
     ``gains[d]`` (with a length-1 axis for K exponents) lines up with
     ``kids[d]``: the potential window each arc's symbol completes, if any
     (as r >= k - 1, the suffix holds its other symbols), -inf on pads. One
@@ -139,7 +136,6 @@ class _TreeProgram:
         f: LocallyConstantPotential,
         sigma: int,
         depth: int,
-        leaf_order: bool = False,
     ):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
@@ -147,9 +143,8 @@ class _TreeProgram:
         self.f = f
         self.sigma = sigma
         self.tracker = build_tracker(spec, sft)
-        moves = self.tracker.moves
-        last = leaf_order or not (moves == moves[:, -1:]).all()
-        self.layers = tree = WordLayers(self.tracker, max(int(last), f.depth - 1, sigma), depth)
+        r = max(int(self.tracker.reads_last), f.depth - 1, sigma)
+        self.layers = tree = WordLayers(self.tracker, r, depth)
         # one lookup over the arcs of every layer; a pad's symbol -1 reads column k
         gain = _window_gains(tree.words, tree.next >= 0, f)
         gain = np.hstack([gain, np.full((len(gain), 1), NEG_INF)])
@@ -220,7 +215,7 @@ def leaf_sum_logs(
         raise ValueError("depth must be at least 1")
     if depths[0] - sigma < 1:
         raise ValueError("depth must exceed sigma")
-    prog = _TreeProgram(sft, spec, f, sigma, depths[-1], leaf_order=True)
+    prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
     prefix = prog.fold_forward()
     prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
     # a tree repeats layers only when no part counts a symbol: acceptance ignores d

@@ -146,8 +146,8 @@ class TargetAutomaton:
     ``windows[p]`` is (target, window) for a frequency part, else None.
     ``moves[p, a, b]`` is True when part p admits symbol b after a; row
     ``a = k`` (k the alphabet size) holds the symbols a word may start
-    with. ``tags[p, b]`` is 1 when part p counts symbol b. Both are made
-    on their first read.
+    with, and ``reads_last`` is True when some rows differ. ``tags[p, b]``
+    is 1 when part p counts symbol b. All three are made on their first read.
     """
 
     def __init__(self, sft: Subshift, spec: SubsetSpec):
@@ -169,6 +169,10 @@ class TargetAutomaton:
     @cached_property
     def tags(self) -> np.ndarray:
         return (np.arange(self._k) == np.array(self._tagged)[:, None]).astype(np.int64)
+
+    @cached_property
+    def reads_last(self) -> bool:
+        return not (self.moves == self.moves[:, -1:]).all()
 
     def accepts(self, states: np.ndarray, depth: int) -> np.ndarray:
         """Mask of the tracker states (one row each) accepted at ``depth``."""
@@ -345,8 +349,18 @@ def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], n
     moves follow ``reach`` can end in, the empty one first, in order of
     discovery; ``next[i, b]`` is the index of the suffix after appending b
     to ``words[i]``, or -1 where ``reach`` forbids b there. ``reach[a][b]``
-    allows b after a, and its last row (index k) holds the first symbols."""
+    allows b after a, and its last row (index k) holds the first symbols.
+    Raises EnumerationBudgetExceeded before building a table past the budget."""
     k = len(reach[-1])
+    # count first: (), j < r symbols from a first symbol, r from any reached one
+    heads, paths, size = list(reach[-1]), [1] * k, 1
+    for _ in range(k):
+        heads = [h or any(heads[a] and reach[a][b] for a in range(k)) for b, h in enumerate(heads)]
+    for j in range(1, r + 1):
+        size += sum(p for p, ok in zip(paths, heads if j == r else reach[-1]) if ok)
+        paths = [sum(p for p, ok in zip(paths, row) if ok) for row in reach[:k]]
+    if size > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetExceeded(size, DEFAULT_ENUMERATION_BUDGET)
     words: List[Word] = [()]
     index = {(): 0}
     nxt = []
@@ -372,13 +386,13 @@ def _one_band(target: TargetAutomaton, r: int) -> bool:
 
 def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):
     """(edges, counts): edges[d][i] lists one (symbol, child index) pair per
-    child of node i of the spec's depth-d word layer (suffix = last symbol);
-    counts[d][i] is the exact number of accepted depth-``depth`` words
-    through that node."""
+    child of node i of the spec's depth-d word layer (the cover tree at sigma
+    0 and potential depth 1); counts[d][i] is the exact number of accepted
+    depth-``depth`` words through that node."""
     if depth < 0:
         raise ValueError("word length must be nonnegative")
     target = build_tracker(spec, sft)
-    tree = WordLayers(target, 1, depth)
+    tree = WordLayers(target, int(target.reads_last), depth)
     layers = [[
         [(b, j) for b, j in zip(s, c) if b >= 0] for s, c in zip(syms.T.tolist(), kids.T.tolist())
     ] for kids, syms in zip(tree.kids, tree.syms)]

@@ -393,6 +393,25 @@ def grow_band_loop(self, tags: np.ndarray, low: float, high: float, depth: int) 
 # read a library tree (``_engine._TreeProgram``) and redo everything per depth
 
 
+def last_symbol_tree(*args):
+    """``_engine._TreeProgram(*args)`` built with r raised to at least 1, so
+    that every state keeps its last symbol: the tree shape capacity folded
+    before every program of a target read one tree. It installs, for this
+    one build, a ``WordLayers`` that raises r, as the prune tests install
+    ``UnprunedWordLayers``; its values are an oracle for the trees whose
+    suffix is empty."""
+    from unittest import mock
+
+    import pressurelab._engine as engine
+
+    class LastSymbolLayers(engine.WordLayers):
+        def __init__(self, target, r: int, depth: int):
+            super().__init__(target, max(r, 1), depth)
+
+    with mock.patch.object(engine, "WordLayers", LastSymbolLayers):
+        return engine._TreeProgram(*args)
+
+
 def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]) -> np.ndarray:
     """``CoverProgram(tree, d_min, centered)(exponents)`` as the fold ran
     before: one ball gather per depth, and per layer one gather and one add

@@ -21,6 +21,7 @@ from brute import (
     grow_band_loop,
     inf_birkhoff,
     interval_min_cover,
+    last_symbol_tree,
     leaf_sum_walk,
     lp_weighted_cover,
     oracle_costs,
@@ -609,7 +610,7 @@ def test_work_stays_per_distinct_layer(monkeypatch):
     accepts = TargetAutomaton.accepts
     monkeypatch.setattr(TargetAutomaton, "accepts", lambda *a: calls.append(a[2]) or accepts(*a))
     sums = leaf_sum_logs(FULL2, flip, f, 1, depths)
-    tree = _TreeProgram(FULL2, flip, f, 1, 180, leaf_order=True)
+    tree = last_symbol_tree(FULL2, flip, f, 1, 180)
     at = tree.layers.at
     assert len(calls) == len(set(at[40:181])) == 2
     assert all(v is not None for v in sums)
@@ -657,11 +658,11 @@ def test_tree_program_releases_the_arc_symbols(monkeypatch):
 def test_band_layers_keep_only_states_that_can_reach_the_window():
     # symbol 0 in 0.3 +- 0.02 on the full 2-shift: a state's count must stay
     # at most 0.32 L and still be able to climb to 0.28 L by depth L (the
-    # leaf-sum tree, which keeps each state's last symbol; the cover tree
-    # keeps one state per count)
+    # last-symbol tree, which keeps each state's last symbol; the tree every
+    # program builds keeps one state per count)
     band = pl.frequency_level(0, 0.3, 0.02)
     for L, states, counts in ((160, 11_855, 6_011), (400, 73_873, 37_145)):
-        tree = _TreeProgram(FULL2, band, F0, 0, L, leaf_order=True)
+        tree = last_symbol_tree(FULL2, band, F0, 0, L)
         assert _tree_states(tree) == states  # 25,761 and 160,401 unpruned
         assert _tree_states(_TreeProgram(FULL2, band, F0, 0, L)) == counts
 
@@ -794,9 +795,9 @@ def test_gains_are_the_per_layer_lookups(monkeypatch):
         (GM, pl.finite_union(pl.frequency_level(0, 0.7, 0.1), pl.frequency_level(1, 0.2, 0.1))),
     ) for depth in (1, 2, 3) for sigma in (0, 2)]
     shared = 0
-    for (host, spec, depth, sigma), leaf_order in itertools.product(cases, (False, True)):
+    for (host, spec, depth, sigma), build in itertools.product(cases, (_TreeProgram, last_symbol_tree)):
         f = potential(host, depth)
-        prog = _TreeProgram(host, spec, f, sigma, 40, leaf_order=leaf_order)
+        prog = build(host, spec, f, sigma, 40)
         tree, syms = prog.layers, held.pop()
         assert tree.syms is None and not held
         gain = _window_gains(tree.words, tree.next >= 0, f)
@@ -813,8 +814,9 @@ def test_gains_are_the_per_layer_lookups(monkeypatch):
 
 def test_band_trees_take_the_count_path_only_where_layers_are_intervals(monkeypatch, tmp_path):
     # the shipped band configs build every cover tree by count arithmetic;
-    # a host with a forbidden move, a depth-2 potential (r = 1), a union and
-    # a capacity tree (r >= 1 for the forward fold) keep the sort-merge
+    # a host with a forbidden move, a depth-2 potential (r = 1) and a union
+    # keep the sort-merge, and a capacity tree on the full shift builds the
+    # cover tree, by count arithmetic
     from pressurelab.cli import main
 
     built = _counting_band_builds(monkeypatch)
@@ -836,8 +838,9 @@ def test_band_trees_take_the_count_path_only_where_layers_are_intervals(monkeypa
     pl.bowen_pressure(FULL2, band, f2, pl.Scale(1), 3, 30)
     union = pl.finite_union(band, pl.frequency_level(1, 0.9, 0.05))
     pl.bowen_pressure(FULL2, union, F0, pl.Scale(1), 3, 30)
-    leaf_sum_logs(FULL2, band, F0, 0, list(range(10, 31)))
     assert built == []
+    leaf_sum_logs(FULL2, band, F0, 0, list(range(10, 31)))
+    assert built == [30]
 
 
 def test_short_suffix_cover_trees_match_the_last_symbol_trees():
@@ -861,7 +864,7 @@ def test_short_suffix_cover_trees_match_the_last_symbol_trees():
             d_min = int(rng.integers(sigma + 1, L + 1))
             exponents = rng.uniform(-1, 2, size=7)
             short = _TreeProgram(host, spec, f, sigma, L)
-            long = _TreeProgram(host, spec, f, sigma, L, leaf_order=True)
+            long = last_symbol_tree(host, spec, f, sigma, L)
             for centered in (False, True):
                 got = CoverProgram(short, d_min, centered)(exponents)
                 assert got.tobytes() == CoverProgram(long, d_min, centered)(exponents).tobytes()
@@ -870,13 +873,52 @@ def test_short_suffix_cover_trees_match_the_last_symbol_trees():
                 continue
             N, m = int(rng.integers(1, 3)), int(rng.integers(0, 3))
             got = pl.bowen_pressure(host, spec, f, pl.Scale(m), N, L, tol=1e-6)
-            program = CoverProgram(_TreeProgram(host, spec, f, 0, L, leaf_order=True), N + m)
+            program = CoverProgram(last_symbol_tree(host, spec, f, 0, L), N + m)
             want = _bisect_critical(program, 1e-6, L, N, pl.Scale(m))
             assert (got.s_low, got.s_high, got.history) == (want.s_low, want.s_high, want.history)
     assert shorter == 6  # depth 1, sigma 0: three targets on each host
     # the band of the cover-deep benchmark halves: one state per count
     band = pl.frequency_level(0, 0.3, 0.02)
     assert _tree_states(_TreeProgram(FULL2, band, F0, 0, 160)) == 6_011  # 11,855 with it
+
+
+def _tree_arrays(tree):
+    """The suffix table and layers of a ``WordLayers`` tree that every
+    program reads, with dtypes and shapes."""
+    return tree.words, tree.at, [
+        [(a.dtype, a.shape, a.tolist()) for a in arrays]
+        for arrays in ([tree.next], tree.suffix, tree.state, tree.kids)
+    ]
+
+
+def test_capacity_cover_and_word_counts_build_one_tree(monkeypatch):
+    # for one target, depth-1 potential, sigma = 0 and depth, the capacity
+    # fit, the cover bisection and the word count build equal trees, so the
+    # leaf sums and the cover values are read from one tree: full 2- and
+    # 3-shifts (r = 0) with whole, band and union targets, and a golden-mean
+    # sub-SFT (r = 1)
+    built = []
+    init = WordLayers.__init__
+    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or built.append(tree))
+    rng = np.random.default_rng(89)
+    cases = [(FULL2, pl.sub_sft(GM.allowed))]
+    for host in (FULL2, pl.full_shift(3)):
+        k = host.alphabet_size
+        cases += [(host, spec) for spec in (
+            pl.whole(),
+            pl.frequency_level(0, 0.3, 0.1),
+            pl.finite_union(pl.frequency_level(0, 0.2, 0.05), pl.frequency_level(k - 1, 0.6, 0.1)),
+        )]
+    L = 24
+    for host, spec in cases:
+        f = pl.potential_from_table(host, 1, {(a,): float(rng.uniform(-1, 1)) for a in range(host.alphabet_size)})
+        pl.capacity_pressure(host, spec, f, pl.Scale(1), (L - 8, L))
+        pl.bowen_pressure(host, spec, f, pl.Scale(1), 2, L)
+        pl.count_target_words(host, spec, L)
+        assert len(built) == 3
+        want = _tree_arrays(built.pop())
+        assert _tree_arrays(built.pop()) == want and _tree_arrays(built.pop()) == want, (host, spec)
+    assert [len(_TreeProgram(host, spec, F0, 0, L).layers.words) for host, spec in cases[:2]] == [3, 1]
 
 
 def _random_irreducible_host(rng):
@@ -970,7 +1012,7 @@ def _assert_folds_match_oracles(host, spec, f, sigma, L, d_min, exponents, depth
         got = CoverProgram(tree, d_min, centered)(exponents)
         assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
     got = leaf_sum_logs(host, spec, f, sigma, depths)
-    want = leaf_sum_walk(_TreeProgram(host, spec, f, sigma, L, leaf_order=True), depths)
+    want = leaf_sum_walk(tree, depths)
     assert [v is None for v in got] == [v is None for v in want]
     assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
     return tree
@@ -1009,6 +1051,19 @@ def test_folds_match_the_per_depth_oracles():
         GM, pl.frequency_level(1, 1.0, 0.01), pl.zero_potential(GM), 0, 12, 1, [0.5], [1, 2, 12]
     )
     assert tree.kids[1].shape == (0, 1)
+    # with a depth-1 potential and sigma = 0 a full shift's band and union
+    # trees keep no suffix (r = 0), and both folds read them
+    for host in (FULL2, pl.full_shift(3)):
+        k = host.alphabet_size
+        f = pl.potential_from_table(host, 1, {(a,): float(rng.uniform(-1, 1)) for a in range(k)})
+        for spec in (
+            pl.frequency_level(k - 1, 0.4, 0.1),
+            pl.finite_union(pl.frequency_level(0, 0.2, 0.05), pl.frequency_level(k - 1, 0.6, 0.1)),
+        ):
+            tree = _assert_folds_match_oracles(
+                host, spec, f, 0, 40, 5, rng.uniform(-1, 2, size=6), list(range(1, 41))
+            )
+            assert tree.layers.words == [()]
     # every node of a full 1-shift has one child and of a full 4-shift four;
     # symbol 0 at frequency 0 on the 1-shift leaves even the root childless
     for host, K in itertools.product((pl.full_shift(1), pl.full_shift(4)), (1, 9)):

@@ -1,10 +1,20 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import pressurelab as pl
-from brute import admissible_words, partition_function, random_sub_relation, sup_birkhoff
+from brute import (
+    admissible_words,
+    last_symbol_tree,
+    leaf_sum_walk,
+    partition_function,
+    random_sub_relation,
+    sup_birkhoff,
+)
+from pressurelab._engine import _TreeProgram, leaf_sum_logs
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -186,3 +196,30 @@ def test_capacity_past_the_float_range_names_the_first_horizon(c, m):
     f = pl.constant_potential(FULL2, c)
     with pytest.raises(RuntimeError, match="float range at n = 4;"):
         pl.capacity_pressure(FULL2, pl.whole(), f, pl.Scale(m), (4, 24))
+
+
+def test_merged_capacity_trees_are_accurate():
+    # on a full k-shift with a depth-1 potential f the whole space's leaf sum
+    # at depth d is exactly d log sum_a e^f(a); its tree keeps no suffix
+    # (r = 0, one state per depth), and its leaf sums, like the last-symbol
+    # tree's, lie within 2 d eps (d B) of the exact value, where d B, with
+    # B = max |f| + log k, bounds every log prefix sum the forward fold
+    # rounds: each depth adds a few roundings of at most that size
+    rng = np.random.default_rng(97)
+    eps = sys.float_info.epsilon
+    depths = sorted({1, 2, 3, 400, *rng.integers(4, 400, size=40).tolist()})
+    for k in (1, 2, 3):
+        host = pl.full_shift(k)
+        for size in (1e-3, 1.0, 30.0):
+            values = rng.uniform(-size, size, size=k).tolist()
+            f = pl.potential_from_table(host, 1, {(a,): v for a, v in enumerate(values)})
+            with localcontext() as exact:
+                exact.prec = 40
+                rate = sum(Decimal(v).exp() for v in values).ln()
+                B = max(map(abs, values)) + math.log(k)
+                assert _TreeProgram(host, pl.whole(), f, 0, 400).layers.words == [()]
+                last = leaf_sum_walk(last_symbol_tree(host, pl.whole(), f, 0, 400), depths)
+                for sums in (leaf_sum_logs(host, pl.whole(), f, 0, depths), last):
+                    for d, got in zip(depths, sums):
+                        error = float(abs(Decimal(got) - d * rate))
+                        assert error <= 2 * d * eps * d * B, (k, values, d)

@@ -604,6 +604,23 @@ def test_cli_capacity_names_the_float_range_at_either_sign(tmp_path, capsys):
         }, c
 
 
+def test_cli_capacity_refuses_a_suffix_table_past_the_budget(tmp_path, capsys, monkeypatch):
+    # a capacity tree at scale m keeps the last m - 1 symbols; its suffix
+    # table is counted before it is built, so a table past the budget is
+    # the JSON error record and exit 1, not an allocation without bound
+    import pressurelab.subsets as subsets
+
+    monkeypatch.setattr(subsets, "DEFAULT_ENUMERATION_BUDGET", 2 ** 10)
+    path = tmp_path / "m12.json"
+    path.write_text(json.dumps(dict(json.loads((CONFIGS / "capacity_full2.json").read_text()), scales=[12])))
+    code, out, err = _run(["pressure", "capacity", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "EnumerationBudgetExceeded",
+        "message": f"enumeration of {2 ** 12 - 1} words exceeds the budget of {2 ** 10}",
+    }
+
+
 def test_cli_capacity_reads_a_pair_as_its_window(tmp_path, capsys):
     # capacity cannot take two explicit horizons, so a short pair is still
     # the window: [40, 43] fits four horizons, [40, 42] is the error record

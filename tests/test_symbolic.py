@@ -270,6 +270,24 @@ def test_enumeration_budget_refuses_before_materializing():
         assert peak < 2 ** 20
 
 
+def test_suffix_tables_keep_to_the_enumeration_budget(monkeypatch):
+    # a suffix table counts its suffixes by path counts before it builds
+    # any: one exactly at the budget builds and one past it raises; on the
+    # full 2-shift the suffixes of at most r symbols number 2^(r+1) - 1, and
+    # on the chain 0 -> 1 -> 2 -> 2 from the first symbol 0 the r-symbol
+    # suffixes start at every symbol a word reaches
+    import pressurelab.subsets as subsets
+
+    full = [[True, True]] * 3
+    chain = [[False, True, False], [False, False, True], [False, False, True], [True, False, False]]
+    for reach, r, size, over in ((full, 8, 2 ** 9 - 1, 2 ** 10 - 1), (chain, 2, 5, 6)):
+        monkeypatch.setattr(subsets, "DEFAULT_ENUMERATION_BUDGET", size)
+        assert len(subsets.suffix_table(reach, r)[0]) == size
+        with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+            subsets.suffix_table(reach, r + 1)
+        assert (exc.value.count, exc.value.budget) == (over, size)
+
+
 def test_subshift_from_pairs_roundtrip():
     sft = pl.subshift_from_pairs(2, [(0, 0), (0, 1), (1, 0)])
     assert sft.allowed == GM.allowed
