@@ -192,15 +192,21 @@ class _TreeProgram:
     def fold_forward(self) -> List[np.ndarray]:
         """Per layer, the log of the summed exp(window gains) over the paths
         from the root to each state."""
+        at, suffix = self.layers.at, self.layers.suffix
+        flat: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # per distinct layer
         prefix = [np.zeros(1)]
-        for d in range(len(self.kids)):
-            nxt = np.full(len(self.layers.suffix[self.layers.at[d + 1]]), NEG_INF)
-            np.logaddexp.at(nxt, self.kids[d].ravel(), (self.gains[d] + prefix[-1][:, None]).ravel())
+        for d, i in enumerate(at[:-1]):
+            if i not in flat:
+                flat[i] = self.kids[d].ravel(), self.gains[d][:, :, 0]
+            kids, gains = flat[i]
+            nxt = np.full(len(suffix[at[d + 1]]), NEG_INF)
+            np.logaddexp.at(nxt, kids, (gains + prefix[-1]).ravel())
             prefix.append(nxt)
         return prefix
 
 
-@np.errstate(invalid="ignore")  # inf - inf past the float range reads NaN; capacity_pressure rejects it
+# past the float range a sum reads +-inf, or NaN for inf - inf; capacity_pressure rejects both
+@np.errstate(over="ignore", invalid="ignore")
 def leaf_sum_logs(
     sft: Subshift,
     spec: SubsetSpec,
@@ -218,20 +224,20 @@ def leaf_sum_logs(
     prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
     prefix = prog.fold_forward()
     prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
-    # a tree repeats layers only when no part counts a symbol: acceptance ignores d
-    made: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    out = []
+    # the depths that share a layer are summed in one block; a tree repeats
+    # layers only when no part counts a symbol, so acceptance ignores d
+    groups: Dict[int, List[int]] = {}
     for d in depths:
-        i = prog.layers.at[d]
-        if i not in made:
-            suffix, state, keep = prog.layers.suffix[i], prog.layers.state[i], prog.accepted(d)
-            # the tail runs over every part the word has not left
-            tails = np.where(state[keep] >= 0, prices[:, suffix[keep]].T, NEG_INF).max(axis=1)
-            made[i] = keep, tails
-        keep, tails = made[i]
-        terms = prefix[d][keep] + tails
-        out.append(float(np.logaddexp.reduce(terms)) if terms.size else None)
-    return out
+        groups.setdefault(prog.layers.at[d], []).append(d)
+    out: Dict[int, Optional[float]] = {}
+    for i, ds in groups.items():
+        suffix, state, keep = prog.layers.suffix[i], prog.layers.state[i], prog.accepted(ds[0])
+        # the tail runs over every part the word has not left
+        tails = np.where(state[keep] >= 0, prices[:, suffix[keep]].T, NEG_INF).max(axis=1)
+        terms = np.array([prefix[d][keep] for d in ds]) + tails
+        sums = np.logaddexp.reduce(terms, axis=1).tolist() if tails.size else [None] * len(ds)
+        out.update(zip(ds, sums))
+    return [out[d] for d in depths]
 
 
 def leaf_sum_log(

@@ -21,13 +21,12 @@ from .capacity import capacity_pressure
 from .config import (
     COMMANDS,
     ExperimentConfig,
-    json_ready,
     parse_config,
     parse_scalar,
     svg_line_plot,
+    write_atomic,
     write_csv,
     write_json,
-    write_svg,
 )
 from .errors import PressureLabError, SchemaError
 from .harness import (
@@ -238,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emitted.append(csv_path)
             if args.svg:
                 svg_path = os.path.join(args.out, f"{stem}_trace.svg")
-                write_svg(
+                write_atomic(
                     svg_path,
                     svg_line_plot(rows, title=command, xlabel=header[0], ylabel=header[1]),
                 )
@@ -259,7 +258,7 @@ def _emit_error(e: Exception, extra: Optional[Dict[str, object]] = None) -> None
     record: Dict[str, object] = {"error": type(e).__name__, "message": str(e)}
     if extra:
         record.update(extra)
-    print(json.dumps(json_ready(record), sort_keys=True), file=sys.stderr)
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -136,17 +137,11 @@ def parse_config(
         for name in _REQUIRED[command]:
             if name not in data:
                 problems.append((name, f"required for `{command}`"))
-        if command == "verify unions":
-            if subset is not None and subset.kind != "finite_union":
-                problems.append(
-                    ("subset", "must be a finite_union of the components")
-                )
-        if command in ("pressure exact", "verify gibbs"):
-            if subset is not None and subset.kind not in ("whole", "sub_sft"):
-                problems.append(
-                    ("subset", f"`{command}` needs an invariant target "
-                     "(whole or sub_sft)")
-                )
+        if command == "verify unions" and subset is not None and subset.kind != "finite_union":
+            problems.append(("subset", "must be a finite_union of the components"))
+        invariant = command in ("pressure exact", "verify gibbs")
+        if invariant and subset is not None and subset.kind not in ("whole", "sub_sft"):
+            problems.append(("subset", f"`{command}` needs an invariant target (whole or sub_sft)"))
 
     if problems:
         raise SchemaError(problems)
@@ -155,17 +150,12 @@ def parse_config(
         raise InadmissibleWord(
             f"potential key {forbidden[0]!r} names a forbidden word of the system"
         )
-    if scales is not None and command == "pressure capacity":
-        if any(sc.m < 1 for sc in scales):
-            raise ScaleTooCoarse(
-                "separated-set counting is degenerate at m=0; "
-                "`pressure capacity` needs every scale m >= 1"
-            )
-    if scales is not None and command == "verify chain":
-        if any(sc.m < 3 for sc in scales):
-            raise ScaleTooCoarse(
-                "`verify chain` coarsens by 3 dyadic steps; needs m >= 3"
-            )
+    if scales is not None and command == "pressure capacity" and any(sc.m < 1 for sc in scales):
+        raise ScaleTooCoarse(
+            "separated-set counting is degenerate at m=0; `pressure capacity` needs every scale m >= 1"
+        )
+    if scales is not None and command == "verify chain" and any(sc.m < 3 for sc in scales):
+        raise ScaleTooCoarse("`verify chain` coarsens by 3 dyadic steps; needs m >= 3")
     return ExperimentConfig(
         system=system,
         potential=potential,
@@ -486,89 +476,94 @@ def parse_scalar(name: str, value, problems, path: Optional[str] = None):
 # report serialization
 
 
-def json_ready(obj):
-    """Recursively convert report objects into JSON-safe structures.
+def _number(x) -> str:
+    """A float as reports and CSV traces write it: its repr when finite, else
+    inf, -inf or nan (a report quotes these, so it stays strict JSON)."""
+    x = float(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "nan" if x != x else "inf" if x > 0 else "-inf"
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan" so emitted files
-    stay strict JSON, and arrays become nested lists; bisection histories are
-    dropped here because they are emitted as CSV traces instead.
-    """
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        obj = float(obj)
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+
+_JSON_SCALARS = {  # type -> its JSON text
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else f'"{_number(x)}"',
+    int: int.__repr__, str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+}
+_CRITICAL = "midpoint s_low s_high width value_at_low value_at_high threshold_value depth N method"
+
+
+def _plain(obj):
+    """What a report writes for a numpy array or scalar (its ``tolist()``) or
+    a result dataclass (its fields); bisection histories and traces go to the
+    CSV trace instead."""
     if isinstance(obj, CriticalExponent):
-        return {
-            "midpoint": json_ready(obj.midpoint),
-            "s_low": json_ready(obj.s_low),
-            "s_high": json_ready(obj.s_high),
-            "width": json_ready(obj.width),
-            "value_at_low": json_ready(obj.value_at_low),
-            "value_at_high": json_ready(obj.value_at_high),
-            "threshold_value": json_ready(obj.threshold_value),
-            "depth": obj.depth,
-            "N": obj.N,
-            "m": obj.scale.m,
-            "method": obj.method,
-            "probes": len(obj.history),
-        }
+        fields = {name: getattr(obj, name) for name in _CRITICAL.split()}
+        return {**fields, "m": obj.scale.m, "probes": len(obj.history)}
     if isinstance(obj, CapacityEstimate):
-        return {
-            "slope": json_ready(obj.slope),
-            "tail_max": json_ready(obj.tail_max),
-            "window": list(obj.window),
-            "m": obj.scale.m,
-            "p_n": [[n, json_ready(v)] for n, v in obj.p_n],
-            "empty_n": list(obj.empty_n),
-        }
+        return {"slope": obj.slope, "tail_max": obj.tail_max, "window": obj.window,
+                "m": obj.scale.m, "p_n": obj.p_n, "empty_n": obj.empty_n}
     if isinstance(obj, (np.ndarray, np.generic)):  # arrays and the other numpy scalars
-        return json_ready(obj.tolist())
+        return obj.tolist()
     if is_dataclass(obj):
-        skip = {"history", "trace", "raw"}
-        return {
-            name: json_ready(getattr(obj, name))
-            for name in obj.__dataclass_fields__
-            if name not in skip
-        }
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
+        names = obj.__dataclass_fields__
+        return {name: getattr(obj, name) for name in names if name not in ("history", "trace", "raw")}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit(obj, ind: str) -> str:
+    """``obj`` as JSON indented by 2, its first line at ``ind`` (a newline and
+    the indent): dict keys are written as strings, sorted, and keys equal as
+    strings keep the last value; a list of finite floats or of ints is one join."""
+    kind = type(obj)
+    if kind in _JSON_SCALARS:
+        return _JSON_SCALARS[kind](obj)
+    inner = ind + "  "
+    if kind is list or kind is tuple:
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {float} and all(map(math.isfinite, obj)):
+            items = map(repr, obj)
+        else:
+            items = [_emit(v, inner) for v in obj]
+        return f"[{inner}{f',{inner}'.join(items)}{ind}]" if obj else "[]"
+    if kind is dict:
+        named = {str(k): v for k, v in obj.items()}
+        items = [f"{encode_basestring_ascii(k)}: {_emit(named[k], inner)}" for k in sorted(named)]
+        return f"{{{inner}{f',{inner}'.join(items)}{ind}}}" if obj else "{}"
+    return _emit(_plain(obj), ind)
 
 
 # ---------------------------------------------------------------------------
 # atomic file emission
 
 
-def _write_atomic(path: str, text: str) -> None:
+def write_atomic(path: str, text: str) -> None:
+    """Write ``path.tmp``, then replace ``path`` by it; the tmp file goes if either step fails."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_json(path: str, obj: Dict[str, object]) -> None:
-    text = json.dumps(json_ready(obj), indent=2, sort_keys=True, allow_nan=False)
-    _write_atomic(path, text + "\n")
+    write_atomic(path, _emit(obj, "\n") + "\n")
 
 
 def _csv_cell(v) -> str:
-    v = json_ready(v)  # the report's own mapping of numbers and non-finite floats
-    return repr(v) if isinstance(v, float) else str(v)
+    if isinstance(v, (float, np.floating)):
+        return _number(v)  # the report's own number rule
+    return str(v.tolist() if isinstance(v, np.generic) else v)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def svg_line_plot(
@@ -629,7 +624,3 @@ def svg_line_plot(
         + f'<polyline points="{path}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
         f"</svg>\n"
     )
-
-
-def write_svg(path: str, svg_text: str) -> None:
-    _write_atomic(path, svg_text)

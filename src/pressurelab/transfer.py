@@ -81,7 +81,7 @@ class MarkovMeasure:
 def bernoulli_measure(p: Sequence[float], label: str = "") -> MarkovMeasure:
     p = np.asarray(p, dtype=float)
     P = np.tile(p, (len(p), 1))
-    return MarkovMeasure(P, p.copy(), label or f"bernoulli{tuple(round(x, 6) for x in p)}")
+    return MarkovMeasure(P, p.copy(), label or f"bernoulli{tuple(round(x, 6) for x in p.tolist())}")
 
 
 def markov_measure(

@@ -10,12 +10,17 @@ under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import is_dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+
+from pressurelab.bowen import CriticalExponent
+from pressurelab.capacity import CapacityEstimate
 
 Word = Tuple[int, ...]
 Relation = Tuple[Tuple[bool, ...], ...]
@@ -438,17 +443,24 @@ def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]
     return values[0]
 
 
-def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
-    """``_engine.leaf_sum_logs`` on the tree ``prog`` as it ran before: the
-    acceptance mask and the tail corrections made again at every depth; None
-    where no word is accepted."""
-    NEG_INF = -math.inf
+def fold_forward_walk(prog) -> List[np.ndarray]:
+    """``prog.fold_forward()`` as it ran before: each depth ravels its own
+    kids and gains for one scatter."""
     prefix = [np.zeros(1)]
     for d in range(len(prog.kids)):
-        nxt = np.full(len(prog.layers.suffix[prog.layers.at[d + 1]]), NEG_INF)
+        nxt = np.full(len(prog.layers.suffix[prog.layers.at[d + 1]]), -math.inf)
         arcs = prog.gains[d][:, :, 0] + prefix[-1]
         np.logaddexp.at(nxt, prog.kids[d].ravel(), arcs.ravel())
         prefix.append(nxt)
+    return prefix
+
+
+def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
+    """``_engine.leaf_sum_logs`` on the tree ``prog`` as it ran before: the
+    acceptance mask and the tail corrections made again, and the terms summed,
+    at every depth on its own; None where no word is accepted."""
+    NEG_INF = -math.inf
+    prefix = fold_forward_walk(prog)
     prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
     out = []
     for d in depths:
@@ -1043,3 +1055,77 @@ def first_diff_table(word_len: int) -> np.ndarray:
         first[~any_diff] = word_len
         J[lo:hi] = first
     return J
+
+
+# ---------------------------------------------------------------------------
+# report serialization, as the library wrote reports before its one-pass writer
+
+
+def json_ready(obj):
+    """Recursively convert report objects into JSON-safe structures.
+
+    Non-finite floats become the strings "inf"/"-inf"/"nan" so emitted files
+    stay strict JSON, and arrays become nested lists; bisection histories are
+    dropped here because they are emitted as CSV traces instead.
+    """
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
+    if isinstance(obj, CriticalExponent):
+        return {
+            "midpoint": json_ready(obj.midpoint),
+            "s_low": json_ready(obj.s_low),
+            "s_high": json_ready(obj.s_high),
+            "width": json_ready(obj.width),
+            "value_at_low": json_ready(obj.value_at_low),
+            "value_at_high": json_ready(obj.value_at_high),
+            "threshold_value": json_ready(obj.threshold_value),
+            "depth": obj.depth,
+            "N": obj.N,
+            "m": obj.scale.m,
+            "method": obj.method,
+            "probes": len(obj.history),
+        }
+    if isinstance(obj, CapacityEstimate):
+        return {
+            "slope": json_ready(obj.slope),
+            "tail_max": json_ready(obj.tail_max),
+            "window": list(obj.window),
+            "m": obj.scale.m,
+            "p_n": [[n, json_ready(v)] for n, v in obj.p_n],
+            "empty_n": list(obj.empty_n),
+        }
+    if isinstance(obj, (np.ndarray, np.generic)):  # arrays and the other numpy scalars
+        return json_ready(obj.tolist())
+    if is_dataclass(obj):
+        skip = {"history", "trace", "raw"}
+        return {
+            name: json_ready(getattr(obj, name))
+            for name in obj.__dataclass_fields__
+            if name not in skip
+        }
+    if isinstance(obj, dict):
+        return {str(k): json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def report_text(obj) -> str:
+    """A report's text as the library wrote it through ``json_ready`` and
+    ``json.dumps``."""
+    return json.dumps(json_ready(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_cell(v) -> str:
+    """A CSV trace cell as the library wrote it through ``json_ready``."""
+    v = json_ready(v)
+    return repr(v) if isinstance(v, float) else str(v)

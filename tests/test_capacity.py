@@ -8,6 +8,8 @@ import pytest
 import pressurelab as pl
 from brute import (
     admissible_words,
+    all_words,
+    fold_forward_walk,
     last_symbol_tree,
     leaf_sum_walk,
     partition_function,
@@ -196,6 +198,49 @@ def test_capacity_past_the_float_range_names_the_first_horizon(c, m):
     f = pl.constant_potential(FULL2, c)
     with pytest.raises(RuntimeError, match="float range at n = 4;"):
         pl.capacity_pressure(FULL2, pl.whole(), f, pl.Scale(m), (4, 24))
+
+
+def test_capacity_window_sums_the_depths_of_a_layer_in_one_block():
+    # leaf_sum_logs sums the depths that share a layer in one 2-D block and
+    # fold_forward ravels each distinct layer once; both must equal the
+    # per-depth loops bit for bit, where layers repeat (a periodic sub-SFT,
+    # the whole shift), where acceptance moves with the depth (bands), where
+    # a layer is empty and where sums leave the float range
+    rng = np.random.default_rng(41)
+    flip = pl.sub_sft(((False, True), (True, False)))
+    band = pl.frequency_level(0, 0.3, 0.1)
+    cases = [
+        (FULL2, flip, 2, 1, 60),
+        (FULL2, flip, 2, 3, 60),
+        (FULL2, pl.whole(), 2, 2, 50),
+        (FULL2, band, 1, 1, 60),
+        (FULL2, band, 2, 2, 40),
+        (FULL2, pl.finite_union(flip, band), 2, 1, 40),
+        (pl.full_shift(3), pl.finite_union(pl.sub_sft(((True, True, False),) * 3), band), 1, 2, 30),
+        (GM, pl.frequency_level(1, 1.0, 0.01), 1, 1, 12),  # layer 1 is childless
+    ]
+    for host, spec, depth, m, L in cases:
+        for scale in (1.0, 1e308):  # 1e308: terms of +-inf, and NaN where they meet
+            table = {w: scale * float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
+            f = pl.potential_from_table(host, depth, table)
+            depths = list(range(m, L + 1))
+            tree = _TreeProgram(host, spec, f, m - 1, L)
+            with np.errstate(over="ignore", invalid="ignore"):  # as leaf_sum_logs runs them
+                prefix, want = fold_forward_walk(tree), leaf_sum_walk(tree, depths)
+                folded = tree.fold_forward()
+            for got, walked in zip(folded, prefix, strict=True):
+                assert got.tobytes() == walked.tobytes()
+            got = leaf_sum_logs(host, spec, f, m - 1, depths)
+            assert [v is None for v in got] == [v is None for v in want]
+            assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+    # every leaf sum -inf: each window is -1e308, so two of them leave the range
+    f = pl.potential_from_table(FULL2, 2, {w: -1e308 for w in all_words(2, 2)})
+    tree = _TreeProgram(FULL2, flip, f, 0, 30)
+    got = leaf_sum_logs(FULL2, flip, f, 0, list(range(1, 31)))
+    assert got[3:] == [-math.inf] * 27
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = leaf_sum_walk(tree, range(1, 31))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_merged_capacity_trees_are_accurate():

@@ -12,6 +12,7 @@ import pytest
 
 import pressurelab
 import pressurelab.harness as harness
+from pressurelab import config
 from pressurelab.cli import main, run
 from pressurelab.config import parse_config
 from pressurelab.errors import InadmissibleWord, ScaleTooCoarse, SchemaError
@@ -450,6 +451,57 @@ def test_cli_nan_tolerance_exits_1(tmp_path, capsys):
     assert code == 1
     assert json.loads(err)["problems"] == [["tol", "must be a finite number"]]
     assert not (tmp_path / "pressure_bowen_report.json").exists()
+
+
+def test_cli_capacity_tail_past_the_float_range_exits_1_without_a_warning(tmp_path, capsys):
+    # a finite log prefix sum plus a finite tail correction can overflow; the
+    # sum reads +inf, capacity_pressure names it, and no RuntimeWarning (an
+    # error under this suite's filters) reaches stderr
+    table = {"00": -1e308, "01": 9e307, "10": 9e307, "11": -1e308}
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps({"system": {"alphabet_size": 2}, "potential": {"depth": 2, "table": table},
+                                "scales": [1], "n_range": [2, 24]}))
+    code, _, err = _run(["pressure", "capacity", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(err) == {"error": "RuntimeError",
+                               "message": "log P_n leaves the float range at n = 2; the potential is too large"}
+
+
+def test_cli_failed_report_write_exits_1_and_leaves_no_tmp_file(tmp_path, capsys, monkeypatch):
+    # the tmp file goes when the write or the replace that follows it fails
+    def refuse(*args, **kwargs):
+        raise OSError("replace refused")
+
+    out = tmp_path / "out"
+    argv = ["pressure", "exact", "--config", str(CONFIGS / "exact_golden_mean.json"), "--out", str(out)]
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", refuse)
+        code, stdout, err = _run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "OSError", "message": "replace refused"}
+    assert list(out.iterdir()) == []
+    with monkeypatch.context() as m:
+        m.setattr(config, "open", _FailingFile, raising=False)
+        code, _, err = _run(argv, capsys)
+    assert code == 1 and json.loads(err) == {"error": "OSError", "message": "disk full"}
+    assert list(out.iterdir()) == []
+
+
+class _FailingFile:
+    """A file opened for writing whose write fails once the file exists."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        raise OSError("disk full")
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab.config import json_ready
 from pressurelab.measure import _invariant_pressures
 from pressurelab.symbolic import is_strongly_connected
 from brute import (
     all_words,
     invariant_pressure_stack,
+    json_ready,
     local_pressure_symbolwise,
     markov_entropy,
     sample_orbit_symbolwise,

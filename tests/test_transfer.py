@@ -174,6 +174,14 @@ def test_bernoulli_and_markov_constructors_validate():
     assert np.allclose(ber.transition, [[0.3, 0.7], [0.3, 0.7]])
 
 
+def test_bernoulli_label_names_plain_floats():
+    # numpy 2 would spell each rounded numpy float as np.float64(...)
+    assert pl.bernoulli_measure([0.5, 0.5]).label == "bernoulli(0.5, 0.5)"
+    assert pl.bernoulli_measure([1 / 3, 2 / 3]).label == "bernoulli(0.333333, 0.666667)"
+    assert pl.bernoulli_measure(np.array([1.0])).label == "bernoulli(1.0,)"
+    assert pl.bernoulli_measure([0.5, 0.5], label="fair").label == "fair"
+
+
 def test_markov_measure_rejects_nan_probabilities():
     # NaN fails every < and > check, so it needs its own
     with pytest.raises(ValueError, match="finite"):
