@@ -292,38 +292,30 @@ class CoverProgram:
         # per block of depths, per column several share: their decay rows, a
         # slice as a tree repeats with one period, and that column; every
         # other depth adds its own column at its turn
-        own, self._blocks = self._ball[:-1], []
-        for lo in range(0, d_max - d_min, _BLOCK):
+        n = d_max - d_min
+        own, self._blocks, firsts = self._ball[:-1], [], [None] * n
+        for lo in range(0, n, _BLOCK):
             groups: Dict[int, List[int]] = {}
-            for j in range(lo, min(lo + _BLOCK, d_max - d_min)):
+            for j in range(lo, min(lo + _BLOCK, n)):
                 groups.setdefault(keys[j], []).append(j)
             shared = [slice(js[0], js[-1] + 1, js[1] - js[0]) for js in groups.values() if len(js) > 1]
-            self._blocks.append([(rows, own[rows.start]) for rows in shared])
+            firsts[j] = [(rows, own[rows.start]) for rows in shared]
+            self._blocks.append(firsts[j])
             for rows in shared:
                 own[rows] = [None] * len(own[rows])
-        # an accepted leaf must take its ball, a rejected one needs none
+        # an accepted leaf must take its ball, a rejected one needs none; a
+        # program without one folds nothing, so every layer it folds has a child
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()
-        leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
-        # the fold starts at the leaves or at the first childless layer, whose
-        # nodes are -inf (every deeper layer is empty)
-        top = d_max
-        while top and not len(tree.kids[top - 1]):
-            top -= 1
-        self._top, n = top, max(top - d_min, 0)
-        self._start = np.full((tree.kids[top].shape[1], 1), NEG_INF) if top < d_max else leaves
-        # per layer above it, deepest first, one list each (a list of tuples
-        # would hold a tuple per depth): its children, gains and rows past the
-        # first and, from d_min on, its decay row, its own column and, on the
-        # first layer of a block that the fold meets, the block's shared columns
-        after = [tuple(range(1, w)) for w in range(tree.host.alphabet_size + 1)]
-        firsts = [None] * n
-        for lo in range(0, n, _BLOCK):
-            firsts[min(lo + _BLOCK, n) - 1] = self._blocks[lo // _BLOCK]
-        pad = [None] * (top - n)
+        self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
+        # per layer, deepest first, one list each (a list of tuples would hold
+        # a tuple per depth): its children, gains and rows past the first and,
+        # from d_min on, its decay row, its own column and, on the deepest
+        # layer of a block (the fold meets it first), the block's shared columns
+        pad = [None] * d_min
         self._layers = [column[::-1] for column in (
-            tree.kids[:top], tree.gains[:top], [after[len(kid)] for kid in tree.kids[:top]],
-            pad + list(range(n)), pad + own[:n], pad + firsts,
+            tree.kids, tree.gains, [range(1, len(kid)) for kid in tree.kids],
+            pad + list(range(n)), pad + own, pad + firsts,
         )]
 
     @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
@@ -334,13 +326,12 @@ class CoverProgram:
         over the arity rows in reduce order and one in-place minimum with the ball
         thresholds; values equal a per-row fold's bit for bit."""
         neg_s = -np.asarray(exponents, dtype=float)
-        d_min, top, ball, start = self._d_min, self._top, self._ball, self._start
-        decay = np.multiply.outer(np.arange(d_min, len(ball) + d_min) - self._sigma, neg_s)
+        if self.empty:  # nothing to cover: the empty cover costs zero
+            return np.full(len(neg_s), NEG_INF)
+        ball = self._ball
+        decay = np.multiply.outer(np.arange(self._d_min, len(ball) + self._d_min) - self._sigma, neg_s)
         logaddexp, minimum = np.logaddexp, np.minimum
-        if top >= d_min:
-            values = minimum(decay[top - d_min] + ball[top - d_min], start)
-        else:
-            values = np.full((len(start), len(neg_s)), NEG_INF)
+        values = minimum(decay[-1] + ball[-1], self._leaves)
         for kid, gain, rows, j, column, shared in zip(*self._layers):
             if shared is not None:  # d tops its block: the thresholds its depths share
                 made = {}

@@ -148,9 +148,7 @@ def cover_value(
 
 
 def _check_window(N: int, scale: Scale, L: int) -> int:
-    if N < 1:
-        raise ValueError("minimum horizon N must be at least 1")
-    d_min = N + scale.m
+    d_min = bowen_ball_word_length(N, scale)
     if L < d_min:
         raise DepthTooShallow(f"depth L={L} is below the minimum ball depth {d_min}")
     return d_min
@@ -261,11 +259,7 @@ def string_cover_value(
     q = partition_depth
     if q < 1:
         raise ValueError("partition depth q must be at least 1")
-    if N < 1:
-        raise ValueError("minimum string length N must be at least 1")
-    d_min = N + q - 1
-    if L < d_min:
-        raise DepthTooShallow(f"depth L={L} is below minimum string depth {d_min}")
+    d_min = _check_window(N, Scale(q - 1), L)
     return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, q - 1, L), d_min).at(s))
 
 
@@ -344,11 +338,9 @@ def check_chain(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if scale.m < 3:
-        raise ScaleTooCoarse("chain check needs m >= 3 for the coarse side")
     coarse = scale.coarsen(3)
     d_min_fine = _check_window(N, scale, L)
-    d_min_coarse = N + coarse.m
+    d_min_coarse = bowen_ball_word_length(N, coarse)
 
     # one word tree serves both sides; only the ball prices differ
     tree = _TreeProgram(sft, K, f, 0, L)
@@ -363,11 +355,13 @@ def check_chain(
     left_ok = centered <= weighted * (1 + slack) + slack
     right_ok = weighted <= unweighted * (1 + slack) + slack
 
-    # the precondition is monotone beyond 2/delta, so checking up to there
-    # (and at N itself) decides it for every n >= N
-    n_top = max(N, math.ceil(2.0 / delta)) + 1
+    # n^2 exp(-n delta) rises up to n = 2/delta and falls after it, so over
+    # n >= N it is largest at N or at an integer next to 2/delta; a peak past
+    # 2^53 (or at float infinity) fails already at n = 2^53
+    peak = min(2.0 / delta, 2.0 ** 53)
     precondition_ok = all(
-        n * n * math.exp(-n * delta) <= 1.0 + 1e-12 for n in range(N, n_top + 1)
+        n * n * math.exp(-n * delta) <= 1.0 + 1e-12
+        for n in {N, max(N, math.floor(peak)), max(N, math.ceil(peak))}
     )
 
     return {

@@ -249,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SchemaError as e:
         _emit_error(e, extra={"problems": [[p, m] for p, m in e.problems]})
         return 1
-    except (PressureLabError, ValueError, OSError, RuntimeError) as e:
+    except (PressureLabError, ValueError, OSError, RuntimeError, MemoryError) as e:
         _emit_error(e)
         return 1
 

@@ -22,6 +22,7 @@ import numpy as np
 from .bowen import CriticalExponent
 from .capacity import CapacityEstimate
 from .errors import InadmissibleWord, ScaleTooCoarse, SchemaError
+from .harness import _GIBBS_BETAS
 from .subsets import SubsetSpec, finite_union, frequency_level, sub_sft, validate_spec, whole
 from .symbolic import (
     LocallyConstantPotential,
@@ -366,12 +367,12 @@ def _parse_n_range(node, problems) -> Optional[Tuple[int, ...]]:
 
 def _parse_betas(node, problems) -> Tuple[float, ...]:
     if node is None:
-        return (0.05, 0.1)
+        return _GIBBS_BETAS
     if not isinstance(node, list) or not node or any(
         not _is_finite(b) or b <= 0 for b in node
     ):
         problems.append(("betas", "must be a nonempty list of positive finite numbers"))
-        return (0.05, 0.1)
+        return _GIBBS_BETAS
     return tuple(float(b) for b in node)
 
 

@@ -33,6 +33,7 @@ from .transfer import MarkovMeasure, PressureValue, _solve, equilibrium_measure,
 _GRID_EPS = 1e-6
 _STACK = 256  # most measures one stack holds, so memory is flat in measure_grid
 _CONTROL_OFFSET = 0.1  # verify_gibbs_bound's control exponent sits this far above the pressure
+_GIBBS_BETAS = (0.05, 0.1)  # verify_gibbs_bound's default offsets below the pressure
 _MASS_FLOOR = 1e-150  # doubling the tilt about squares the least transition mass
 
 
@@ -311,6 +312,19 @@ def _band_reference(
 # finite unions
 
 
+def _union_brackets_ok(
+    union: CriticalExponent, parts: Sequence[CriticalExponent], N: int, scale: Scale
+) -> bool:
+    """The union's upper bracket is at least every part's lower bracket
+    (covers of the union cover each part), and its lower bracket is at most
+    the largest part upper bracket plus log(r)/(N+m) for r parts
+    (subadditivity of cover values under unions)."""
+    slack = math.log(len(parts)) / (N + scale.m)
+    return union.s_high >= max(p.s_low for p in parts) - 1e-12 and (
+        union.s_low <= max(p.s_high for p in parts) + slack + 1e-12
+    )
+
+
 def verify_unions(
     sft: Subshift,
     components: Sequence[SubsetSpec],
@@ -323,11 +337,7 @@ def verify_unions(
     """Cover pressure of a finite union against the max over components.
 
     Passing requires |union - max| <= 2 tol plus the two bracket-level facts
-    that hold exactly at finite depth: the union's upper bracket is at least
-    every component's lower bracket (covers of the union cover each
-    component), and the union's lower bracket is at most the max component
-    upper bracket plus log(r)/(N+m) for r components (subadditivity of
-    cover values under unions).
+    of ``_union_brackets_ok``, which hold exactly at finite depth.
     """
     if len(components) < 2:
         raise ValueError("need at least two components")
@@ -340,11 +350,7 @@ def verify_unions(
     )
     best = max(p.midpoint for p in parts)
     gap = b_union.midpoint - best
-    slack = math.log(len(components)) / (N + scale.m)
-    bracket_ok = b_union.s_high >= max(p.s_low for p in parts) - 1e-12 and (
-        b_union.s_low <= max(p.s_high for p in parts) + slack + 1e-12
-    )
-    passed = abs(gap) <= 2 * tol and bracket_ok
+    passed = abs(gap) <= 2 * tol and _union_brackets_ok(b_union, parts, N, scale)
     return UnionReport(
         union_pressure=b_union,
         component_pressures=parts,
@@ -366,7 +372,7 @@ def verify_gibbs_bound(
     scale: Scale,
     N: int,
     L: int,
-    betas: Sequence[float] = (0.05, 0.1),
+    betas: Sequence[float] = _GIBBS_BETAS,
 ) -> GibbsReport:
     """Check mu(B_n) <= C exp(-n s + sup f_n) below the pressure.
 
@@ -528,9 +534,7 @@ def property_suite(seed: int, trials: int) -> PropertyReport:
         b1 = bowen_pressure(host, z1, f, m1, 2, 12, tol=bt)
         b2 = bowen_pressure(host, z2, f, m1, 2, 12, tol=bt)
         bu = bowen_pressure(host, union, f, m1, 2, 12, tol=bt)
-        hi_ok = bu.s_high >= max(b1.s_low, b2.s_low) - 1e-12
-        lo_ok = bu.s_low <= max(b1.s_high, b2.s_high) + math.log(2) / 3 + 1e-12
-        if not (hi_ok and lo_ok):
+        if not _union_brackets_ok(bu, (b1, b2), 2, m1):
             failures["union_bracket"].append(t)
 
         # Reducible targets carry an O(1) log-prefactor c in their partition

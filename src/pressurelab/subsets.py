@@ -350,7 +350,8 @@ def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], n
     discovery; ``next[i, b]`` is the index of the suffix after appending b
     to ``words[i]``, or -1 where ``reach`` forbids b there. ``reach[a][b]``
     allows b after a, and its last row (index k) holds the first symbols.
-    Raises EnumerationBudgetExceeded before building a table past the budget."""
+    Raises EnumerationBudgetExceeded before building a table past the budget,
+    with the count up to the first length that passes it."""
     k = len(reach[-1])
     # count first: (), j < r symbols from a first symbol, r from any reached one
     heads, paths, size = list(reach[-1]), [1] * k, 1
@@ -358,9 +359,9 @@ def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], n
         heads = [h or any(heads[a] and reach[a][b] for a in range(k)) for b, h in enumerate(heads)]
     for j in range(1, r + 1):
         size += sum(p for p, ok in zip(paths, heads if j == r else reach[-1]) if ok)
+        if size > DEFAULT_ENUMERATION_BUDGET:
+            raise EnumerationBudgetExceeded(size, DEFAULT_ENUMERATION_BUDGET)
         paths = [sum(p for p, ok in zip(paths, row) if ok) for row in reach[:k]]
-    if size > DEFAULT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetExceeded(size, DEFAULT_ENUMERATION_BUDGET)
     words: List[Word] = [()]
     index = {(): 0}
     nxt = []

@@ -1292,6 +1292,20 @@ def test_chain_requires_fine_scale():
         pl.check_chain(FULL2, pl.whole(), F0, s=0.5, delta=0.5, N=4, scale=pl.Scale(2), L=10)
 
 
+def test_chain_precondition_fails_at_a_delta_whose_peak_leaves_the_float_range():
+    # n^2 exp(-n delta) peaks at n = 2/delta; at delta = 1e-320 that is past
+    # the float range, and the chain still runs and reports the precondition
+    # false, as it does at a delta whose peak is a finite huge n
+    for delta in (1e-320, 1e-300, 1e-20):
+        r = pl.check_chain(FULL2, pl.whole(), F0, s=math.log(2), delta=delta, N=6, scale=pl.Scale(4), L=14)
+        assert r["passed"] and r["precondition_ok"] is False and r["params"]["delta"] == delta
+    # at N = 6 the peak 2/delta lies below N from delta = 1/3 on, and the
+    # value at N, 36 exp(-6 delta), reaches 1 at delta = log(6) / 3
+    ok = {d: pl.check_chain(FULL2, pl.whole(), F0, math.log(2), d, 6, pl.Scale(4), 14)["precondition_ok"]
+          for d in (0.5, 0.597, 0.598, 1.0)}
+    assert ok == {0.5: False, 0.597: False, 0.598: True, 1.0: True}
+
+
 def test_bisection_rejects_a_nan_tolerance():
     # NaN compares false with everything, so `tol <= 0` let it through and
     # the bisection stopped at once on the bracket [0, 1]

@@ -669,8 +669,43 @@ def test_cli_capacity_refuses_a_suffix_table_past_the_budget(tmp_path, capsys, m
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "EnumerationBudgetExceeded",
-        "message": f"enumeration of {2 ** 12 - 1} words exceeds the budget of {2 ** 10}",
+        "message": f"enumeration of {2 ** 11 - 1} words exceeds the budget of {2 ** 10}",
     }
+    # the count stops at the first suffix length past the budget, so a scale
+    # far past it is the same record, not a count too long to print
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), scales=[20000])))
+    code, out, err = _run(["pressure", "capacity", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"] == f"enumeration of {2 ** 11 - 1} words exceeds the budget of {2 ** 10}"
+
+
+def test_cli_chain_reports_a_failed_precondition_at_a_tiny_delta(tmp_path, capsys):
+    # 2/delta is past the float range at delta = 1e-320: the precondition
+    # is false, and the chain values are still reported
+    cfg = dict(json.loads((CONFIGS / "chain_full2.json").read_text()), delta=1e-320)
+    code, report, _ = _run_config(tmp_path, capsys, "verify chain", cfg, "tiny")
+    assert code == 0
+    (result,) = report["results"].values()
+    assert result["passed"] and result["precondition_ok"] is False
+
+
+def test_cli_out_of_memory_is_the_json_error_record(tmp_path):
+    # a depth the schema accepts can need more memory than the process may
+    # take; under an address-space limit that ends in the one-line record
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "system": {"alphabet_size": 2, "allowed": "full"}, "potential": {"constant": 0.0},
+        "scales": [1], "N": 2, "L": 300_000_000,
+    }))
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+    code = limit + "import sys; from pressurelab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "pressure", "bowen", "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=dict(_src_env(), OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "MemoryError"
 
 
 def test_cli_capacity_reads_a_pair_as_its_window(tmp_path, capsys):

@@ -288,6 +288,17 @@ def test_suffix_tables_keep_to_the_enumeration_budget(monkeypatch):
         assert (exc.value.count, exc.value.budget) == (over, size)
 
 
+def test_suffix_tables_stop_counting_at_the_first_length_past_the_budget():
+    # on the full 2-shift the suffixes of at most j symbols number
+    # 2^(j+1) - 1, which first passes the budget 2^26 at j = 26; a table of
+    # far longer suffixes raises with that count, not with its own
+    import pressurelab.subsets as subsets
+
+    with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+        subsets.suffix_table([[True, True]] * 3, 20000)
+    assert (exc.value.count, exc.value.budget) == (2 ** 27 - 1, 2 ** 26)
+
+
 def test_subshift_from_pairs_roundtrip():
     sft = pl.subshift_from_pairs(2, [(0, 0), (0, 1), (1, 0)])
     assert sft.allowed == GM.allowed
