@@ -34,17 +34,18 @@ directions:
   exponents. Each layer gathers its children's values in one block, adds
   the gains, log-sum-exps over the arity axis and takes the minimum with
   its ball thresholds, so one pass from the leaves to the root prices K
-  exponents; the layer's arrays come from a list the program makes once.
-  The thresholds are made per block of at most 32 depths, with one add for
-  all the depths of the block that share a ball column.
+  exponents. A pass widens the gains of each layer that several depths
+  repeat to its K exponents once, so their depths add same-shape arrays,
+  and makes the thresholds per block of at most 32 depths, with one add
+  for all the depths of the block that share a ball column.
 - Forward, for the partition functions. Each layer scatters its log prefix
   sums, plus the arc gains, into its children, so one pass from the root
   yields the leaf sum of every depth of a capacity window.
 
-Gains, ball prices, acceptance masks and tail corrections are made once per
-distinct layer and read through ``WordLayers.at``; the gains of all layers
-come from one lookup over the tree's arcs, each layer's a view of that
-array. That saves work, no value moves.
+Gains, arity rows, ball prices, acceptance masks and tail corrections are
+made once per distinct layer and read through ``WordLayers.at``; the gains
+of all layers come from one lookup over the tree's arcs, each layer's a view
+of that array. That saves work, no value moves.
 
 Conventions used throughout:
 
@@ -191,15 +192,17 @@ class _TreeProgram:
     @np.errstate(over="ignore")  # a log-space sum past the float range saturates at +-inf
     def fold_forward(self) -> List[np.ndarray]:
         """Per layer, the log of the summed exp(window gains) over the paths
-        from the root to each state."""
+        from the root to each state. Per pass each distinct layer ravels its
+        kids and gains and makes the -inf row its depths copy and scatter into."""
         at, suffix = self.layers.at, self.layers.suffix
-        flat: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # per distinct layer
+        flat = [  # layer i, as built, is depth i's
+            (kids.ravel(), gains[:, :, 0], np.full(len(suffix[at[i + 1]]), NEG_INF))
+            for i, (kids, gains) in enumerate(zip(self.layers.kids, self.gains))
+        ]
         prefix = [np.zeros(1)]
-        for d, i in enumerate(at[:-1]):
-            if i not in flat:
-                flat[i] = self.kids[d].ravel(), self.gains[d][:, :, 0]
-            kids, gains = flat[i]
-            nxt = np.full(len(suffix[at[d + 1]]), NEG_INF)
+        for i in at[:-1]:
+            kids, gains, row = flat[i]
+            nxt = row.copy()
             np.logaddexp.at(nxt, kids, (gains + prefix[-1]).ravel())
             prefix.append(nxt)
         return prefix
@@ -271,9 +274,9 @@ class CoverProgram:
     consider that an error.
 
     The program prices the balls of a tree built to d_max once, at
-    construction; programs with other windows or pricing can share the
-    tree. Each call is one backward fold over the layers for all its
-    exponents.
+    construction, and makes its tables per distinct layer and per block of
+    depths; programs with other windows or pricing can share the tree. Each
+    call is one backward fold over the layers for all its exponents.
     """
 
     def __init__(self, tree: _TreeProgram, d_min: int, centered: bool = False):
@@ -283,72 +286,72 @@ class CoverProgram:
         if d_min - sigma < 1:
             raise ValueError("d_min must exceed sigma")
         self._sigma, self._d_min = sigma, d_min
+        at, suffix = tree.layers.at, tree.layers.suffix
         price = tree.prices(tree.host.allowed, not centered)
-        # with one suffix (r = 0) every depth takes the root layer's (1, 1)
-        # column; else the depths that repeat a layer share its column
-        keys = [0 if len(price) == 1 else i for i in tree.layers.at[d_min:]]
-        columns = {i: price[tree.layers.suffix[i]][:, None] for i in set(keys)}
-        self._ball = [columns[i] for i in keys]
-        # per block of depths, per column several share: their decay rows, a
+        # per layer its ball column: with one suffix (r = 0) the root's (1, 1)
+        one = len(price) == 1
+        columns = [price[:, None]] * len(suffix) if one else [price[u][:, None] for u in suffix]
+        self._ball = [columns[i] for i in at[d_min:]]
+        # per layer (layer i, as built, is depth i's) its children, gains, rows
+        # past the first and ball column, read through ``at`` deepest first
+        self._layers = [(kid, gain, range(1, len(kid)), column)
+                        for kid, gain, column in zip(tree.layers.kids, tree.gains, columns)]
+        self._at = at[d_max - 1::-1]
+        self._repeated = np.flatnonzero(np.bincount(at[:-1]) > 1).tolist()
+        # per block of depths, per column several share: their depths, a
         # slice as a tree repeats with one period, and that column; every
         # other depth adds its own column at its turn
-        n = d_max - d_min
-        own, self._blocks, firsts = self._ball[:-1], [], [None] * n
-        for lo in range(0, n, _BLOCK):
-            groups: Dict[int, List[int]] = {}
-            for j in range(lo, min(lo + _BLOCK, n)):
-                groups.setdefault(keys[j], []).append(j)
-            shared = [slice(js[0], js[-1] + 1, js[1] - js[0]) for js in groups.values() if len(js) > 1]
-            firsts[j] = [(rows, own[rows.start]) for rows in shared]
-            self._blocks.append(firsts[j])
-            for rows in shared:
-                own[rows] = [None] * len(own[rows])
+        keys = [0] * (d_max - d_min) if one else at[d_min:-1]
+        self._blocks = []
+        for lo in range(0, len(keys), _BLOCK):
+            ks = keys[lo : lo + _BLOCK]
+            firsts = [(key, ks.index(key)) for key in dict.fromkeys(ks) if ks.count(key) > 1]
+            self._blocks.append([(slice(lo + j, lo + len(ks), ks.index(key, j + 1) - j), columns[key])
+                                 for key, j in firsts])
         # an accepted leaf must take its ball, a rejected one needs none; a
         # program without one folds nothing, so every layer it folds has a child
         accepted = tree.accepted(d_max)
         self.empty = not accepted.any()
         self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
-        # per layer, deepest first, one list each (a list of tuples would hold
-        # a tuple per depth): its children, gains and rows past the first and,
-        # from d_min on, its decay row, its own column and, on the deepest
-        # layer of a block (the fold meets it first), the block's shared columns
-        pad = [None] * d_min
-        self._layers = [column[::-1] for column in (
-            tree.kids, tree.gains, [range(1, len(kid)) for kid in tree.kids],
-            pad + list(range(n)), pad + own, pad + firsts,
-        )]
 
     @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
-        """One backward fold for all ``exponents``: per block of depths one add per
-        ball column that its depths share, then per layer one gather into an
-        (arity, states, K) block, one in-place add of the gains, binary log-sum-exps
-        over the arity rows in reduce order and one in-place minimum with the ball
-        thresholds; values equal a per-row fold's bit for bit."""
+        """One backward fold for all ``exponents``: per layer that several depths
+        repeat one widening of its gains to the K exponents, per block of depths
+        one add per ball column that its depths share, then per depth one gather
+        into an (arity, states, K) block, one in-place add of the gains, binary
+        log-sum-exps over the arity rows in reduce order and one in-place minimum
+        with the ball thresholds; values equal a per-row fold's bit for bit."""
         neg_s = -np.asarray(exponents, dtype=float)
         if self.empty:  # nothing to cover: the empty cover costs zero
             return np.full(len(neg_s), NEG_INF)
-        ball = self._ball
-        decay = np.multiply.outer(np.arange(self._d_min, len(ball) + self._d_min) - self._sigma, neg_s)
+        n, d_min = len(self._ball) - 1, self._d_min
+        decay = np.multiply.outer(np.arange(d_min, n + d_min + 1) - self._sigma, neg_s)
+        layers = self._layers.copy()
+        for i in self._repeated:  # a same-shape add beats a broadcast one
+            kid, gain, rows, column = layers[i]
+            layers[i] = kid, np.repeat(gain, len(neg_s), axis=2), rows, column
         logaddexp, minimum = np.logaddexp, np.minimum
-        values = minimum(decay[-1] + ball[-1], self._leaves)
-        for kid, gain, rows, j, column, shared in zip(*self._layers):
-            if shared is not None:  # d tops its block: the thresholds its depths share
-                made = {}
-                for js, col in shared:
-                    made.update(zip(range(len(decay))[js], decay[js, None, :] + col))
+        values = minimum(decay[-1] + self._ball[-1], self._leaves)
+        blocks, top, made = reversed(self._blocks), n - 1, {}
+        for j, i in zip(range(n - 1, -d_min - 1, -1), self._at):
+            kid, gain, rows, column = layers[i]
             arcs = values.take(kid, 0)  # as values[kid], by a faster path
             arcs += gain
             values = arcs[0]
-            for i in rows:
-                logaddexp(values, arcs[i], out=values)
+            for r in rows:
+                logaddexp(values, arcs[r], out=values)
+            if j < 0:  # no ball sits shallower than d_min
+                continue
+            if j == top:  # the deepest depth of a block: the thresholds its depths share
+                for js, col in next(blocks):
+                    made.update(zip(range(n)[js], decay[js, None, :] + col))
+                top = j - j % _BLOCK - 1
             # a node takes its ball where that is cheaper than covering its
             # children; exact ties resolve toward the shallower ball, which
             # pins down which cover the DP means
-            if column is not None:
-                minimum(decay[j] + column, values, out=values)
-            elif j is not None:
-                minimum(made[j], values, out=values)
+            shared = made.pop(j, None)
+            minimum(decay[j] + column if shared is None else shared, values, out=values)
         return values[0]
 
     def at(self, s: float) -> float:

@@ -162,6 +162,12 @@ def _nonempty_program(tree: _TreeProgram, d_min: int, centered: bool = False) ->
     return program
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):  # a NaN exponent would read as a value past the float range
+            raise ValueError(f"{name} must be a finite number")
+
+
 def _value_from_log(value: float) -> float:
     """A cover value from its log: 0.0 at -inf, inf past the float range."""
     return math.exp(value) if value <= _LOG_FLOAT_MAX else math.inf
@@ -187,6 +193,7 @@ def min_cover_value(
     Nonincreasing in s, nondecreasing in N, nonincreasing under shrinking Z;
     the tests check all three exactly.
     """
+    _require_finite(s=s)
     d_min = _check_window(N, scale, L)
     return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, 0, L), d_min).at(s))
 
@@ -259,6 +266,7 @@ def string_cover_value(
     q = partition_depth
     if q < 1:
         raise ValueError("partition depth q must be at least 1")
+    _require_finite(s=s)
     d_min = _check_window(N, Scale(q - 1), L)
     return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, q - 1, L), d_min).at(s))
 
@@ -336,6 +344,7 @@ def check_chain(
     reported as a flag rather than enforced, so parameter sets that fail it
     still produce the three values.
     """
+    _require_finite(s=s, delta=delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     coarse = scale.coarsen(3)

@@ -17,9 +17,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ._engine import NEG_INF, leaf_sum_log, leaf_sum_logs
-from .errors import EmptyTarget
+from .errors import EmptyTarget, EnumerationBudgetExceeded
 from .subsets import SubsetSpec
-from .symbolic import LocallyConstantPotential, Scale, Subshift, separated_word_length
+from .symbolic import (DEFAULT_ENUMERATION_BUDGET, LocallyConstantPotential, Scale, Subshift,
+                       separated_word_length)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,8 @@ def _normalize_range(
     # a window increases by construction, so only a list is checked pair by pair
     seq = list(n_range)
     window = len(seq) == 2 and (seq[1] - seq[0] >= 4 or minimum_points > 2)
+    if window and seq[1] - seq[0] >= DEFAULT_ENUMERATION_BUDGET:  # one horizon per entry
+        raise EnumerationBudgetExceeded(seq[1] - seq[0] + 1, DEFAULT_ENUMERATION_BUDGET)
     ns = tuple(range(seq[0], seq[1] + 1)) if window else tuple(seq)
     if len(ns) < minimum_points:
         raise ValueError(f"horizon window needs at least {minimum_points} entries")

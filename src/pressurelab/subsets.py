@@ -237,6 +237,8 @@ class WordLayers:
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
         parts, _, k = target.moves.shape
         self.words, self.next = suffix_table(target.moves.any(axis=0).tolist(), r)
+        if depth + 1 > DEFAULT_ENUMERATION_BUDGET:  # a tree holds a node per depth at least
+            raise EnumerationBudgetExceeded(depth + 1, DEFAULT_ENUMERATION_BUDGET)
         words = self.words
         moves = target.moves[:, [u[-1] if u else k for u in words]].transpose(1, 0, 2)
         self.suffix = [np.zeros(1, dtype=np.intp)]

@@ -1111,6 +1111,81 @@ def test_cover_fold_blocks_match_the_per_depth_oracle(L):
             assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
 
 
+_NON_FINITE_CALLS = {
+    "min_cover_value": lambda s, delta: pl.min_cover_value(FULL2, pl.whole(), F0, s, 2, pl.Scale(1), 8),
+    "string_cover_value": lambda s, delta: pl.string_cover_value(FULL2, pl.whole(), F0, s, 2, 2, 8),
+    "check_chain": lambda s, delta: pl.check_chain(FULL2, pl.whole(), F0, s, delta, 6, pl.Scale(4), 14),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_CALLS))
+def test_cover_values_refuse_a_non_finite_exponent(entry):
+    # a NaN log once read as a value past the float range: the cover values
+    # were inf at s = nan, check_chain passed there and died on a NaN delta
+    call = _NON_FINITE_CALLS[entry]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^s must be a finite number$"):
+            call(bad, 0.5)
+        if entry == "check_chain":
+            with pytest.raises(ValueError, match="^delta must be a finite number$"):
+                call(math.log(2), bad)
+    assert call(math.log(2), 0.5)  # a finite exponent still has its value
+
+
+def test_cover_folds_match_the_per_depth_oracle_at_the_float_range_edges():
+    # potentials near 1e308 make window sums and ball prices reach +-inf, and
+    # a pad's -inf gain on a +inf child reads NaN: the widened gains of the
+    # repeated layers must still add bit for bit as the per-row oracle does
+    rng = np.random.default_rng(308)
+    full3 = pl.full_shift(3)
+    cycle = tuple(tuple(b == (a + 1) % 3 for b in range(3)) for a in range(3))
+    band = pl.frequency_level(0, 0.3, 0.1)
+    cases = [
+        (FULL2, pl.whole(), 1), (FULL2, pl.whole(), 2),
+        (FULL2, pl.sub_sft(((False, True), (True, False))), 2), (full3, pl.sub_sft(cycle), 2),
+        (FULL2, band, 1), (FULL2, pl.finite_union(band, pl.sub_sft(GM.allowed)), 2),
+    ]
+    seen = set()
+    for (host, spec, depth), L in itertools.product(cases, (9, 40)):
+        table = {w: float(rng.uniform(-1, 1)) * 1e308 for w in admissible_words(host.allowed, depth)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = _TreeProgram(host, spec, pl.potential_from_table(host, depth, table), 0, L)
+        for centered, K in itertools.product((False, True), (1, 47)):
+            d_min = int(rng.integers(1, L))
+            exponents = rng.uniform(-1, 2, size=K)
+            got = CoverProgram(tree, d_min, centered)(exponents)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = cover_fold_walk(tree, d_min, centered, exponents)
+            assert got.tobytes() == want.tobytes()
+            seen |= {"nan"} if np.isnan(got).any() else set()
+            seen |= {"inf"} if np.isinf(got).any() else set()
+    assert seen == {"nan", "inf"}
+
+
+def test_a_call_widens_each_repeated_layer_once(monkeypatch):
+    # the program's tables are per distinct layer, and a call widens the
+    # gains of each layer that several depths repeat to its K exponents with
+    # one np.repeat, which all the depths of that layer then add; a band
+    # repeats no layer and widens none
+    flip = pl.sub_sft(((False, True), (True, False)))
+    f = pl.potential_from_table(FULL2, 2, {(a, b): 0.1 * (2 * a + b) for a in (0, 1) for b in (0, 1)})
+    band = pl.frequency_level(0, 0.3, 0.02)
+    widened, repeat = [], np.repeat
+    monkeypatch.setattr(np, "repeat", lambda *a, **k: widened.append(repeat(*a, **k)) or widened[-1])
+    exponents = [0.3, 0.5, 0.7, 0.9]
+    for spec, g in ((flip, f), (pl.whole(), f), (pl.whole(), F0), (band, f)):
+        tree = _TreeProgram(FULL2, spec, g, 0, 180)
+        program = CoverProgram(tree, 40)
+        at, kids = tree.layers.at[:-1], tree.layers.kids
+        repeated = [i for i in range(len(kids)) if at.count(i) > 1]
+        assert len(program._layers) == len(kids) and (len(kids) < 10 or spec is band)
+        del widened[:]
+        got = program(exponents)
+        assert [w.shape for w in widened] == [(*kids[i].shape, 4) for i in repeated]
+        assert len(widened) == (0 if spec is band else len(set(at[-6:])))
+        assert got.tobytes() == cover_fold_walk(tree, 40, False, exponents).tobytes()
+
+
 def test_many_counted_parts_count_exactly():
     # eight frequency parts make the joint (suffix, state) code pass 2**62 at
     # depth 300, so the layer builder compresses it while merging states

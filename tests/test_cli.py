@@ -689,23 +689,45 @@ def test_cli_chain_reports_a_failed_precondition_at_a_tiny_delta(tmp_path, capsy
     assert result["passed"] and result["precondition_ok"] is False
 
 
-def test_cli_out_of_memory_is_the_json_error_record(tmp_path):
-    # a depth the schema accepts can need more memory than the process may
-    # take; under an address-space limit that ends in the one-line record
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps({
-        "system": {"alphabet_size": 2, "allowed": "full"}, "potential": {"constant": 0.0},
-        "scales": [1], "N": 2, "L": 300_000_000,
-    }))
+def _run_memory_limited(tmp_path, command, cfg):
+    """(exit code, stdout, stderr) of the CLI on ``cfg`` in a subprocess whose
+    address space is limited to 1.5 GB."""
+    path = tmp_path / "limited.json"
+    path.write_text(json.dumps(cfg))
     limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
     code = limit + "import sys; from pressurelab.cli import main; sys.exit(main())"
     proc = subprocess.run(
-        [sys.executable, "-c", code, "pressure", "bowen", "--config", str(path), "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", code, *command.split(), "--config", str(path), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120, env=dict(_src_env(), OPENBLAS_NUM_THREADS="1"),
     )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1
-    assert json.loads(proc.stderr)["error"] == "MemoryError"
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_DEEP = {"system": {"alphabet_size": 2, "allowed": "full"}, "potential": {"constant": 0.0}, "scales": [1]}
+
+
+def test_cli_out_of_memory_is_the_json_error_record(tmp_path):
+    # a depth the schema and the enumeration budget accept can need more
+    # memory than the process may take (the depth index of 60 million depths
+    # alone takes about 2.2 GB); under an address-space limit that ends in
+    # the one-line record
+    code, out, err = _run_memory_limited(tmp_path, "pressure bowen", dict(_DEEP, N=2, L=60_000_000))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "MemoryError"
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("pressure bowen", {"N": 2, "L": 300_000_000}),
+    ("pressure capacity", {"n_range": [40, 300_000_000]}),
+])
+def test_cli_refuses_depths_past_the_enumeration_budget_up_front(tmp_path, command, fields):
+    # a tree holds a node per depth and a capacity window a horizon per entry,
+    # so 300 million of either is past the budget before anything is allocated
+    code, out, err = _run_memory_limited(tmp_path, command, dict(_DEEP, **fields))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "EnumerationBudgetExceeded"
 
 
 def test_cli_capacity_reads_a_pair_as_its_window(tmp_path, capsys):
