@@ -119,15 +119,15 @@ def extreme_tails(
 class _TreeProgram:
     """The tracked word tree to ``depth``, merged on (last r symbols, tracker state).
 
-    ``layers`` holds the tree (see ``subsets.WordLayers``) less its ``syms``,
+    ``layers`` holds the tree (see ``subsets.WordLayers``) less its ``arcs``,
     which only the gains read, with r = max(k - 1, sigma, 1 if some part's
     moves depend on the last symbol else 0); capacity and cover build one tree.
-    ``gains[d]`` (with a length-1 axis for K exponents) lines up with
-    ``kids[d]``: the potential window each arc's symbol completes, if any
-    (as r >= k - 1, the suffix holds its other symbols), -inf on pads. One
-    lookup of the (suffix x symbol) gain table over ``layers.arcs`` makes
-    them all; each distinct layer's is a view, shared by the depths that
-    repeat it.
+    ``gains[i]`` (with a length-1 axis for K exponents) lines up with
+    ``layers.kids[i]``, and depth d reads ``gains[at[d]]``: the potential
+    window each arc's symbol completes, if any (as r >= k - 1, the suffix
+    holds its other symbols), -inf on pads. One lookup of the (suffix x
+    symbol) gain table over ``layers.arcs`` makes them all, each layer's a
+    view of that array.
     """
 
     def __init__(
@@ -146,16 +146,15 @@ class _TreeProgram:
         self.tracker = build_tracker(spec, sft)
         r = max(int(self.tracker.reads_last), f.depth - 1, sigma)
         self.layers = tree = WordLayers(self.tracker, r, depth)
-        # one lookup over the arcs of every layer; a pad's symbol -1 reads column k
+        self.depth = depth
+        # one lookup over every layer's arcs: a pad's symbol -1 reads column k, and
+        # an arc its parent's suffix row, with one suffix (r = 0) row 0
         gain = _window_gains(tree.words, tree.next >= 0, f)
         gain = np.hstack([gain, np.full((len(gain), 1), NEG_INF)])
-        parents = np.concatenate([tree.suffix[0][:0], *tree.suffix[: len(tree.cuts)]])
+        parents = np.concatenate([tree.suffix[0][:0], *tree.suffix[: len(tree.cuts)]]) if len(gain) > 1 else 0
         arcs = gain[parents, tree.arcs][:, :, None]
-        gains = [arcs[:w, s:e] for w, s, e in tree.cuts]
-        tree.syms = tree.arcs = None  # 9.4 MB of the L=1600 band tree that nothing reads again
-        self.kids = [tree.kids[i] for i in tree.at[:-1]]
-        self.gains = [gains[i] for i in tree.at[:-1]]
-        self._prices: Dict[Tuple[Relation, bool], np.ndarray] = {}
+        self.gains = [arcs[:w, s:e] for w, s, e in tree.cuts]
+        tree.arcs = None  # 9.4 MB of the L=1600 band tree that nothing reads again
 
     def accepted(self, d: int) -> np.ndarray:
         """Mask of the depth-``d`` states the tracker accepts at depth d."""
@@ -171,23 +170,15 @@ class _TreeProgram:
         trailing windows the horizon does not use are subtracted (NaN for
         suffixes too short to be priced, which only depths d <= sigma have).
         """
-        key = (rel, want_max)
-        if key not in self._prices:
-            f, words = self.f, self.layers.words
-            k, steps = f.depth, f.depth - 1 - self.sigma
-            if steps > 0:  # then r = k - 1, so every suffix is a tail context
-                tails = extreme_tails(self.host, f, rel, steps, want_max)
-                prices = [tails[u] for u in words]
-            elif steps < 0:
-                prices = [
-                    -sum(f.value(u[len(u) - k - j : len(u) - j]) for j in range(-steps))
-                    if len(u) >= self.sigma else math.nan
-                    for u in words
-                ]
-            else:
-                prices = [0.0] * len(words)
-            self._prices[key] = np.array(prices)
-        return self._prices[key]
+        f, words = self.f, self.layers.words
+        k, steps = f.depth, f.depth - 1 - self.sigma
+        if steps > 0:  # then r = k - 1, so every suffix is a tail context
+            tails = extreme_tails(self.host, f, rel, steps, want_max)
+            return np.array([tails[u] for u in words])
+        if steps < 0:
+            return np.array([-sum(f.value(u[len(u) - k - j : len(u) - j]) for j in range(-steps))
+                             if len(u) >= self.sigma else math.nan for u in words])
+        return np.zeros(len(words))
 
     @np.errstate(over="ignore")  # a log-space sum past the float range saturates at +-inf
     def fold_forward(self) -> List[np.ndarray]:
@@ -226,7 +217,8 @@ def leaf_sum_logs(
         raise ValueError("depth must exceed sigma")
     prog = _TreeProgram(sft, spec, f, sigma, depths[-1])
     prefix = prog.fold_forward()
-    prices = np.array([prog.prices(rel, True) for rel in prog.tracker.relations])
+    priced = {rel: prog.prices(rel, True) for rel in set(prog.tracker.relations)}  # parts may share one
+    prices = np.array([priced[rel] for rel in prog.tracker.relations])
     # the depths that share a layer are summed in one block; a tree repeats
     # layers only when no part counts a symbol, so acceptance ignores d
     groups: Dict[int, List[int]] = {}
@@ -280,18 +272,18 @@ class CoverProgram:
     """
 
     def __init__(self, tree: _TreeProgram, d_min: int, centered: bool = False):
-        d_max, sigma = len(tree.kids), tree.sigma
+        d_max, sigma = tree.depth, tree.sigma
         if d_min < 1 or d_min > d_max:
             raise ValueError("need 1 <= d_min <= d_max")
         if d_min - sigma < 1:
             raise ValueError("d_min must exceed sigma")
-        self._sigma, self._d_min = sigma, d_min
+        self._sigma, self._d_min, self._d_max = sigma, d_min, d_max
         at, suffix = tree.layers.at, tree.layers.suffix
         price = tree.prices(tree.host.allowed, not centered)
         # per layer its ball column: with one suffix (r = 0) the root's (1, 1)
         one = len(price) == 1
         columns = [price[:, None]] * len(suffix) if one else [price[u][:, None] for u in suffix]
-        self._ball = [columns[i] for i in at[d_min:]]
+        self._deepest = columns[at[d_max]]
         # per layer (layer i, as built, is depth i's) its children, gains, rows
         # past the first and ball column, read through ``at`` deepest first
         self._layers = [(kid, gain, range(1, len(kid)), column)
@@ -325,14 +317,14 @@ class CoverProgram:
         neg_s = -np.asarray(exponents, dtype=float)
         if self.empty:  # nothing to cover: the empty cover costs zero
             return np.full(len(neg_s), NEG_INF)
-        n, d_min = len(self._ball) - 1, self._d_min
+        n, d_min = self._d_max - self._d_min, self._d_min
         decay = np.multiply.outer(np.arange(d_min, n + d_min + 1) - self._sigma, neg_s)
         layers = self._layers.copy()
         for i in self._repeated:  # a same-shape add beats a broadcast one
             kid, gain, rows, column = layers[i]
             layers[i] = kid, np.repeat(gain, len(neg_s), axis=2), rows, column
         logaddexp, minimum = np.logaddexp, np.minimum
-        values = minimum(decay[-1] + self._ball[-1], self._leaves)
+        values = minimum(decay[-1] + self._deepest, self._leaves)
         blocks, top, made = reversed(self._blocks), n - 1, {}
         for j, i in zip(range(n - 1, -d_min - 1, -1), self._at):
             kid, gain, rows, column = layers[i]

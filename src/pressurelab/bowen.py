@@ -158,7 +158,7 @@ def _nonempty_program(tree: _TreeProgram, d_min: int, centered: bool = False) ->
     """The cover program on ``tree``; EmptyTarget when no leaf is accepted."""
     program = CoverProgram(tree, d_min, centered)
     if program.empty:
-        raise EmptyTarget(f"target has no admissible words at depth {len(tree.kids)}")
+        raise EmptyTarget(f"target has no admissible words at depth {tree.depth}")
     return program
 
 

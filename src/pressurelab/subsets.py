@@ -199,12 +199,12 @@ class WordLayers:
     layer at depth d is layer ``at[d]``: ``suffix[i]`` and ``state[i]`` give
     the suffix index and the tracker state (one row) of each node of layer
     i, in order of first discovery: parents in order, each parent's children
-    in symbol order. Column j of ``kids[i]`` and ``syms[i]`` holds the child
-    index (into the next depth's layer) and the symbol of each child of node
-    j, in symbol order, padded with child 0 and symbol -1 (see below for
-    dropped children). ``syms[i]`` is ``arcs[:w, s:e]`` for (w, s, e) =
-    ``cuts[i]``: ``arcs`` holds the layers' symbols side by side, one
-    column per node of a built layer, so one lookup reads every arc.
+    in symbol order. Column j of ``kids[i]`` and of ``arcs[:w, s:e]``, for
+    (w, s, e) = ``cuts[i]``, holds the child index (into the next depth's
+    layer) and the symbol of each child of node j, in symbol order, padded
+    with child 0 and symbol -1 (see below for dropped children): ``arcs``
+    holds the layers' symbols side by side, one column per node of a built
+    layer, so one lookup reads every arc.
 
     A child is dropped when every part has been left or is a frequency part
     whose count z cannot end in its window at ``depth`` (z > (alpha + eta)
@@ -221,7 +221,9 @@ class WordLayers:
     repeats with period d - e, so ``at[t]`` is e + (t - e) % (d - e) for
     t >= d and no layer past depth d - 1 is built; else ``at`` is
     range(depth + 1), as always in trees with frequency parts, whose
-    pruned layers can match while the bounds ahead differ.
+    pruned layers can match while the bounds ahead differ. A tree whose
+    built layers pass ``DEFAULT_ENUMERATION_BUDGET`` nodes raises
+    EnumerationBudgetExceeded before it stores the layer that passes it.
 
     With r = 0, one frequency part and a full shift, a node is its count
     and no sort is needed: the children of the interval [lo, hi] of depth d
@@ -232,6 +234,7 @@ class WordLayers:
     The intervals, slot widths and rank offsets of all depths come from
     whole-depth arrays (the lower bounds are a cumulative max), and the arcs
     of all layers from one pass over every parent; ``kids[i]`` are views too.
+    The budget is checked on the layer sizes, before any per-node array.
     """
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
@@ -244,7 +247,6 @@ class WordLayers:
         self.suffix = [np.zeros(1, dtype=np.intp)]
         self.state = [np.zeros((1, parts), dtype=np.int64)]
         self.kids: List[np.ndarray] = []
-        self.syms: List[np.ndarray] = []
         self.cuts: List[Tuple[int, int, int]] = []
         # per part, the counts that can still end in its window at ``depth``
         slack = 2 * FREQUENCY_GUARD  # so that rounding can only keep extra states
@@ -257,7 +259,7 @@ class WordLayers:
             return
         periodic = not np.isfinite(high).any()
         seen: Dict[bytes, int] = {}
-        columns = 0
+        layers, columns = [], 0  # each built layer's symbols, packed into ``arcs`` at the end
         for d in range(depth):
             suffix, state = self.suffix[d], self.state[d]
             if periodic:
@@ -285,6 +287,8 @@ class WordLayers:
                 code, size = code * span + column, size * span
             # one node per code, ranked by its first child: discovery order
             _, first, group = np.unique(code, return_index=True, return_inverse=True)
+            if (nodes := columns + len(suffix) + len(first)) > DEFAULT_ENUMERATION_BUDGET:  # layers 0 to d + 1
+                raise EnumerationBudgetExceeded(nodes, DEFAULT_ENUMERATION_BUDGET)
             order = np.argsort(first, kind="stable")  # quicksort would page in another kernel
             rank = np.empty(len(first), dtype=np.intp)
             rank[order] = np.arange(len(first))
@@ -296,15 +300,14 @@ class WordLayers:
             syms = np.full((width, len(suffix)), -1, dtype=np.intp)
             syms[slot, parent] = symbol
             self.kids.append(kids)
-            self.syms.append(syms)
+            layers.append(syms)
             self.cuts.append((width, columns, columns + len(suffix)))
             columns += len(suffix)
             self.suffix.append(child_suffix[first[order]])
             self.state.append(child_state[first[order]])
         self.arcs = np.full((max((w for w, _, _ in self.cuts), default=0), columns), -1, dtype=np.intp)
-        for (w, s, e), syms in zip(self.cuts, self.syms):
+        for (w, s, e), syms in zip(self.cuts, layers):
             self.arcs[:w, s:e] = syms
-        self.syms = [self.arcs[:w, s:e] for w, s, e in self.cuts]
 
     def _grow_band(self, tags: np.ndarray, low: float, high: float, depth: int) -> None:
         """The layers of a band on a full shift with r = 0 (see the class docstring)."""
@@ -323,6 +326,8 @@ class WordLayers:
         empty = np.logical_or.accumulate(lo > hi)
         lo, hi = np.where(empty, depth + 1, lo), np.where(empty, -1, hi)
         sizes = np.maximum(hi - lo + 1, 0)
+        if sizes.sum() > DEFAULT_ENUMERATION_BUDGET:  # no layer repeats, so each is stored
+            raise EnumerationBudgetExceeded(int(sizes.sum()), DEFAULT_ENUMERATION_BUDGET)
         # per child layer: the last slot holds the highest symbol some node keeps
         tagged = np.maximum(lo[:-1] + 1, lo[1:]) <= np.minimum(hi[:-1] + 1, hi[1:])
         plain = (np.maximum(lo[:-1], lo[1:]) <= np.minimum(hi[:-1], hi[1:])) & (k > 1)
@@ -343,7 +348,6 @@ class WordLayers:
         ends = np.cumsum(sizes)
         self.cuts = list(zip(widths.tolist(), (ends - sizes).tolist(), ends.tolist()))
         self.kids = [kids[:w, s:e] for w, s, e in self.cuts]
-        self.syms = [self.arcs[:w, s:e] for w, s, e in self.cuts]
 
 
 def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], np.ndarray]:
@@ -398,7 +402,7 @@ def _word_dag(sft: Subshift, spec: SubsetSpec, depth: int):
     tree = WordLayers(target, int(target.reads_last), depth)
     layers = [[
         [(b, j) for b, j in zip(s, c) if b >= 0] for s, c in zip(syms.T.tolist(), kids.T.tolist())
-    ] for kids, syms in zip(tree.kids, tree.syms)]
+    ] for kids, syms in zip(tree.kids, (tree.arcs[:w, s:e] for w, s, e in tree.cuts))]
     edges = [layers[i] for i in tree.at[:-1]]
     counts = [target.accepts(tree.state[tree.at[depth]], depth).astype(int).tolist()]
     for rows in reversed(edges):

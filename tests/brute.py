@@ -264,7 +264,7 @@ class UnprunedWordLayers:
     on every tree. Fixes since: with r = 0 every suffix is the empty word,
     where ``[-0:]`` kept the whole word and the table never closed; it
     keeps each distinct layer once, indexed by ``at``, and it lays the
-    layers' symbols side by side in ``arcs`` (``syms[i]`` is
+    layers' symbols side by side in ``arcs`` (layer i's are
     ``arcs[:w, s:e]`` for (w, s, e) = ``cuts[i]``), as the library does.
 
     A node's suffix is its last r symbols (the whole word while it is
@@ -274,9 +274,9 @@ class UnprunedWordLayers:
     depth d. ``suffix[i]`` and ``state[i]`` give the suffix index and the
     tracker state (one row) of each node of layer i, in order of first
     discovery: parents in order, each parent's children in symbol order.
-    Column j of ``kids[i]`` and ``syms[i]`` holds the child index and the
-    symbol of each child of node j, in symbol order, padded with child 0 and
-    symbol -1.
+    Column j of ``kids[i]`` and of layer i's symbols holds the child index
+    and the symbol of each child of node j, in symbol order, padded with
+    child 0 and symbol -1.
 
     Each layer takes one gather for the children's suffixes, one step of
     every part, one ``np.unique`` to merge equal children and one scatter
@@ -306,7 +306,7 @@ class UnprunedWordLayers:
         self.suffix = [np.zeros(1, dtype=np.intp)]
         self.state = [np.zeros((1, parts), dtype=np.int64)]
         self.kids: List[np.ndarray] = []
-        self.syms: List[np.ndarray] = []
+        layers: List[np.ndarray] = []
         seen: Dict[bytes, int] = {}
         self.at = list(range(depth + 1))
         for d in range(depth):
@@ -341,13 +341,13 @@ class UnprunedWordLayers:
             syms = np.full((width, len(suffix)), -1, dtype=np.intp)
             syms[slot, parent] = symbol
             self.kids.append(kids)
-            self.syms.append(syms)
+            layers.append(syms)
             self.suffix.append(child_suffix[first[order]])
             self.state.append(child_state[first[order]])
-        ends = np.cumsum([s.shape[1] for s in self.syms], dtype=int)
-        self.cuts = [(len(s), e - s.shape[1], e) for s, e in zip(self.syms, ends.tolist())]
-        self.arcs = np.full((max(map(len, self.syms), default=0), ends[-1] if len(ends) else 0), -1)
-        for (w, s, e), syms in zip(self.cuts, self.syms):
+        ends = np.cumsum([s.shape[1] for s in layers], dtype=int)
+        self.cuts = [(len(s), e - s.shape[1], e) for s, e in zip(layers, ends.tolist())]
+        self.arcs = np.full((max(map(len, layers), default=0), ends[-1] if len(ends) else 0), -1)
+        for (w, s, e), syms in zip(self.cuts, layers):
             self.arcs[:w, s:e] = syms
 
 
@@ -355,8 +355,9 @@ def grow_band_loop(self, tags: np.ndarray, low: float, high: float, depth: int) 
     """``subsets.WordLayers._grow_band`` as it was when it found each depth's
     interval, slot width and rank offset with a scalar loop, kept verbatim
     (as a function of the tree) as a differential oracle: install it on
-    ``WordLayers`` with monkeypatch. The layers of a band on a full shift
-    with r = 0 (see the class docstring)."""
+    ``WordLayers`` with monkeypatch. Fix since: it keeps the arcs' symbols
+    once, in ``arcs`` cut by ``cuts``, as the library does. The layers of a
+    band on a full shift with r = 0 (see the class docstring)."""
     k, a, step = len(tags), int(tags.argmax()), int(tags.min())
     down = a == 0  # discovery order: each parent's count z + 1 comes first
     counts = np.arange(depth + 1, dtype=np.int64)[::-1 if down else 1, None]
@@ -388,14 +389,15 @@ def grow_band_loop(self, tags: np.ndarray, low: float, high: float, depth: int) 
     kids += np.repeat(offsets, sizes)
     ok = (kids >= 0) & (kids <= np.repeat(spans, sizes))
     kids *= ok
-    syms = np.where(ok, np.arange(k)[:, None], -1)
+    self.arcs = np.where(ok, np.arange(k)[:, None], -1)
     for width, end, size in zip(widths.tolist(), np.cumsum(sizes, dtype=np.intp).tolist(), sizes):
         self.kids.append(kids[:width, end - size : end])
-        self.syms.append(syms[:width, end - size : end])
+        self.cuts.append((width, end - size, end))
 
 
 # the engine's folds before they shared per-layer work, kept as oracles: they
-# read a library tree (``_engine._TreeProgram``) and redo everything per depth
+# read a library tree (``_engine._TreeProgram``), each depth's tables through
+# ``at``, and redo everything per depth
 
 
 def last_symbol_tree(*args):
@@ -424,10 +426,11 @@ def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]
     NEG_INF = -math.inf
     price = tree.prices(tree.host.allowed, not centered)
     suffix, at = tree.layers.suffix, tree.layers.at
-    ball = {d: price[suffix[at[d]]][:, None] for d in range(d_min, len(tree.kids) + 1)}
-    leaves = np.where(tree.accepted(len(tree.kids)), math.inf, NEG_INF)[:, None]
+    ball = {d: price[suffix[at[d]]][:, None] for d in range(d_min, tree.depth + 1)}
+    leaves = np.where(tree.accepted(tree.depth), math.inf, NEG_INF)[:, None]
     neg_s = -np.asarray(exponents, dtype=float)
-    kids, gains = tree.kids, [g[:, :, 0] for g in tree.gains]
+    kids = [tree.layers.kids[i] for i in at[:-1]]
+    gains = [tree.gains[i][:, :, 0] for i in at[:-1]]
     decay = np.multiply.outer(np.arange(d_min, len(kids) + 1) - tree.sigma, neg_s)
     values = leaves
     for d in range(len(kids), -1, -1):
@@ -446,11 +449,11 @@ def cover_fold_walk(tree, d_min: int, centered: bool, exponents: Sequence[float]
 def fold_forward_walk(prog) -> List[np.ndarray]:
     """``prog.fold_forward()`` as it ran before: each depth ravels its own
     kids and gains for one scatter."""
-    prefix = [np.zeros(1)]
-    for d in range(len(prog.kids)):
-        nxt = np.full(len(prog.layers.suffix[prog.layers.at[d + 1]]), -math.inf)
-        arcs = prog.gains[d][:, :, 0] + prefix[-1]
-        np.logaddexp.at(nxt, prog.kids[d].ravel(), arcs.ravel())
+    prefix, at = [np.zeros(1)], prog.layers.at
+    for d in range(prog.depth):
+        nxt = np.full(len(prog.layers.suffix[at[d + 1]]), -math.inf)
+        arcs = prog.gains[at[d]][:, :, 0] + prefix[-1]
+        np.logaddexp.at(nxt, prog.layers.kids[at[d]].ravel(), arcs.ravel())
         prefix.append(nxt)
     return prefix
 

@@ -581,7 +581,7 @@ def test_recurring_layers_are_built_once():
     # whole and sub-SFT targets repeat their layers after a few depths, some
     # with period 2; every repeat maps onto the layer of its first occurrence
     tree = _TreeProgram(FULL2, pl.whole(), F0, 0, 1100)
-    assert len(tree.kids) == 1100 and len(tree.layers.at) == 1101
+    assert tree.depth == 1100 and len(tree.layers.at) == 1101
     assert len(tree.layers.kids) == len(set(tree.layers.at[:-1])) <= 3
     flip = pl.sub_sft(((False, True), (True, False)))
     tree = _TreeProgram(FULL2, flip, F0, 0, 301)
@@ -594,6 +594,27 @@ def test_recurring_layers_are_built_once():
     band = _TreeProgram(FULL2, pl.frequency_level(0, 0.3, 0.02), F0, 0, 40)
     assert band.layers.at == list(range(41))
     assert len(band.layers.kids) == 40
+
+
+def test_tree_tables_are_kept_once_per_distinct_layer():
+    # the full 2-shift's tree to depth 1100 has at most 3 distinct layers:
+    # the gains, like the children, are one array per distinct layer; only
+    # the depth index ``at`` and a cover program's reversed walk of it run
+    # per depth, and no tree keeps its arcs' symbols twice
+    tree = _TreeProgram(FULL2, pl.whole(), F0, 0, 1100)
+    layers = tree.layers
+    assert len(tree.gains) == len(layers.kids) == len(set(layers.at[:-1])) <= 3
+    program = CoverProgram(tree, 40)
+    per_depth = [  # over 1,000 entries; the per-block tables hold 34
+        (type(owner).__name__, name)
+        for owner in (layers, tree, program)
+        for name, value in vars(owner).items()
+        if isinstance(value, (list, tuple)) and len(value) > 1000
+    ]
+    assert per_depth == [("WordLayers", "at"), ("CoverProgram", "_at")]
+    assert layers.arcs is None and not hasattr(layers, "syms")
+    band = WordLayers(TargetAutomaton(FULL2, pl.frequency_level(0, 0.3, 0.02)), 0, 40)
+    assert not hasattr(band, "syms") and band.arcs.shape == (2, sum(map(len, band.suffix[:-1])))
 
 
 def test_work_stays_per_distinct_layer(monkeypatch):
@@ -616,9 +637,11 @@ def test_work_stays_per_distinct_layer(monkeypatch):
     assert all(v is not None for v in sums)
     tree = _TreeProgram(FULL2, flip, f, 0, 180)
     at = tree.layers.at
-    assert len({id(g) for g in tree.gains}) == len(set(at[:-1])) == len(tree.layers.kids)
+    assert len({id(g) for g in tree.gains}) == len(tree.gains) == len(set(at[:-1])) == len(tree.layers.kids)
     program = CoverProgram(tree, 40)
-    assert len({id(b) for b in program._ball}) == len(set(at[40:])) == 2
+    columns = [column for *_, column in program._layers]
+    assert len({id(columns[i]) for i in at[40:]}) == len(set(at[40:])) == 2
+    assert program._deepest is columns[at[180]]
     assert [len(block) for block in program._blocks] == [2] * 5  # depths 40-179
     band = pl.frequency_level(0, 0.3, 0.02)
     assert [len(block) for block in CoverProgram(_TreeProgram(FULL2, band, F0, 0, 180), 40)._blocks] == [1] * 5
@@ -626,9 +649,10 @@ def test_work_stays_per_distinct_layer(monkeypatch):
 
 
 def test_tree_program_releases_the_arc_symbols(monkeypatch):
-    # only the gains read ``layers.syms``: on the r = 0 band at L=1600 a
-    # program retains at least 9 MB less than one whose symbols stay held,
-    # and both hold the same arcs and fold to the same values
+    # only the gains read ``layers.arcs``: on the r = 0 band at L=1600 a
+    # program retains at least 9 MB less than one whose arc symbols stay
+    # held, and both hold the same children and gains and fold to the same
+    # values
     import tracemalloc
 
     band = pl.frequency_level(0, 0.3, 0.02)
@@ -643,14 +667,14 @@ def test_tree_program_releases_the_arc_symbols(monkeypatch):
             tracemalloc.stop()
 
     released, light = retained()
-    held_syms = []
+    held_arcs = []
     init = WordLayers.__init__
-    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or held_syms.append(tree.syms))
+    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or held_arcs.append(tree.arcs))
     held, heavy = retained()
-    assert released.layers.syms is None and len(held_syms) == 1
+    assert released.layers.arcs is None and len(held_arcs) == 1
     assert heavy - light >= 9_000_000
-    for name in ("kids", "gains"):
-        assert [a.tobytes() for a in getattr(released, name)] == [a.tobytes() for a in getattr(held, name)]
+    for tables in (lambda p: p.layers.kids, lambda p: p.gains):
+        assert [a.tobytes() for a in tables(released)] == [a.tobytes() for a in tables(held)]
     exponents = [0.55, 0.6, 0.62, 0.7]
     assert CoverProgram(released, 400)(exponents).tobytes() == CoverProgram(held, 400)(exponents).tobytes()
 
@@ -672,11 +696,17 @@ def _tree_states(tree):
     return sum(len(tree.layers.suffix[i]) for i in tree.layers.at)
 
 
+def _layers(tree, name):
+    """The named per-layer arrays of a ``WordLayers`` tree; "syms" reads each
+    built layer's arc symbols, ``arcs[:w, s:e]`` for (w, s, e) in ``cuts``."""
+    return [tree.arcs[:w, s:e] for w, s, e in tree.cuts] if name == "syms" else getattr(tree, name)
+
+
 def _layer_arrays(tree, names=("suffix", "state", "kids", "syms")):
     """The tables and the named layers of a ``WordLayers`` tree, with dtypes and shapes."""
     return tree.words, tree.at, [
         [(a.dtype, a.shape, a.tolist()) for a in arrays]
-        for arrays in ([tree.next], *(getattr(tree, name) for name in names))
+        for arrays in ([tree.next], *(_layers(tree, name) for name in names))
     ]
 
 
@@ -744,7 +774,7 @@ def test_band_bounds_match_the_scalar_loop(monkeypatch):
                     want = WordLayers(tracker, 0, L)
                 assert got.at == want.at
                 for name in ("suffix", "state", "kids", "syms"):
-                    pairs = list(itertools.zip_longest(getattr(got, name), getattr(want, name)))
+                    pairs = list(itertools.zip_longest(_layers(got, name), _layers(want, name)))
                     assert all(
                         a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs
                     ), (k, symbol, alpha, eta, L, name)
@@ -772,14 +802,14 @@ def test_band_build_work_does_not_grow_with_depth():
 
 def test_gains_are_the_per_layer_lookups(monkeypatch):
     # one lookup over the arcs of every layer gives each layer's gains; each
-    # must equal the per-layer lookup on the tree's symbols before the
-    # program releases them: band trees (r = 0, count path), whole and
+    # depth's must equal the per-layer lookup on the tree's symbols before
+    # the program releases them: band trees (r = 0, count path), whole and
     # sub-SFT targets with depth-1 to 3 potentials, a band on the golden
     # mean (sort-merge, no layer repeats) and unions
     rng = np.random.default_rng(83)
     held = []
     init = WordLayers.__init__
-    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or held.append(tree.syms))
+    monkeypatch.setattr(WordLayers, "__init__", lambda tree, *a: init(tree, *a) or held.append(_layers(tree, "syms")))
 
     def potential(host, depth):
         table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(host.allowed, depth)}
@@ -799,14 +829,14 @@ def test_gains_are_the_per_layer_lookups(monkeypatch):
         f = potential(host, depth)
         prog = build(host, spec, f, sigma, 40)
         tree, syms = prog.layers, held.pop()
-        assert tree.syms is None and not held
+        assert tree.arcs is None and not held
         gain = _window_gains(tree.words, tree.next >= 0, f)
         want = [
             np.where(s >= 0, gain[suffix, s], -math.inf)[:, :, None] for suffix, s in zip(tree.suffix, syms)
         ]
-        assert len(prog.gains) == 40 and len({id(g) for g in prog.gains}) == len(syms)
-        for d, g in enumerate(prog.gains):
-            w = want[tree.at[d]]
+        assert prog.depth == 40 and len({id(g) for g in prog.gains}) == len(prog.gains) == len(syms)
+        for d in range(40):
+            g, w = prog.gains[tree.at[d]], want[tree.at[d]]
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
         shared += len(syms) < 40
     assert shared == 48  # whole and sub-SFT trees repeat their layers
@@ -907,7 +937,7 @@ def test_capacity_cover_and_word_counts_build_one_tree(monkeypatch):
         pl.bowen_pressure(host, spec, f, pl.Scale(1), 2, L)
         pl.count_target_words(host, spec, L)
         assert len(built) == 3
-        # a program releases ``syms`` once its gains are made
+        # a program releases ``arcs`` once its gains are made
         want, *got = [_layer_arrays(tree, ("suffix", "state", "kids")) for tree in built]
         assert got == [want, want], (host, spec)
         built.clear()
@@ -1043,7 +1073,7 @@ def test_folds_match_the_per_depth_oracles():
     tree = _assert_folds_match_oracles(
         GM, pl.frequency_level(1, 1.0, 0.01), pl.zero_potential(GM), 0, 12, 1, [0.5], [1, 2, 12]
     )
-    assert tree.kids[1].shape == (0, 1)
+    assert tree.layers.kids[tree.layers.at[1]].shape == (0, 1)
     # with a depth-1 potential and sigma = 0 a full shift's band and union
     # trees keep no suffix (r = 0), and both folds read them
     for host in (FULL2, pl.full_shift(3)):
@@ -1067,7 +1097,7 @@ def test_folds_match_the_per_depth_oracles():
             f = pl.potential_from_table(host, depth, table)
             exponents = rng.uniform(-1, 2, size=K)
             tree = _assert_folds_match_oracles(host, spec, f, 0, 9, d_min, exponents, [1, 5, 9])
-            assert {len(kid) for kid in tree.kids} <= {0, k}
+            assert {len(tree.layers.kids[i]) for i in tree.layers.at[:-1]} <= {0, k}
     # d_max - d_min across the edges of the 32-depth blocks of ball thresholds
     flip = pl.sub_sft(((False, True), (True, False)))
     band = pl.frequency_level(0, 0.3, 0.1)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -728,6 +729,65 @@ def test_cli_refuses_depths_past_the_enumeration_budget_up_front(tmp_path, comma
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "EnumerationBudgetExceeded"
+
+
+def test_cli_refuses_a_band_tree_past_the_node_budget_up_front(tmp_path):
+    # a band tree's layer sizes are known before any per-node array is made:
+    # symbol 0 in 0.3 +- 0.02 at L = 20000 holds 91,860,401 nodes, past the
+    # budget of 2^26, and is refused at once rather than allocating 1.4 GB
+    band = {"kind": "frequency_level", "symbol": 0, "target": 0.3, "window": 0.02}
+    start = time.perf_counter()
+    code, out, err = _run_memory_limited(tmp_path, "pressure bowen", dict(_DEEP, subset=band, N=3, L=20000))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "EnumerationBudgetExceeded",
+        "message": f"enumeration of 91860401 words exceeds the budget of {2 ** 26}",
+    }
+
+
+def test_cli_refuses_a_sorted_tree_past_the_node_budget(tmp_path, capsys, monkeypatch):
+    # a tree built by sort-merge counts its nodes layer by layer and stops at
+    # the first layer that passes the budget: a band on the golden mean (no
+    # layer repeats) holds 683 nodes at L = 40 and 1,495 at L = 60, where
+    # the running total passes 2^10 at 1,032
+    import pressurelab.subsets as subsets
+
+    monkeypatch.setattr(subsets, "DEFAULT_ENUMERATION_BUDGET", 2 ** 10)
+    band = {"kind": "frequency_level", "symbol": 1, "target": 0.3, "window": 0.05}
+    cfg = {"system": GM_SYSTEM, "potential": {"constant": 0.0}, "subset": band, "scales": [1], "N": 3}
+    code, _, _ = _run_config(tmp_path, capsys, "pressure bowen", dict(cfg, L=40), "inside")
+    assert code == 0
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(dict(cfg, L=60)))
+    code, out, err = _run(["pressure", "bowen", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "EnumerationBudgetExceeded",
+        "message": f"enumeration of 1032 words exceeds the budget of {2 ** 10}",
+    }
+
+
+def test_cli_exact_past_the_float_range_prints_only_the_record(tmp_path):
+    # a depth-1 table of +-1e308 puts the log Perron vector's span past the
+    # float range, so no bracket is certified; the solve's overflow stays
+    # silent, and stderr holds the one record (a fresh interpreter that
+    # prints every RuntimeWarning, which pytest's capture would hide)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"system": {"alphabet_size": 2, "allowed": "full"},
+                                "potential": {"depth": 1, "table": {"0": 1e308, "1": -1e308}}}))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-c",
+         "import sys; from pressurelab.cli import main; sys.exit(main())",
+         "pressure", "exact", "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": "RuntimeError",
+        "message": "Perron bracket wider than 1.98e-12 after 10000 power steps",
+    }
 
 
 def test_cli_capacity_reads_a_pair_as_its_window(tmp_path, capsys):
