@@ -153,7 +153,7 @@ def build_transfer_matrix(sft: Subshift, f: LocallyConstantPotential) -> Transfe
         return TransferMatrix(np.exp(_log_weights(sft, f)), label=sft.label)
 
 
-# past the float range v reads +-inf, or NaN for inf - inf: no bracket, so the RuntimeError
+# v past the float range reads +-inf, or NaN for inf - inf; no bracket certifies it: RuntimeError
 @np.errstate(over="ignore", invalid="ignore")
 def _perron(logw: np.ndarray, tol: float) -> Tuple[PressureValue, np.ndarray]:
     """log rho(L), L = exp(logw), within tol (or the rounding floor), as the
