@@ -65,6 +65,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,6 +76,13 @@ from .symbolic import NEG_INF, LocallyConstantPotential, Subshift, Word
 Relation = Tuple[Tuple[bool, ...], ...]
 
 _BLOCK = 32  # most depths whose ball thresholds a cover fold holds at once
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _value_from_log(value: float) -> float:
+    """A cover or partition value from its log, the one way out of log
+    space: 0.0 at -inf, inf past the float range."""
+    return math.exp(value) if value <= _LOG_FLOAT_MAX else math.inf
 
 
 def _window_gains(

@@ -26,11 +26,10 @@ against threshold 1, and the returned bracket width is always reported.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._engine import CoverProgram, _TreeProgram
+from ._engine import CoverProgram, _TreeProgram, _value_from_log
 from .errors import DepthTooShallow, EmptyTarget, ScaleTooCoarse
 from .subsets import SubsetSpec
 from .symbolic import (
@@ -42,8 +41,6 @@ from .symbolic import (
     inf_birkhoff_on_cylinder,
     sup_birkhoff_on_cylinder,
 )
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,16 @@ def cover_value(
     ``centered`` it is instead the value of f_(n_i) at a point of the ball
     realizing the cylinder infimum (for potentials no deeper than m + 1 the
     center word determines the sum and the two centered readings coincide).
+    A sum past the float range reads inf, as ``min_cover_value``'s does.
     """
+    _require_finite(s=s)
     total = 0.0
     for ball, c in zip(cover.balls, cover.weights):
         if centered:
             S = inf_birkhoff_on_cylinder(sft, f, ball.center_word, ball.n)
         else:
             S = sup_birkhoff_on_cylinder(sft, f, ball.center_word, ball.n)
-        total += c * math.exp(-s * ball.n + S)
+        total += c * _value_from_log(-s * ball.n + S)
     return total
 
 
@@ -166,11 +165,6 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):  # a NaN exponent would read as a value past the float range
             raise ValueError(f"{name} must be a finite number")
-
-
-def _value_from_log(value: float) -> float:
-    """A cover value from its log: 0.0 at -inf, inf past the float range."""
-    return math.exp(value) if value <= _LOG_FLOAT_MAX else math.inf
 
 
 def min_cover_value(
@@ -512,7 +506,7 @@ def _bisect_critical(
         N=N,
         scale=scale,
         value_at_low=_value_from_log(v_lo),
-        value_at_high=math.exp(v_hi),
+        value_at_high=_value_from_log(v_hi),
         method="bowen",
         history=tuple(history),
     )

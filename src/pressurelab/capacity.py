@@ -16,11 +16,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._engine import NEG_INF, leaf_sum_log, leaf_sum_logs
-from .errors import EmptyTarget, EnumerationBudgetExceeded
+from ._engine import _value_from_log, leaf_sum_log, leaf_sum_logs
+from .errors import EmptyTarget
 from .subsets import SubsetSpec
-from .symbolic import (DEFAULT_ENUMERATION_BUDGET, LocallyConstantPotential, Scale, Subshift,
-                       separated_word_length)
+from .symbolic import LocallyConstantPotential, Scale, Subshift, check_budget, separated_word_length
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,10 @@ def partition_function(
 
     The supremum of f_n runs over the points of Z inside each cylinder
     (undetermined tail windows extremize over continuations that stay in the
-    target). Returns 0.0 when the approximation of Z at this depth is empty.
+    target). Returns 0.0 when the approximation of Z at this depth is empty
+    and inf when P_n is past the float range.
     """
-    value = log_partition_function(sft, Z, f, n, scale)
-    return 0.0 if value == NEG_INF else math.exp(value)
+    return _value_from_log(log_partition_function(sft, Z, f, n, scale))
 
 
 def log_partition_function(
@@ -118,8 +117,8 @@ def _normalize_range(
     # a window increases by construction, so only a list is checked pair by pair
     seq = list(n_range)
     window = len(seq) == 2 and (seq[1] - seq[0] >= 4 or minimum_points > 2)
-    if window and seq[1] - seq[0] >= DEFAULT_ENUMERATION_BUDGET:  # one horizon per entry
-        raise EnumerationBudgetExceeded(seq[1] - seq[0] + 1, DEFAULT_ENUMERATION_BUDGET)
+    if window:  # one horizon per entry
+        check_budget(seq[1] - seq[0] + 1, "horizons")
     ns = tuple(range(seq[0], seq[1] + 1)) if window else tuple(seq)
     if len(ns) < minimum_points:
         raise ValueError(f"horizon window needs at least {minimum_points} entries")

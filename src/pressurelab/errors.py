@@ -10,14 +10,15 @@ class PressureLabError(Exception):
 
 
 class EnumerationBudgetExceeded(PressureLabError):
-    """A word enumeration would materialize more items than the budget allows."""
+    """A computation would materialize more items than the enumeration
+    budget allows: words, suffixes, depths, tree nodes, horizons or orbit
+    symbols, as ``unit`` names. Raised by ``symbolic.check_budget`` alone."""
 
-    def __init__(self, count, budget):
-        super().__init__(
-            f"enumeration of {count} words exceeds the budget of {budget}"
-        )
+    def __init__(self, count, budget, unit):
+        super().__init__(f"enumeration of {count} {unit} exceeds the budget of {budget}")
         self.count = count
         self.budget = budget
+        self.unit = unit
 
 
 class ScaleTooCoarse(PressureLabError):

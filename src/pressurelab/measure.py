@@ -15,18 +15,13 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .capacity import _normalize_range
-from .errors import (
-    EnumerationBudgetExceeded,
-    InsufficientDepth,
-    NonInvariantMeasure,
-    ReducibleSystem,
-)
+from .errors import InsufficientDepth, NonInvariantMeasure, ReducibleSystem
 from .symbolic import (
-    DEFAULT_ENUMERATION_BUDGET,
     LocallyConstantPotential,
     Scale,
     Word,
     bowen_ball_word_length,
+    check_budget,
     is_strongly_connected,
 )
 from .transfer import MarkovMeasure, _check_markov
@@ -109,9 +104,11 @@ def sample_orbit(
     into a (draw x state) next-symbol table, and the chain walks that table.
     These are the comparisons a symbol-by-symbol walk makes, so the orbits
     match it bit for bit. A draw that ties a row's last cumulative value
-    within rounding lands one past the end and is clamped to k - 1.
+    within rounding lands one past the end and is clamped to k - 1. An
+    orbit longer than the enumeration budget is refused before the draw.
     """
     length = bowen_ball_word_length(n_max, scale)
+    check_budget(length, "orbit symbols")
     draws = np.random.default_rng(seed).random(length)
     last = mu.n_states - 1
     s = min(int(np.searchsorted(np.cumsum(mu.initial), draws[0], side="right")), last)
@@ -292,8 +289,7 @@ def _checked_pressures(pi: np.ndarray, P: np.ndarray, f: LocallyConstantPotentia
         words, mass, Pg = symbols[:, None], pi[members][:, symbols], P[members]
         for _ in range(f.depth - 1):
             parent, b = np.nonzero(support[words[:, -1]])
-            if len(b) > DEFAULT_ENUMERATION_BUDGET:
-                raise EnumerationBudgetExceeded(len(b), DEFAULT_ENUMERATION_BUDGET)
+            check_budget(len(b), "words")
             mass = mass[:, parent] * Pg[:, words[parent, -1], b]
             words = np.column_stack([words[parent], b])
         values = np.array([f.value(tuple(w)) for w in words.tolist()])

@@ -37,8 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded
-from .symbolic import DEFAULT_ENUMERATION_BUDGET, Subshift, Word, _is_int
+from .symbolic import Subshift, Word, _is_int, check_budget
 
 FREQUENCY_GUARD = 1e-9  # absorbs float noise in |count - alpha*L| <= eta*L
 
@@ -222,7 +221,7 @@ class WordLayers:
     t >= d and no layer past depth d - 1 is built; else ``at`` is
     range(depth + 1), as always in trees with frequency parts, whose
     pruned layers can match while the bounds ahead differ. A tree whose
-    built layers pass ``DEFAULT_ENUMERATION_BUDGET`` nodes raises
+    built layers pass the enumeration budget in nodes raises
     EnumerationBudgetExceeded before it stores the layer that passes it.
 
     With r = 0, one frequency part and a full shift, a node is its count
@@ -240,8 +239,7 @@ class WordLayers:
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
         parts, _, k = target.moves.shape
         self.words, self.next = suffix_table(target.moves.any(axis=0).tolist(), r)
-        if depth + 1 > DEFAULT_ENUMERATION_BUDGET:  # a tree holds a node per depth at least
-            raise EnumerationBudgetExceeded(depth + 1, DEFAULT_ENUMERATION_BUDGET)
+        check_budget(depth + 1, "depths")  # a tree holds a node per depth at least
         words = self.words
         moves = target.moves[:, [u[-1] if u else k for u in words]].transpose(1, 0, 2)
         self.suffix = [np.zeros(1, dtype=np.intp)]
@@ -287,8 +285,7 @@ class WordLayers:
                 code, size = code * span + column, size * span
             # one node per code, ranked by its first child: discovery order
             _, first, group = np.unique(code, return_index=True, return_inverse=True)
-            if (nodes := columns + len(suffix) + len(first)) > DEFAULT_ENUMERATION_BUDGET:  # layers 0 to d + 1
-                raise EnumerationBudgetExceeded(nodes, DEFAULT_ENUMERATION_BUDGET)
+            check_budget(columns + len(suffix) + len(first), "tree nodes")  # layers 0 to d + 1
             order = np.argsort(first, kind="stable")  # quicksort would page in another kernel
             rank = np.empty(len(first), dtype=np.intp)
             rank[order] = np.arange(len(first))
@@ -326,8 +323,7 @@ class WordLayers:
         empty = np.logical_or.accumulate(lo > hi)
         lo, hi = np.where(empty, depth + 1, lo), np.where(empty, -1, hi)
         sizes = np.maximum(hi - lo + 1, 0)
-        if sizes.sum() > DEFAULT_ENUMERATION_BUDGET:  # no layer repeats, so each is stored
-            raise EnumerationBudgetExceeded(int(sizes.sum()), DEFAULT_ENUMERATION_BUDGET)
+        check_budget(int(sizes.sum()), "tree nodes")  # no layer repeats, so each is stored
         # per child layer: the last slot holds the highest symbol some node keeps
         tagged = np.maximum(lo[:-1] + 1, lo[1:]) <= np.minimum(hi[:-1] + 1, hi[1:])
         plain = (np.maximum(lo[:-1], lo[1:]) <= np.minimum(hi[:-1], hi[1:])) & (k > 1)
@@ -365,8 +361,7 @@ def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], n
         heads = [h or any(heads[a] and reach[a][b] for a in range(k)) for b, h in enumerate(heads)]
     for j in range(1, r + 1):
         size += sum(p for p, ok in zip(paths, heads if j == r else reach[-1]) if ok)
-        if size > DEFAULT_ENUMERATION_BUDGET:
-            raise EnumerationBudgetExceeded(size, DEFAULT_ENUMERATION_BUDGET)
+        check_budget(size, "suffixes")
         paths = [sum(p for p, ok in zip(paths, row) if ok) for row in reach[:k]]
     words: List[Word] = [()]
     index = {(): 0}
@@ -424,8 +419,7 @@ def iter_target_words(sft: Subshift, spec: SubsetSpec, depth: int) -> Tuple[Word
     """
     edges, counts = _word_dag(sft, spec, depth)
     total = counts[0][0]
-    if total > DEFAULT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetExceeded(total, DEFAULT_ENUMERATION_BUDGET)
+    check_budget(total, "words")
     level = [((), 0)] if total else []
     for d in range(depth):
         level = [(w + (b,), j) for w, i in level for b, j in edges[d][i] if counts[d + 1][j]]

@@ -25,8 +25,15 @@ Word = Tuple[int, ...]
 
 NEG_INF = float("-inf")
 
-#: Hard cap on the number of words any enumeration may materialize.
+#: Hard cap on the items any enumeration may materialize; read by ``check_budget`` alone.
 DEFAULT_ENUMERATION_BUDGET = 2 ** 26
+
+
+def check_budget(count: int, unit: str) -> None:
+    """Raise EnumerationBudgetExceeded when ``count`` items, which ``unit``
+    names ("words", "tree nodes", ...), pass the enumeration budget."""
+    if count > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetExceeded(count, DEFAULT_ENUMERATION_BUDGET, unit)
 
 
 def _is_int(v) -> bool:
@@ -227,9 +234,7 @@ def enumerate_words(sft: Subshift, n: int) -> Tuple[Word, ...]:
     relation, which keeps the list sorted. Length 0 yields the empty-word
     singleton.
     """
-    total = count_words(sft, n)
-    if total > DEFAULT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetExceeded(total, DEFAULT_ENUMERATION_BUDGET)
+    check_budget(count_words(sft, n), "words")
     words = [(a,) for a in range(sft.alphabet_size)] if n else [()]
     for _ in range(n - 1):
         words = [w + (b,) for w in words for b in sft.successors[w[-1]]]

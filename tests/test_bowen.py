@@ -77,6 +77,15 @@ def test_cover_value_centered_at_most_sup():
         assert c2 <= s2 + 1e-12
 
 
+def test_cover_values_past_the_float_range_read_inf():
+    # the all-0 depth-12 ball at f(0) = 100 has sup f_11 = 1100, past the
+    # float range; the explicit cover and the optimal one both read inf
+    f = pl.potential_from_table(FULL2, 1, {(0,): 100.0, (1,): 0.0})
+    ball = pl.Ball((0,) * 12, 11, pl.Scale(1))
+    assert pl.cover_value(FULL2, pl.unweighted_cover([ball]), f, 0.0) == math.inf
+    assert pl.min_cover_value(FULL2, pl.whole(), f, 0.0, 11, pl.Scale(1), 12) == math.inf
+
+
 def test_ball_validates_word_length():
     with pytest.raises(ValueError):
         pl.Ball((0, 0), 2, pl.Scale(1))
@@ -1142,6 +1151,8 @@ def test_cover_fold_blocks_match_the_per_depth_oracle(L):
 
 
 _NON_FINITE_CALLS = {
+    "cover_value": lambda s, delta: pl.cover_value(
+        FULL2, pl.unweighted_cover([pl.Ball((0, 0, 0), 2, pl.Scale(1))]), F0, s),
     "min_cover_value": lambda s, delta: pl.min_cover_value(FULL2, pl.whole(), F0, s, 2, pl.Scale(1), 8),
     "string_cover_value": lambda s, delta: pl.string_cover_value(FULL2, pl.whole(), F0, s, 2, 2, 8),
     "check_chain": lambda s, delta: pl.check_chain(FULL2, pl.whole(), F0, s, delta, 6, pl.Scale(4), 14),

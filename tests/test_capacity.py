@@ -17,6 +17,7 @@ from brute import (
     sup_birkhoff,
 )
 from pressurelab._engine import _TreeProgram, leaf_sum_logs
+from pressurelab.capacity import log_partition_function
 
 FULL2 = pl.full_shift(2)
 GM = pl.golden_mean_shift()
@@ -91,6 +92,14 @@ def test_capacity_slope_fixed_point_constant_potential():
     f = pl.constant_potential(sft, 0.37)
     est = pl.capacity_pressure(sft, pl.whole(), f, pl.Scale(1), (4, 12))
     assert est.slope == pytest.approx(0.37, abs=1e-12)
+
+
+def test_partition_function_past_the_float_range_reads_inf():
+    # the all-0 word of length 10 weighs e^1000 at f(0) = 100, past the float
+    # range: P_n reads inf, as its log reads past log(max float)
+    f = pl.potential_from_table(FULL2, 1, {(0,): 100.0, (1,): 0.0})
+    assert log_partition_function(FULL2, pl.whole(), f, 10, pl.Scale(1)) > math.log(sys.float_info.max)
+    assert pl.partition_function(FULL2, pl.whole(), f, 10, pl.Scale(1)) == math.inf
 
 
 def test_capacity_rejects_scale_zero():

@@ -661,23 +661,23 @@ def test_cli_capacity_refuses_a_suffix_table_past_the_budget(tmp_path, capsys, m
     # a capacity tree at scale m keeps the last m - 1 symbols; its suffix
     # table is counted before it is built, so a table past the budget is
     # the JSON error record and exit 1, not an allocation without bound
-    import pressurelab.subsets as subsets
+    import pressurelab.symbolic as symbolic
 
-    monkeypatch.setattr(subsets, "DEFAULT_ENUMERATION_BUDGET", 2 ** 10)
+    monkeypatch.setattr(symbolic, "DEFAULT_ENUMERATION_BUDGET", 2 ** 10)
     path = tmp_path / "m12.json"
     path.write_text(json.dumps(dict(json.loads((CONFIGS / "capacity_full2.json").read_text()), scales=[12])))
     code, out, err = _run(["pressure", "capacity", "--config", str(path), "--out", str(tmp_path)], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "EnumerationBudgetExceeded",
-        "message": f"enumeration of {2 ** 11 - 1} words exceeds the budget of {2 ** 10}",
+        "message": f"enumeration of {2 ** 11 - 1} suffixes exceeds the budget of {2 ** 10}",
     }
     # the count stops at the first suffix length past the budget, so a scale
     # far past it is the same record, not a count too long to print
     path.write_text(json.dumps(dict(json.loads(path.read_text()), scales=[20000])))
     code, out, err = _run(["pressure", "capacity", "--config", str(path), "--out", str(tmp_path)], capsys)
     assert code == 1 and out == ""
-    assert json.loads(err)["message"] == f"enumeration of {2 ** 11 - 1} words exceeds the budget of {2 ** 10}"
+    assert json.loads(err)["message"] == f"enumeration of {2 ** 11 - 1} suffixes exceeds the budget of {2 ** 10}"
 
 
 def test_cli_chain_reports_a_failed_precondition_at_a_tiny_delta(tmp_path, capsys):
@@ -725,10 +725,29 @@ def test_cli_out_of_memory_is_the_json_error_record(tmp_path):
 def test_cli_refuses_depths_past_the_enumeration_budget_up_front(tmp_path, command, fields):
     # a tree holds a node per depth and a capacity window a horizon per entry,
     # so 300 million of either is past the budget before anything is allocated
+    count = {"pressure bowen": "300000001 depths", "pressure capacity": "299999961 horizons"}[command]
     code, out, err = _run_memory_limited(tmp_path, command, dict(_DEEP, **fields))
     assert code == 1 and out == ""
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "EnumerationBudgetExceeded"
+    assert json.loads(err) == {
+        "error": "EnumerationBudgetExceeded",
+        "message": f"enumeration of {count} exceeds the budget of {2 ** 26}",
+    }
+
+
+def test_cli_refuses_an_orbit_past_the_enumeration_budget_up_front(tmp_path):
+    # explicit horizons are few, but the last one sets the orbit length: a
+    # horizon of 10^8 at scale 2 draws 100,000,002 symbols, past the budget,
+    # and is refused before the draw rather than allocating 800 MB of draws
+    cfg = dict(json.loads((CONFIGS / "measure_uniform.json").read_text()), n_range=[1, 2, 3, 100_000_000])
+    start = time.perf_counter()
+    code, out, err = _run_memory_limited(tmp_path, "pressure measure", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "EnumerationBudgetExceeded",
+        "message": f"enumeration of 100000002 orbit symbols exceeds the budget of {2 ** 26}",
+    }
 
 
 def test_cli_refuses_a_band_tree_past_the_node_budget_up_front(tmp_path):
@@ -742,7 +761,7 @@ def test_cli_refuses_a_band_tree_past_the_node_budget_up_front(tmp_path):
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "EnumerationBudgetExceeded",
-        "message": f"enumeration of 91860401 words exceeds the budget of {2 ** 26}",
+        "message": f"enumeration of 91860401 tree nodes exceeds the budget of {2 ** 26}",
     }
 
 
@@ -751,9 +770,9 @@ def test_cli_refuses_a_sorted_tree_past_the_node_budget(tmp_path, capsys, monkey
     # the first layer that passes the budget: a band on the golden mean (no
     # layer repeats) holds 683 nodes at L = 40 and 1,495 at L = 60, where
     # the running total passes 2^10 at 1,032
-    import pressurelab.subsets as subsets
+    import pressurelab.symbolic as symbolic
 
-    monkeypatch.setattr(subsets, "DEFAULT_ENUMERATION_BUDGET", 2 ** 10)
+    monkeypatch.setattr(symbolic, "DEFAULT_ENUMERATION_BUDGET", 2 ** 10)
     band = {"kind": "frequency_level", "symbol": 1, "target": 0.3, "window": 0.05}
     cfg = {"system": GM_SYSTEM, "potential": {"constant": 0.0}, "subset": band, "scales": [1], "N": 3}
     code, _, _ = _run_config(tmp_path, capsys, "pressure bowen", dict(cfg, L=40), "inside")
@@ -764,7 +783,7 @@ def test_cli_refuses_a_sorted_tree_past_the_node_budget(tmp_path, capsys, monkey
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "EnumerationBudgetExceeded",
-        "message": f"enumeration of 1032 words exceeds the budget of {2 ** 10}",
+        "message": f"enumeration of 1032 tree nodes exceeds the budget of {2 ** 10}",
     }
 
 

@@ -54,6 +54,44 @@ def test_the_import_check_sees_an_unused_name():
     assert [name for name, _ in _imported(tree) if name not in used] == ["Iterable", "os"]
 
 
+_BUDGET, _REFUSAL = "DEFAULT_ENUMERATION_BUDGET", "EnumerationBudgetExceeded"
+
+
+def _budget_uses(tree: ast.AST, scope: str = ""):
+    """(innermost enclosing function, "budget" or "raise") for every read of
+    the budget (by name, attribute or import) and every call of its
+    exception below ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name) and node.id == _BUDGET and isinstance(node.ctx, ast.Load):
+            yield scope, "budget"
+        elif isinstance(node, ast.Attribute) and node.attr == _BUDGET:
+            yield scope, "budget"
+        elif isinstance(node, ast.ImportFrom) and _BUDGET in (alias.name for alias in node.names):
+            yield scope, "budget"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == _REFUSAL:
+            yield scope, "raise"
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _budget_uses(node, inner)
+
+
+def test_the_enumeration_budget_is_checked_in_one_place():
+    # the budget is one rule: symbolic.check_budget alone reads it and
+    # alone raises EnumerationBudgetExceeded; every other module calls it
+    uses = sorted({(path.name, *use) for path in SRC.glob("*.py")
+                   for use in _budget_uses(ast.parse(path.read_text(), filename=str(path)))})
+    assert uses == [("symbolic.py", "check_budget", "budget"), ("symbolic.py", "check_budget", "raise")]
+
+
+def test_the_budget_check_sees_a_copy_and_a_raise():
+    tree = ast.parse(
+        "from .symbolic import DEFAULT_ENUMERATION_BUDGET\n"
+        "def f(n):\n"
+        "    if n > symbolic.DEFAULT_ENUMERATION_BUDGET:\n"
+        "        raise errors.EnumerationBudgetExceeded(n, DEFAULT_ENUMERATION_BUDGET, 'words')\n"
+    )
+    assert sorted(set(_budget_uses(tree))) == [("", "budget"), ("f", "budget"), ("f", "raise")]
+
+
 def test_every_function_perfbench_traces_exists():
     # perfbench's Tracer.install looks each (module, function) of TRACED up
     # with getattr, so a removed name breaks ``--trace 1``; TRACED is read

@@ -179,6 +179,23 @@ class _FixedDraws:
         return self.draws.copy()
 
 
+def test_sample_orbit_refuses_an_orbit_past_the_budget_before_the_draw():
+    # n_max + m symbols past the 2^26 budget: the length alone decides, so
+    # the refusal comes before the draw and allocates next to nothing
+    import tracemalloc
+
+    mu = pl.bernoulli_measure([0.5, 0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+            pl.sample_orbit(mu, 2 ** 26, pl.Scale(2), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.count, exc.value.budget, exc.value.unit) == (2 ** 26 + 2, 2 ** 26, "orbit symbols")
+    assert peak < 2 ** 20
+
+
 def test_sample_orbit_clamps_a_final_draw_tying_the_last_cdf_value(monkeypatch):
     # cumsum of ten 0.1 entries ends at 0.9999999999999999, not 1.0; a draw
     # equal to it lands one past the last symbol and is clamped to k - 1

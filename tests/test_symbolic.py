@@ -267,6 +267,7 @@ def test_enumeration_budget_refuses_before_materializing():
         finally:
             tracemalloc.stop()
         assert (exc.value.count, exc.value.budget) == (2 ** 27, 2 ** 26)
+        assert str(exc.value) == f"enumeration of {2 ** 27} words exceeds the budget of {2 ** 26}"
         assert peak < 2 ** 20
 
 
@@ -277,11 +278,12 @@ def test_suffix_tables_keep_to_the_enumeration_budget(monkeypatch):
     # on the chain 0 -> 1 -> 2 -> 2 from the first symbol 0 the r-symbol
     # suffixes start at every symbol a word reaches
     import pressurelab.subsets as subsets
+    import pressurelab.symbolic as symbolic
 
     full = [[True, True]] * 3
     chain = [[False, True, False], [False, False, True], [False, False, True], [True, False, False]]
     for reach, r, size, over in ((full, 8, 2 ** 9 - 1, 2 ** 10 - 1), (chain, 2, 5, 6)):
-        monkeypatch.setattr(subsets, "DEFAULT_ENUMERATION_BUDGET", size)
+        monkeypatch.setattr(symbolic, "DEFAULT_ENUMERATION_BUDGET", size)
         assert len(subsets.suffix_table(reach, r)[0]) == size
         with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
             subsets.suffix_table(reach, r + 1)
