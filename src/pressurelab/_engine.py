@@ -237,7 +237,9 @@ def leaf_sum_logs(
         suffix, state, keep = prog.layers.suffix[i], prog.layers.state[i], prog.accepted(ds[0])
         # the tail runs over every part the word has not left
         tails = np.where(state[keep] >= 0, prices[:, suffix[keep]].T, NEG_INF).max(axis=1)
-        terms = np.array([prefix[d][keep] for d in ds]) + tails
+        # the depths of a repeated layer take one gather, a lone depth its own index
+        rows = np.array([prefix[d] for d in ds])[:, keep] if len(ds) > 1 else prefix[ds[0]][keep][None]
+        terms = rows + tails
         sums = np.logaddexp.reduce(terms, axis=1).tolist() if tails.size else [None] * len(ds)
         out.update(zip(ds, sums))
     return [out[d] for d in depths]

@@ -512,18 +512,28 @@ def _plain(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _numbers(values) -> bool:
+    """True when every value is an int or a float of at most the largest
+    finite magnitude (so no bool, NaN, inf, numpy scalar or list), which a
+    report writes as its repr; the compare is exact for ints of any size."""
+    return set(map(type, values)) <= {int, float} and all(map(sys.float_info.max.__ge__, map(abs, values)))
+
+
 def _emit(obj, ind: str) -> str:
     """``obj`` as JSON indented by 2, its first line at ``ind`` (a newline and
     the indent): dict keys are written as strings, sorted, and keys equal as
-    strings keep the last value; a list of finite floats or of ints is one join."""
+    strings keep the last value; a list of numbers is one join, and a list of
+    non-empty lists or tuples of numbers one join per row."""
     kind = type(obj)
     if kind in _JSON_SCALARS:
         return _JSON_SCALARS[kind](obj)
     inner = ind + "  "
     if kind is list or kind is tuple:
-        kinds = set(map(type, obj))
-        if kinds == {int} or kinds == {float} and all(map(math.isfinite, obj)):
+        if _numbers(obj):
             items = map(repr, obj)
+        elif set(map(type, obj)) <= {list, tuple} and all(obj) and _numbers([x for row in obj for x in row]):
+            row = f",{inner}  "
+            items = [f"[{inner}  {row.join(map(repr, values))}{inner}]" for values in obj]
         else:
             items = [_emit(v, inner) for v in obj]
         return f"[{inner}{f',{inner}'.join(items)}{ind}]" if obj else "[]"

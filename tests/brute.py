@@ -734,6 +734,19 @@ def worst_log_ratios_walk(
     return out
 
 
+def gibbs_row_walk(ns: Sequence[int], base: Sequence[float], s: float) -> Dict[str, object]:
+    """The Gibbs-bound row at exponent s from per-horizon lists: the worst
+    log ratios ``base`` of the increasing horizons ``ns`` shifted by n * s,
+    their max, and the slope of a line fit over the deeper half of the
+    window (bounded at most 0.01)."""
+    shifted = [r + n * s for n, r in zip(ns, base)]
+    tail_at = ns[len(ns) // 2]
+    xs = np.array([n for n in ns if n >= tail_at], dtype=float)
+    ys = np.array([v for n, v in zip(ns, shifted) if n >= tail_at])
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return {"s": s, "slope": slope, "max_log_ratio": max(shifted), "bounded": bool(slope <= 0.01)}
+
+
 def invariant_pressure_stack(
     initial: np.ndarray, transition: np.ndarray, f, support_eps: float = 1e-15
 ) -> float:

@@ -11,6 +11,7 @@ from brute import (
     dirichlet_chain,
     dirichlet_grid_walk,
     frequency_family_walk,
+    gibbs_row_walk,
     random_sub_relation,
     tarjan_components,
     trim_forward_loop,
@@ -226,6 +227,38 @@ def test_gibbs_ratio_pass_equals_the_pair_walk():
         ns = list(range(int(rng.integers(1, 4)), int(rng.integers(5, 12))))
         got = _worst_log_ratios(sub, mu, f, ns, pl.Scale(m))
         assert got == worst_log_ratios_walk(sub.successors, pi, P, f, ns, m)
+
+
+def test_gibbs_rows_equal_the_per_horizon_lists():
+    # random hosts, often reducible, whole and sub-SFT targets, depth 1-2,
+    # m up to 3: the rows, control and trace verify_gibbs_bound makes from
+    # arrays equal, exactly, the per-horizon lists shifted from the pair
+    # walk's log ratios
+    rng = np.random.default_rng(59)
+    checked = 0
+    while checked < 12:
+        k = int(rng.integers(2, 5))
+        host = _random_host(rng, k)
+        depth = int(rng.integers(1, 3))
+        m = int(rng.integers(1, 4))
+        table = {w: float(rng.uniform(-0.8, 0.8)) for w in pl.enumerate_words(host, depth)}
+        f = pl.potential_from_table(host, depth, table)
+        spec = pl.whole() if checked % 2 else pl.sub_sft(random_sub_relation(rng, host.allowed))
+        N = int(rng.integers(1, 4))
+        L = N + m + int(rng.integers(7, 16))
+        try:
+            rep = pl.verify_gibbs_bound(host, spec, f, pl.Scale(m), N, L)
+        except pl.EmptyTarget:
+            continue
+        sub, _, f_sub, _, equilibrium = _invariant_core(host, spec, f)
+        mu = equilibrium()
+        ns = list(range(N, L - m + 1))
+        base = worst_log_ratios_walk(sub.successors, mu.initial, mu.transition, f_sub, ns, m)
+        rows = tuple(gibbs_row_walk(ns, base, rep.pressure.midpoint - b) for b in harness._GIBBS_BETAS)
+        assert rep.rows == rows
+        assert rep.control == gibbs_row_walk(ns, base, rep.pressure.midpoint + harness._CONTROL_OFFSET)
+        assert rep.trace == tuple((n, r + n * rows[0]["s"]) for n, r in zip(ns, base))
+        checked += 1
 
 
 def _untrimmed_core(relation, f):

@@ -50,8 +50,14 @@ _ARRAYS = st.one_of(
     st.lists(st.booleans(), max_size=6).map(lambda xs: np.array(xs, dtype=bool)),
     st.lists(_FLOATS, min_size=4, max_size=4).map(lambda xs: np.array(xs).reshape(2, 2)),
 )
+# lists of number rows, as [n, log P_n] rows: one join per row unless some
+# value (a NaN, an inf, an int past the float range) needs the element path
+_ROWS = st.lists(
+    st.lists(st.one_of(_INTS, _FLOATS), min_size=1, max_size=3).flatmap(lambda row: st.sampled_from([row, tuple(row)])),
+    max_size=6,
+)
 _LEAVES = st.one_of(
-    st.none(), st.booleans(), _INTS, _FLOATS, _STRINGS, _NUMPY_SCALARS, _ARRAYS,
+    st.none(), st.booleans(), _INTS, _FLOATS, _STRINGS, _NUMPY_SCALARS, _ARRAYS, _ROWS,
 )
 # int, str, bool, None and float keys, several equal as strings (1, "1", True, "True")
 _KEYS = st.one_of(
@@ -75,6 +81,16 @@ _VALUES = st.recursive(
 @example([[], {}, (), np.array([]), np.zeros((0, 3))])
 @example([1, 2.5, -0.0, 1e308, INF, -INF, NAN, 10**30, True, None])
 @example({"x": (np.float64(NAN), np.int64(-7), np.bool_(False), np.array([[1.5, -INF], [0.0, 2.0]]))})
+@example([[40, 16.27], [41, 1e308]])
+@example([(1, 2.5), [3, -0.0]])
+@example([[1, 2.5], [2, True]])
+@example([[1, 2.5], [2, NAN]])
+@example([[1, 2.5], (2, -INF)])
+@example([[1, 2.5], [np.int64(2), 0.5]])
+@example([[1, 2.5], [2, [0.5]]])
+@example([[1, 2.5], []])
+@example([[10**400, 2.5], [-(2**1100), 0.5]])
+@example([1, 2.5, -0.0, 10**400])
 def test_emitter_writes_what_json_dumps_of_json_ready_wrote(obj):
     assert _text(obj) == report_text(obj)
 
