@@ -442,7 +442,7 @@ def _worst_log_ratios(
 
     One max-plus forward pass weighs every window up to horizon max(ns);
     each horizon continues from its step by the m - k + 1 remaining
-    transitions of log P alone, all horizons in one stack. A step is
+    transitions of log P alone, blocks of horizons in one stack. A step is
     V'[b] = max_a V[a] + G[a, b] for a gain matrix G built once, -inf off
     the arcs of ``sub``. Needs f.depth <= m + 1 so the word determines its
     own n-term sum.
@@ -461,12 +461,15 @@ def _worst_log_ratios(
     plain = np.where(arcs, logP, -math.inf)
 
     # weighed[t] has taken t steps and holds the first t + 2 - k windows
-    weighed = [logpi - fw if k == 1 else logpi]
-    for _ in range(ns[-1] + k - 2):
-        weighed.append((weighed[-1][:, None] + weigh).max(axis=0))
-    V = np.array(weighed)[np.add(ns, k - 2)]  # (horizons x states)
-    for _ in range(scale.m - k + 1):
-        V = (V[:, :, None] + plain).max(axis=1)
+    weighed = np.empty((ns[-1] + k - 1, len(logpi)))
+    weighed[0] = logpi - fw if k == 1 else logpi
+    for t in range(1, len(weighed)):
+        weighed[t] = (weighed[t - 1][:, None] + weigh).max(axis=0)
+    V = weighed[np.add(ns, k - 2)]  # (horizons x states)
+    block = max(1, 2 ** 13 // plain.size)  # horizons per step: a temporary of at most 64 kB, or one horizon
+    for i in range(0, len(V), block):
+        for _ in range(scale.m - k + 1):
+            V[i : i + block] = (V[i : i + block, :, None] + plain).max(axis=1)
     return V.max(axis=1).tolist()
 
 

@@ -238,7 +238,7 @@ class WordLayers:
 
     def __init__(self, target: TargetAutomaton, r: int, depth: int):
         parts, _, k = target.moves.shape
-        self.words, self.next = suffix_table(target.moves.any(axis=0).tolist(), r, _SUFFIX_PEAK_BYTES)
+        self.words, self.next = suffix_table(target.moves.any(axis=0).tolist(), r)
         check_budget(depth + 1, "depths")  # a tree holds a node per depth at least
         words = self.words
         moves = target.moves[:, [u[-1] if u else k for u in words]].transpose(1, 0, 2)
@@ -346,24 +346,23 @@ class WordLayers:
         self.kids = [kids[:w, s:e] for w, s, e in self.cuts]
 
 
-# tracemalloc, full 2-shift at r = 14-18: a built table holds 146-201 B per
-# suffix (its tuple, a list slot and a row of ``next``), and the build, with
-# its index dict and Python rows, peaks at 325-382 B per suffix
-_SUFFIX_PEAK_BYTES = 384
+def _suffix_cells(k: int, r: int) -> int:
+    """8-byte cells a suffix table's build peaks at per suffix of at most r of
+    k symbols: a cell a symbol of its tuple and of its Python and numpy rows,
+    and 29 (232 B) for the rest, which took 198-227 B at the tracemalloc peak
+    on full shifts of k = 2-64, r = 2-17 (4,369 to 349,525 suffixes)."""
+    return 29 + r + 2 * k
 
 
-def suffix_table(
-    reach: Sequence[Sequence[bool]], r: int, peak_bytes: int = 0
-) -> Tuple[List[Word], np.ndarray]:
+def suffix_table(reach: Sequence[Sequence[bool]], r: int) -> Tuple[List[Word], np.ndarray]:
     """(words, next): every suffix of at most r symbols that a word whose
     moves follow ``reach`` can end in, the empty one first, in order of
     discovery; ``next[i, b]`` is the index of the suffix after appending b
     to ``words[i]``, or -1 where ``reach`` forbids b there. ``reach[a][b]``
     allows b after a, and its last row (index k) holds the first symbols.
     Raises EnumerationBudgetExceeded before building a table past the budget,
-    with the count up to the first length that passes it, or, at
-    ``peak_bytes`` per suffix, one whose build would peak past the budget
-    in 8-byte cells (2^26 of them are 512 MiB)."""
+    with the count up to the first length that passes it, or one whose build
+    would peak past the budget in 8-byte cells (2^26 of them are 512 MiB)."""
     k = len(reach[-1])
     # count first: (), j < r symbols from a first symbol, r from any reached one
     heads, paths, size = list(reach[-1]), [1] * k, 1
@@ -373,7 +372,7 @@ def suffix_table(
         size += sum(p for p, ok in zip(paths, heads if j == r else reach[-1]) if ok)
         check_budget(size, "suffixes")
         paths = [sum(p for p, ok in zip(paths, row) if ok) for row in reach[:k]]
-    check_budget(size * peak_bytes // 8, "8-byte cells of suffix table")
+    check_budget(size * _suffix_cells(k, r), "8-byte cells of suffix table")
     words: List[Word] = [()]
     index = {(): 0}
     nxt = []

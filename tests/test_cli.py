@@ -767,16 +767,16 @@ def test_cli_refuses_a_band_tree_past_the_node_budget_up_front(tmp_path):
 
 def test_cli_refuses_a_suffix_table_past_the_bytes_budget_up_front(tmp_path):
     # a capacity tree at scale 24 keeps the last 23 symbols: on the full
-    # 2-shift 2^24 - 1 suffixes, inside the count budget, but at 384 B each
-    # at the build's peak about 6.4 GB, past 2^26 cells of 8 bytes (512 MiB);
-    # it is refused before the table is built
+    # 2-shift 2^24 - 1 suffixes, inside the count budget, but charged
+    # 29 + 23 + 2 * 2 = 56 cells of 8 bytes each, past 2^26 cells (512 MiB;
+    # its build would peak near 6.4 GB); it is refused before it is built
     start = time.perf_counter()
     code, out, err = _run_memory_limited(tmp_path, "pressure capacity", dict(_DEEP, scales=[24], n_range=[30, 40]))
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "EnumerationBudgetExceeded",
-        "message": f"enumeration of {(2 ** 24 - 1) * 48} 8-byte cells of suffix table exceeds the budget of {2 ** 26}",
+        "message": f"enumeration of {(2 ** 24 - 1) * 56} 8-byte cells of suffix table exceeds the budget of {2 ** 26}",
     }
 
 

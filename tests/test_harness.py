@@ -229,6 +229,22 @@ def test_gibbs_ratio_pass_equals_the_pair_walk():
         assert got == worst_log_ratios_walk(sub.successors, pi, P, f, ns, m)
 
 
+def test_gibbs_ratio_pass_in_blocks_equals_the_pair_walk():
+    # on 24 symbols a max-plus step takes 2^13 // 24^2 = 14 horizons at once,
+    # so 59 horizons run in five blocks, the last one partial
+    rng = np.random.default_rng(43)
+    k = 24
+    for depth in (1, 2):
+        sub = _random_host(rng, k)
+        f = pl.potential_from_table(sub, depth, {w: float(rng.uniform(-0.8, 0.8)) for w in pl.enumerate_words(sub, depth)})
+        P = _sparse_stochastic(rng, k, rng.random((k, k)) < 0.3)
+        pi = rng.uniform(0.1, 1.0, size=k)
+        mu = MarkovMeasure(P, pi / pi.sum())
+        ns = list(range(1, 60))
+        got = _worst_log_ratios(sub, mu, f, ns, pl.Scale(3))
+        assert got == worst_log_ratios_walk(sub.successors, mu.initial, P, f, ns, 3)
+
+
 def test_gibbs_rows_equal_the_per_horizon_lists():
     # random hosts, often reducible, whole and sub-SFT targets, depth 1-2,
     # m up to 3: the rows, control and trace verify_gibbs_bound makes from

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -276,10 +279,12 @@ def test_suffix_tables_keep_to_the_enumeration_budget(monkeypatch):
     # any: one exactly at the budget builds and one past it raises; on the
     # full 2-shift the suffixes of at most r symbols number 2^(r+1) - 1, and
     # on the chain 0 -> 1 -> 2 -> 2 from the first symbol 0 the r-symbol
-    # suffixes start at every symbol a word reaches
+    # suffixes start at every symbol a word reaches; at one cell a suffix
+    # the budget in cells is a budget in suffixes
     import pressurelab.subsets as subsets
     import pressurelab.symbolic as symbolic
 
+    monkeypatch.setattr(subsets, "_suffix_cells", lambda k, r: 1)
     full = [[True, True]] * 3
     chain = [[False, True, False], [False, False, True], [False, False, True], [True, False, False]]
     for reach, r, size, over in ((full, 8, 2 ** 9 - 1, 2 ** 10 - 1), (chain, 2, 5, 6)):
@@ -299,6 +304,37 @@ def test_suffix_tables_stop_counting_at_the_first_length_past_the_budget():
     with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
         subsets.suffix_table([[True, True]] * 3, 20000)
     assert (exc.value.count, exc.value.budget) == (2 ** 27 - 1, 2 ** 26)
+
+
+def test_suffix_tables_are_charged_at_least_their_build_peak():
+    # the cells charged per suffix cover the build's tracemalloc peak on a
+    # small, a middle and a large alphabet
+    import pressurelab.subsets as subsets
+
+    for k, r in ((2, 12), (3, 8), (16, 3)):
+        tracemalloc.start()
+        try:
+            words, _ = subsets.suffix_table([[True] * k] * (k + 1), r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(words) * subsets._suffix_cells(k, r) * 8, (k, r)
+
+
+def test_large_alphabet_suffix_tables_are_refused_by_their_bytes():
+    # the full 16-shift's suffixes of at most 5 symbols number
+    # (16^6 - 1) / 15 = 1,118,481, far inside the budget of 2^26, but at
+    # 29 + 5 + 2 * 16 = 66 cells each (528 B) their build would peak past
+    # 2^26 cells (512 MiB); the table is refused before any suffix is made
+    import pressurelab.subsets as subsets
+
+    full16 = [[True] * 16] * 17
+    start = time.perf_counter()
+    with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+        subsets.suffix_table(full16, 5)
+    assert time.perf_counter() - start < 1.0
+    assert (exc.value.count, exc.value.budget) == (1118481 * 66, 2 ** 26)
+    assert str(exc.value).endswith(" 8-byte cells of suffix table exceeds the budget of 67108864")
 
 
 def test_subshift_from_pairs_roundtrip():
