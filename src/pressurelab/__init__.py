@@ -12,13 +12,11 @@ from ._version import __version__
 from .bowen import (
     Ball,
     CriticalExponent,
-    WeightedCover,
     bowen_pressure,
     check_chain,
     cover_value,
     min_cover_value,
     string_cover_value,
-    unweighted_cover,
     vitali_select,
     weighted_cover_value,
     weighted_pressure,

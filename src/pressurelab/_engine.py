@@ -209,16 +209,22 @@ class _TreeProgram:
 
 # past the float range a sum reads +-inf, or NaN for inf - inf; capacity_pressure rejects both
 @np.errstate(over="ignore", invalid="ignore")
-def leaf_sum_logs(
+def leaf_sum_log(
     sft: Subshift,
     spec: SubsetSpec,
     f: LocallyConstantPotential,
     sigma: int,
     depths: Sequence[int],
 ) -> List[Optional[float]]:
-    """``leaf_sum_log(sft, spec, f, sigma, d)`` for each d in the increasing
-    ``depths``, all read from one forward pass over one tree; None where no
-    word is accepted, so that -inf means a sum below the float range."""
+    """Per d in the increasing ``depths``, the log of the sum over accepted
+    depth-d words of exp(sup f_h), h = d - sigma, all read from one forward
+    pass over one tree; None where no word is accepted, so that -inf means a
+    sum below the float range.
+
+    Tail windows beyond the word are extremized over continuations inside
+    the target (per the tracker), so for a sub-SFT the value is the supremum
+    of f_h over the points of the target in each cylinder.
+    """
     if depths[0] < 1:
         raise ValueError("depth must be at least 1")
     if depths[0] - sigma < 1:
@@ -237,30 +243,10 @@ def leaf_sum_logs(
         suffix, state, keep = prog.layers.suffix[i], prog.layers.state[i], prog.accepted(ds[0])
         # the tail runs over every part the word has not left
         tails = np.where(state[keep] >= 0, prices[:, suffix[keep]].T, NEG_INF).max(axis=1)
-        # the depths of a repeated layer take one gather, a lone depth its own index
-        rows = np.array([prefix[d] for d in ds])[:, keep] if len(ds) > 1 else prefix[ds[0]][keep][None]
-        terms = rows + tails
+        terms = np.array([prefix[d] for d in ds])[:, keep] + tails  # one gather per layer
         sums = np.logaddexp.reduce(terms, axis=1).tolist() if tails.size else [None] * len(ds)
         out.update(zip(ds, sums))
     return [out[d] for d in depths]
-
-
-def leaf_sum_log(
-    sft: Subshift,
-    spec: SubsetSpec,
-    f: LocallyConstantPotential,
-    sigma: int,
-    depth: int,
-) -> float:
-    """log of the sum over accepted depth-``depth`` words of exp(sup f_h).
-
-    h = depth - sigma. Tail windows beyond the word are extremized over
-    continuations inside the target (per the tracker), so for a sub-SFT the
-    value is the supremum of f_h over the points of the target in each
-    cylinder. Returns -inf when no word is accepted.
-    """
-    value = leaf_sum_logs(sft, spec, f, sigma, (depth,))[0]
-    return NEG_INF if value is None else value
 
 
 class CoverProgram:
@@ -316,60 +302,51 @@ class CoverProgram:
         self.empty = not accepted.any()
         self._leaves = np.where(accepted, math.inf, NEG_INF)[:, None]
 
-    @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
     def __call__(self, exponents: Sequence[float]) -> np.ndarray:
-        """One backward fold for all ``exponents``: per layer that several depths
-        repeat one widening of its gains to the K exponents, per block of depths
-        one add per ball column that its depths share, then per depth one gather
-        into an (arity, states, K) block, one in-place add of the gains, binary
-        log-sum-exps over the arity rows in reduce order and one in-place minimum
-        with the ball thresholds; values equal a per-row fold's bit for bit."""
-        neg_s = -np.asarray(exponents, dtype=float)
-        if self.empty:  # nothing to cover: the empty cover costs zero
-            return np.full(len(neg_s), NEG_INF)
-        n, d_min = self._d_max - self._d_min, self._d_min
-        decay = np.multiply.outer(np.arange(d_min, n + d_min + 1) - self._sigma, neg_s)
-        layers = self._layers.copy()
-        for i in self._repeated:  # a same-shape add beats a broadcast one
-            kid, gain, rows, column = layers[i]
-            layers[i] = kid, np.repeat(gain, len(neg_s), axis=2), rows, column
-        logaddexp, minimum = np.logaddexp, np.minimum
-        values = minimum(decay[-1] + self._deepest, self._leaves)
-        blocks, top, made = reversed(self._blocks), n - 1, {}
-        for j, i in zip(range(n - 1, -d_min - 1, -1), self._at):
-            kid, gain, rows, column = layers[i]
-            arcs = values.take(kid, 0)  # as values[kid], by a faster path
-            arcs += gain
-            values = arcs[0]
-            for r in rows:
-                logaddexp(values, arcs[r], out=values)
-            if j < 0:  # no ball sits shallower than d_min
-                continue
-            if j == top:  # the deepest depth of a block: the thresholds its depths share
-                for js, col in next(blocks):
-                    made.update(zip(range(n)[js], decay[js, None, :] + col))
-                top = j - j % _BLOCK - 1
-            # a node takes its ball where that is cheaper than covering its
-            # children; exact ties resolve toward the shallower ball, which
-            # pins down which cover the DP means
-            shared = made.pop(j, None)
-            minimum(decay[j] + column if shared is None else shared, values, out=values)
-        return values[0]
+        """The K log minimal cover values at ``exponents`` (see ``cover_min_log``)."""
+        return cover_min_log(self, exponents)
 
     def at(self, s: float) -> float:
         """The log minimal cover value at the one exponent s."""
-        return float(self([s])[0])
+        return float(cover_min_log(self, [s])[0])
 
 
-def cover_min_log(
-    sft: Subshift,
-    spec: SubsetSpec,
-    f: LocallyConstantPotential,
-    s: float,
-    sigma: int,
-    d_min: int,
-    d_max: int,
-    centered: bool = False,
-) -> float:
-    """log of the minimal cover value at one exponent (see ``CoverProgram``)."""
-    return CoverProgram(_TreeProgram(sft, spec, f, sigma, d_max), d_min, centered).at(s)
+@np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
+def cover_min_log(program: CoverProgram, exponents: Sequence[float]) -> np.ndarray:
+    """The log minimal cover values of ``program`` at ``exponents``, by one
+    backward fold for all of them: per layer that several depths repeat one widening of its gains to the K exponents, per block of depths
+    one add per ball column that its depths share, then per depth one gather
+    into an (arity, states, K) block, one in-place add of the gains, binary
+    log-sum-exps over the arity rows in reduce order and one in-place minimum
+    with the ball thresholds; values equal a per-row fold's bit for bit."""
+    neg_s = -np.asarray(exponents, dtype=float)
+    if program.empty:  # nothing to cover: the empty cover costs zero
+        return np.full(len(neg_s), NEG_INF)
+    n, d_min = program._d_max - program._d_min, program._d_min
+    decay = np.multiply.outer(np.arange(d_min, n + d_min + 1) - program._sigma, neg_s)
+    layers = program._layers.copy()
+    for i in program._repeated:  # a same-shape add beats a broadcast one
+        kid, gain, rows, column = layers[i]
+        layers[i] = kid, np.repeat(gain, len(neg_s), axis=2), rows, column
+    logaddexp, minimum = np.logaddexp, np.minimum
+    values = minimum(decay[-1] + program._deepest, program._leaves)
+    blocks, top, made = reversed(program._blocks), n - 1, {}
+    for j, i in zip(range(n - 1, -d_min - 1, -1), program._at):
+        kid, gain, rows, column = layers[i]
+        arcs = values.take(kid, 0)  # as values[kid], by a faster path
+        arcs += gain
+        values = arcs[0]
+        for r in rows:
+            logaddexp(values, arcs[r], out=values)
+        if j < 0:  # no ball sits shallower than d_min
+            continue
+        if j == top:  # the deepest depth of a block: the thresholds its depths share
+            for js, col in next(blocks):
+                made.update(zip(range(n)[js], decay[js, None, :] + col))
+            top = j - j % _BLOCK - 1
+        # a node takes its ball where that is cheaper than covering its
+        # children; exact ties resolve toward the shallower ball, which
+        # pins down which cover the DP means
+        shared = made.pop(j, None)
+        minimum(decay[j] + column if shared is None else shared, values, out=values)
+    return values[0]

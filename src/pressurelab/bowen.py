@@ -60,26 +60,6 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class WeightedCover:
-    """A finite ball family with positive weights (all 1.0 when unweighted)."""
-
-    balls: Tuple[Ball, ...]
-    weights: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.balls) != len(self.weights):
-            raise ValueError("one weight per ball")
-        if not self.balls:
-            raise ValueError("cover must contain at least one ball")
-        if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
-            raise ValueError("weights must be positive and finite")
-
-
-def unweighted_cover(balls: Sequence[Ball]) -> WeightedCover:
-    return WeightedCover(tuple(balls), tuple(1.0 for _ in balls))
-
-
-@dataclass(frozen=True)
 class CriticalExponent:
     """A bisection bracket for the s-value where a cover value crosses 1.
 
@@ -118,12 +98,12 @@ class CriticalExponent:
 
 def cover_value(
     sft: Subshift,
-    cover: WeightedCover,
+    balls: Sequence[Ball],
     f: LocallyConstantPotential,
     s: float,
     centered: bool = False,
 ) -> float:
-    """Sum over the cover of c_i exp(-s n_i + S_i), priced literally.
+    """Sum over the cover's ``balls`` of exp(-s n_i + S_i), priced literally.
 
     S_i is the supremum of f_(n_i) over the ball's cylinder; with
     ``centered`` it is instead the value of f_(n_i) at a point of the ball
@@ -132,13 +112,15 @@ def cover_value(
     A sum past the float range reads inf, as ``min_cover_value``'s does.
     """
     _require_finite(s=s)
+    if not balls:
+        raise ValueError("cover must contain at least one ball")
     total = 0.0
-    for ball, c in zip(cover.balls, cover.weights):
+    for ball in balls:
         if centered:
             S = inf_birkhoff_on_cylinder(sft, f, ball.center_word, ball.n)
         else:
             S = sup_birkhoff_on_cylinder(sft, f, ball.center_word, ball.n)
-        total += c * _value_from_log(-s * ball.n + S)
+        total += _value_from_log(-s * ball.n + S)
     return total
 
 

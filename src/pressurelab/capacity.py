@@ -16,10 +16,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._engine import _value_from_log, leaf_sum_log, leaf_sum_logs
+from ._engine import _value_from_log, leaf_sum_log
 from .errors import EmptyTarget
 from .subsets import SubsetSpec
-from .symbolic import LocallyConstantPotential, Scale, Subshift, check_budget, separated_word_length
+from .symbolic import NEG_INF, LocallyConstantPotential, Scale, Subshift, check_budget, separated_word_length
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def log_partition_function(
     scale: Scale,
 ) -> float:
     depth = separated_word_length(n, scale)  # raises ScaleTooCoarse for m = 0
-    return leaf_sum_log(sft, Z, f, sigma=scale.m - 1, depth=depth)
+    value = leaf_sum_log(sft, Z, f, scale.m - 1, [depth])[0]
+    return NEG_INF if value is None else value
 
 
 def capacity_pressure(
@@ -84,7 +85,7 @@ def capacity_pressure(
     """
     ns = _normalize_range(n_range)
     depths = [separated_word_length(n, scale) for n in ns]
-    logs = leaf_sum_logs(sft, Z, f, sigma=scale.m - 1, depths=depths)
+    logs = leaf_sum_log(sft, Z, f, scale.m - 1, depths)
     lost = [n for n, v in zip(ns, logs) if v is not None and not math.isfinite(v)]
     if lost:
         raise RuntimeError(f"log P_n leaves the float range at n = {lost[0]}; the potential is too large")

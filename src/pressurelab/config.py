@@ -199,11 +199,9 @@ def _parse_system(node, problems) -> Optional[Subshift]:
         return None
 
 
-def _word_from_key(key: str, alphabet_size: int) -> Word:
-    if "," in key:
-        parts = key.split(",")
-    else:
-        parts = list(key)
+def _word_from_key(key: str, alphabet_size: int, depth: int) -> Word:
+    # without a comma a key is one digit per symbol, or at depth 1 one decimal symbol
+    parts = key.split(",") if "," in key or (depth == 1 and key) else list(key)
     try:
         word = tuple(int(p) for p in parts)
     except ValueError:
@@ -243,9 +241,10 @@ def _parse_potential(node, system, problems, forbidden) -> Optional[LocallyConst
         problems.append(("potential.table", "must be an object of word -> value"))
         return None
     table: Dict[Word, float] = {}
+    seen: Dict[Word, str] = {}
     for key, value in table_node.items():
         try:
-            word = _word_from_key(key, system.alphabet_size)
+            word = _word_from_key(key, system.alphabet_size, depth)
         except ValueError as e:
             problems.append((f"potential.table.{key}", str(e)))
             continue
@@ -254,6 +253,10 @@ def _parse_potential(node, system, problems, forbidden) -> Optional[LocallyConst
                 (f"potential.table.{key}", f"word length {len(word)} != depth {depth}")
             )
             continue
+        if word in seen:
+            problems.append((f"potential.table.{key}", f"names the word of key {seen[word]!r} again"))
+            continue
+        seen[word] = key
         if not system.is_admissible(word):
             forbidden.append(key)
             continue
@@ -347,6 +350,9 @@ def _parse_scales(node, problems) -> Optional[Tuple[Scale, ...]]:
     for m in node:
         if not _is_int(m) or m < 0:
             problems.append(("scales", f"scale m={m!r} must be an integer >= 0"))
+            return None
+        if Scale(m) in out:
+            problems.append(("scales", f"scale m={m} is listed twice"))
             return None
         out.append(Scale(m))
     return tuple(out)

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import is_dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -458,8 +458,8 @@ def fold_forward_walk(prog) -> List[np.ndarray]:
     return prefix
 
 
-def leaf_sum_walk(prog, depths: Sequence[int]) -> List[float]:
-    """``_engine.leaf_sum_logs`` on the tree ``prog`` as it ran before: the
+def leaf_sum_walk(prog, depths: Sequence[int]) -> List[Optional[float]]:
+    """``_engine.leaf_sum_log`` on the tree ``prog`` as it ran before: the
     acceptance mask and the tail corrections made again, and the terms summed,
     at every depth on its own; None where no word is accepted."""
     NEG_INF = -math.inf

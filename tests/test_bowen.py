@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab._engine import CoverProgram, _TreeProgram, _window_gains, cover_min_log, leaf_sum_logs
+from pressurelab._engine import CoverProgram, _TreeProgram, _window_gains, leaf_sum_log
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
 from pressurelab.subsets import TargetAutomaton, WordLayers, count_target_words
@@ -46,13 +46,18 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def test_cover_value_unit_balls_arithmetic():
     balls = [pl.Ball(w, 2, pl.Scale(1)) for w in [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]]
-    got = pl.cover_value(FULL2, pl.unweighted_cover(balls), F0, math.log(2))
+    got = pl.cover_value(FULL2, balls, F0, math.log(2))
     assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cover_value_needs_a_ball():
+    with pytest.raises(ValueError, match="at least one ball"):
+        pl.cover_value(FULL2, [], F0, 0.5)
 
 
 def test_cover_value_single_ball_sup_over_cylinder():
     ball = pl.Ball((0, 0, 0), 2, pl.Scale(1))
-    got = pl.cover_value(FULL2, pl.unweighted_cover([ball]), F10, 0.0)
+    got = pl.cover_value(FULL2, [ball], F10, 0.0)
     oracle = math.exp(sup_birkhoff(FULL2.allowed, {(0,): 1.0, (1,): 0.0}, 1, (0, 0, 0), 2))
     assert got == pytest.approx(math.e ** 2, rel=1e-12)
     assert got == pytest.approx(oracle, rel=1e-12)
@@ -60,8 +65,8 @@ def test_cover_value_single_ball_sup_over_cylinder():
 
 def test_cover_value_centered_at_most_sup():
     ball = pl.Ball((0, 1, 0), 2, pl.Scale(1))
-    centered = pl.cover_value(FULL2, pl.unweighted_cover([ball]), F10, 0.0, centered=True)
-    sup = pl.cover_value(FULL2, pl.unweighted_cover([ball]), F10, 0.0)
+    centered = pl.cover_value(FULL2, [ball], F10, 0.0, centered=True)
+    sup = pl.cover_value(FULL2, [ball], F10, 0.0)
     assert centered == pytest.approx(math.e, rel=1e-12)
     assert centered <= sup + 1e-12
     # a ball's cylinder fixes n + m symbols, which determines the whole
@@ -72,8 +77,8 @@ def test_cover_value_centered_at_most_sup():
     f2 = pl.potential_from_table(FULL2, 2, table)
     for w in itertools.product(range(2), repeat=3):
         ball2 = pl.Ball(w, 2, pl.Scale(1))
-        c2 = pl.cover_value(FULL2, pl.unweighted_cover([ball2]), f2, 0.0, centered=True)
-        s2 = pl.cover_value(FULL2, pl.unweighted_cover([ball2]), f2, 0.0)
+        c2 = pl.cover_value(FULL2, [ball2], f2, 0.0, centered=True)
+        s2 = pl.cover_value(FULL2, [ball2], f2, 0.0)
         assert c2 <= s2 + 1e-12
 
 
@@ -82,7 +87,7 @@ def test_cover_values_past_the_float_range_read_inf():
     # float range; the explicit cover and the optimal one both read inf
     f = pl.potential_from_table(FULL2, 1, {(0,): 100.0, (1,): 0.0})
     ball = pl.Ball((0,) * 12, 11, pl.Scale(1))
-    assert pl.cover_value(FULL2, pl.unweighted_cover([ball]), f, 0.0) == math.inf
+    assert pl.cover_value(FULL2, [ball], f, 0.0) == math.inf
     assert pl.min_cover_value(FULL2, pl.whole(), f, 0.0, 11, pl.Scale(1), 12) == math.inf
 
 
@@ -346,7 +351,7 @@ def test_string_and_centered_covers_match_oracle_on_random_cases():
             assert got == pytest.approx(interval_min_cover(leaves, cost, d_min, L), rel=1e-9)
 
             d_min = int(rng.integers(1, 4))
-            got = math.exp(cover_min_log(host, spec, f, s, 0, d_min, L, centered=True))
+            got = math.exp(CoverProgram(_TreeProgram(host, spec, f, 0, L), d_min, True).at(s))
             cost = oracle_costs(host.allowed, table, depth, leaves, s, d_min, L, pick=inf_birkhoff)
             assert got == pytest.approx(interval_min_cover(leaves, cost, d_min, L), rel=1e-9)
 
@@ -549,7 +554,7 @@ def test_cover_min_log_matches_batched_columns():
             batch = CoverProgram(_TreeProgram(host, spec, f, sigma, L), d_min, centered)(exponents)
             assert batch.shape == (9,)
             for s, v in zip(exponents, batch):
-                one = cover_min_log(host, spec, f, s, sigma, d_min, L, centered)
+                one = CoverProgram(_TreeProgram(host, spec, f, sigma, L), d_min, centered).at(s)
                 assert one == pytest.approx(float(v), rel=1e-12)
 
 
@@ -578,7 +583,7 @@ def test_nested_unions_with_a_frequency_part_match_oracles():
             cost = oracle_costs(host.allowed, table, depth, leaves, s, q, L, sigma=q - 1)
             assert got == pytest.approx(interval_min_cover(leaves, cost, q, L), rel=1e-9)
 
-            got = math.exp(cover_min_log(host, spec, f, s, 0, 2, L, centered=True))
+            got = math.exp(CoverProgram(_TreeProgram(host, spec, f, 0, L), 2, True).at(s))
             cost = oracle_costs(host.allowed, table, depth, leaves, s, 2, L, pick=inf_birkhoff)
             assert got == pytest.approx(interval_min_cover(leaves, cost, 2, L), rel=1e-9)
 
@@ -639,7 +644,7 @@ def test_work_stays_per_distinct_layer(monkeypatch):
     calls = []
     accepts = TargetAutomaton.accepts
     monkeypatch.setattr(TargetAutomaton, "accepts", lambda *a: calls.append(a[2]) or accepts(*a))
-    sums = leaf_sum_logs(FULL2, flip, f, 1, depths)
+    sums = leaf_sum_log(FULL2, flip, f, 1, depths)
     tree = last_symbol_tree(FULL2, flip, f, 1, 180)
     at = tree.layers.at
     assert len(calls) == len(set(at[40:181])) == 2
@@ -878,7 +883,7 @@ def test_band_trees_take_the_count_path_only_where_layers_are_intervals(monkeypa
     union = pl.finite_union(band, pl.frequency_level(1, 0.9, 0.05))
     pl.bowen_pressure(FULL2, union, F0, pl.Scale(1), 3, 30)
     assert built == []
-    leaf_sum_logs(FULL2, band, F0, 0, list(range(10, 31)))
+    leaf_sum_log(FULL2, band, F0, 0, list(range(10, 31)))
     assert built == [30]
 
 
@@ -1005,7 +1010,7 @@ def test_pruned_layers_match_the_unpruned_oracle(monkeypatch):
             covers = [CoverProgram(tree, d_min, c)(exponents).tolist() for c in (False, True)]
             short = _TreeProgram(full, spec, f1, 0, L)
             covers.append(CoverProgram(short, d_min)(exponents).tolist())
-            sums = engine.leaf_sum_logs(host, spec, f, sigma, depths)
+            sums = engine.leaf_sum_log(host, spec, f, sigma, depths)
             states = _tree_states(tree)
             return count_target_words(host, spec, L), sums, covers, states
 
@@ -1043,7 +1048,7 @@ def _assert_folds_match_oracles(host, spec, f, sigma, L, d_min, exponents, depth
     for centered in (False, True):
         got = CoverProgram(tree, d_min, centered)(exponents)
         assert got.tobytes() == cover_fold_walk(tree, d_min, centered, exponents).tobytes()
-    got = leaf_sum_logs(host, spec, f, sigma, depths)
+    got = leaf_sum_log(host, spec, f, sigma, depths)
     want = leaf_sum_walk(tree, depths)
     assert [v is None for v in got] == [v is None for v in want]
     assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
@@ -1152,7 +1157,7 @@ def test_cover_fold_blocks_match_the_per_depth_oracle(L):
 
 _NON_FINITE_CALLS = {
     "cover_value": lambda s, delta: pl.cover_value(
-        FULL2, pl.unweighted_cover([pl.Ball((0, 0, 0), 2, pl.Scale(1))]), F0, s),
+        FULL2, [pl.Ball((0, 0, 0), 2, pl.Scale(1))], F0, s),
     "min_cover_value": lambda s, delta: pl.min_cover_value(FULL2, pl.whole(), F0, s, 2, pl.Scale(1), 8),
     "string_cover_value": lambda s, delta: pl.string_cover_value(FULL2, pl.whole(), F0, s, 2, 2, 8),
     "check_chain": lambda s, delta: pl.check_chain(FULL2, pl.whole(), F0, s, delta, 6, pl.Scale(4), 14),
@@ -1250,7 +1255,7 @@ def test_ball_price_extends_words_shorter_than_the_potential():
     f = pl.potential_from_table(f3, 3, table)
     for s in (0.0, 0.7):
         want = sum(math.exp(-s + sup_birkhoff(f3.allowed, table, 3, (a,), 1)) for a in range(3))
-        got = math.exp(cover_min_log(f3, pl.whole(), f, s, 0, 1, 1))
+        got = math.exp(CoverProgram(_TreeProgram(f3, pl.whole(), f, 0, 1), 1).at(s))
         assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -16,7 +16,7 @@ from brute import (
     random_sub_relation,
     sup_birkhoff,
 )
-from pressurelab._engine import _TreeProgram, leaf_sum_logs
+from pressurelab._engine import _TreeProgram, leaf_sum_log
 from pressurelab.capacity import log_partition_function
 
 FULL2 = pl.full_shift(2)
@@ -210,7 +210,7 @@ def test_capacity_past_the_float_range_names_the_first_horizon(c, m):
 
 
 def test_capacity_window_sums_the_depths_of_a_layer_in_one_block():
-    # leaf_sum_logs sums the depths that share a layer in one 2-D block and
+    # leaf_sum_log sums the depths that share a layer in one 2-D block and
     # fold_forward ravels each distinct layer once; both must equal the
     # per-depth loops bit for bit, where layers repeat (a periodic sub-SFT,
     # the whole shift), where acceptance moves with the depth (bands), where
@@ -234,18 +234,18 @@ def test_capacity_window_sums_the_depths_of_a_layer_in_one_block():
             f = pl.potential_from_table(host, depth, table)
             depths = list(range(m, L + 1))
             tree = _TreeProgram(host, spec, f, m - 1, L)
-            with np.errstate(over="ignore", invalid="ignore"):  # as leaf_sum_logs runs them
+            with np.errstate(over="ignore", invalid="ignore"):  # as leaf_sum_log runs them
                 prefix, want = fold_forward_walk(tree), leaf_sum_walk(tree, depths)
                 folded = tree.fold_forward()
             for got, walked in zip(folded, prefix, strict=True):
                 assert got.tobytes() == walked.tobytes()
-            got = leaf_sum_logs(host, spec, f, m - 1, depths)
+            got = leaf_sum_log(host, spec, f, m - 1, depths)
             assert [v is None for v in got] == [v is None for v in want]
             assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
     # every leaf sum -inf: each window is -1e308, so two of them leave the range
     f = pl.potential_from_table(FULL2, 2, {w: -1e308 for w in all_words(2, 2)})
     tree = _TreeProgram(FULL2, flip, f, 0, 30)
-    got = leaf_sum_logs(FULL2, flip, f, 0, list(range(1, 31)))
+    got = leaf_sum_log(FULL2, flip, f, 0, list(range(1, 31)))
     assert got[3:] == [-math.inf] * 27
     with np.errstate(over="ignore", invalid="ignore"):
         want = leaf_sum_walk(tree, range(1, 31))
@@ -273,7 +273,7 @@ def test_merged_capacity_trees_are_accurate():
                 B = max(map(abs, values)) + math.log(k)
                 assert _TreeProgram(host, pl.whole(), f, 0, 400).layers.words == [()]
                 last = leaf_sum_walk(last_symbol_tree(host, pl.whole(), f, 0, 400), depths)
-                for sums in (leaf_sum_logs(host, pl.whole(), f, 0, depths), last):
+                for sums in (leaf_sum_log(host, pl.whole(), f, 0, depths), last):
                     for d, got in zip(depths, sums):
                         error = float(abs(Decimal(got) - d * rate))
                         assert error <= 2 * d * eps * d * B, (k, values, d)

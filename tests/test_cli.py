@@ -73,6 +73,40 @@ def test_parse_config_inadmissible_potential_key():
     assert exc.value.problems == [("bogus", "unknown field")]
 
 
+def test_parse_config_rejects_two_keys_for_one_word():
+    # "01" and "0,1" spell one word; neither may silently overwrite the other
+    table = {"00": 0, "01": 1, "0,1": 5, "10": 0, "11": 0}
+    cfg = {"system": {"alphabet_size": 2}, "potential": {"depth": 2, "table": table}}
+    with pytest.raises(SchemaError) as exc:
+        parse_config(cfg, "pressure exact")
+    assert exc.value.problems == [("potential.table.0,1", "names the word of key '01' again")]
+    depth1 = {"system": {"alphabet_size": 2}, "potential": {"depth": 1, "table": {"0": 0, "1": 1, "01": 2}}}
+    with pytest.raises(SchemaError) as exc:
+        parse_config(depth1, "pressure exact")
+    assert [path for path, _ in exc.value.problems] == ["potential.table.01"]
+
+
+def test_parse_config_reads_a_depth_one_key_as_one_symbol():
+    # symbols from 10 up need a depth-1 key of two digits
+    table = {str(a): 0.5 * a for a in range(12)}
+    cfg = {"system": {"alphabet_size": 12}, "potential": {"depth": 1, "table": table}}
+    f = parse_config(cfg, "pressure exact").potential
+    assert [f.value((a,)) for a in range(12)] == [0.5 * a for a in range(12)]
+    small = {"system": {"alphabet_size": 2}, "potential": {"depth": 1, "table": {"0": 0, "1": 1, "10": 2}}}
+    with pytest.raises(SchemaError) as exc:
+        parse_config(small, "pressure exact")
+    assert exc.value.problems == [("potential.table.10", "key '10' uses symbols outside the alphabet")]
+
+
+def test_parse_config_rejects_a_repeated_scale():
+    # a repeated m would run every per-scale computation twice for one report entry
+    cfg = {"system": {"alphabet_size": 2}, "potential": {"constant": 0.0}, "scales": [1, 2, 1],
+           "n_range": [2, 6]}
+    with pytest.raises(SchemaError) as exc:
+        parse_config(cfg, "pressure capacity")
+    assert exc.value.problems == [("scales", "scale m=1 is listed twice")]
+
+
 def test_parse_config_scale_preconditions():
     cap = {
         "system": {"alphabet_size": 2},
@@ -1323,6 +1357,9 @@ def test_traced_layers_run_through_the_tracer_hooks(tmp_path, monkeypatch):
     assert all(math.isfinite(v) for v in metrics.values())
     hooked = ("probes", "lp_leaves", "lp_candidates", "horizons", "orbits", "symbols", "report_bytes")
     assert all(tracer.counts[name] > 0 for name in hooked), tracer.counts
+    # the cover and forward folds run through the names the tracer times
+    assert metrics["engine.cover_min_log.calls"] > 0
+    assert metrics["engine.leaf_sum_log.calls"] > 0
     assert not hasattr(cli.run, "__wrapped__")  # uninstalled
 
 
