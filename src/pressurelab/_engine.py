@@ -314,9 +314,10 @@ class CoverProgram:
 @np.errstate(over="ignore", invalid="ignore")  # as fold_forward; a pad on a +inf child reads NaN
 def cover_min_log(program: CoverProgram, exponents: Sequence[float]) -> np.ndarray:
     """The log minimal cover values of ``program`` at ``exponents``, by one
-    backward fold for all of them: per layer that several depths repeat one widening of its gains to the K exponents, per block of depths
-    one add per ball column that its depths share, then per depth one gather
-    into an (arity, states, K) block, one in-place add of the gains, binary
+    backward fold for all of them: per layer that several depths repeat one
+    widening of its gains to the K exponents, per block of depths one add per
+    ball column that its depths share, then per depth one gather into an
+    (arity, states, K) block, one in-place add of the gains, binary
     log-sum-exps over the arity rows in reduce order and one in-place minimum
     with the ball thresholds; values equal a per-row fold's bit for bit."""
     neg_s = -np.asarray(exponents, dtype=float)
