@@ -35,12 +35,14 @@ class OrbitSample:
     """A finite orbit prefix drawn from a Markov measure.
 
     Reproducible: sample_orbit(source, n_max, scale, seed) with the stored
-    seed regenerates the word exactly.
+    seed regenerates the word exactly. symbols is the same word as the int64
+    array local_pressure reads; equality and repr leave it out.
     """
 
     word: Word
     source: MarkovMeasure
     seed: int
+    symbols: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,14 @@ def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
     return p
 
 
+def _orbit_cells(k: int) -> int:
+    """8-byte cells an orbit of k symbols peaks at per symbol, from its draw
+    through its trace: one a state for the next-symbol table and for its
+    walked rows, and 14 for the rest (the tracemalloc peak took at most
+    2k + 9.7 on chains of k = 2-64 symbols, 2^17 to 2^20 long)."""
+    return 14 + 2 * k
+
+
 def sample_orbit(
     mu: MarkovMeasure, n_max: int, scale: Scale, seed: int
 ) -> OrbitSample:
@@ -101,26 +111,35 @@ def sample_orbit(
     One ``rng.random(n_max + m)`` draw from ``default_rng(seed)`` feeds the
     orbit by inverse CDF: draw 0 picks from the initial row, draw t from the
     transition row of symbol t - 1. One searchsorted per row turns the draws
-    into a (draw x state) next-symbol table, and the chain walks that table.
-    These are the comparisons a symbol-by-symbol walk makes, so the orbits
-    match it bit for bit. A draw that ties a row's last cumulative value
-    within rounding lands one past the end and is clamped to k - 1. An
-    orbit longer than the enumeration budget is refused before the draw.
+    into a (state x draw) next-symbol table. A draw is forced when it picks
+    the same symbol after every state (draw 0 always is); the orbit reads
+    row 0 there, and the chain walks the table only over the free draws and
+    the draw before each, so every stretch of the walk starts on a forced
+    draw. These are the comparisons a symbol-by-symbol walk makes, so the
+    orbits match it bit for bit. A draw that ties a row's last cumulative
+    value within rounding lands one past the end and is clamped to k - 1.
+    An orbit past the enumeration budget, in symbols or in the 8-byte cells
+    its draw and trace peak at, is refused before the draw.
     """
     length = bowen_ball_word_length(n_max, scale)
     check_budget(length, "orbit symbols")
+    check_budget(length * _orbit_cells(mu.n_states), "8-byte cells of orbit")
     draws = np.random.default_rng(seed).random(length)
-    last = mu.n_states - 1
-    s = min(int(np.searchsorted(np.cumsum(mu.initial), draws[0], side="right")), last)
-    columns = [
-        np.minimum(np.searchsorted(row, draws[1:], side="right"), last).tolist()
-        for row in np.cumsum(mu.transition, axis=1)
-    ]
-    word = [s]
-    for nxt in zip(*columns):  # nxt[a]: the symbol this draw picks after a
-        s = nxt[s]
-        word.append(s)
-    return OrbitSample(word=tuple(word), source=mu, seed=seed)
+    nxt = np.empty((mu.n_states, length), dtype=np.int64)  # nxt[a, t]: draw t's pick after a
+    nxt[:, 0] = np.searchsorted(np.cumsum(mu.initial), draws[0], side="right")
+    for row, cdf in zip(nxt, np.cumsum(mu.transition, axis=1)):
+        row[1:] = np.searchsorted(cdf, draws[1:], side="right")
+    np.minimum(nxt, mu.n_states - 1, out=nxt)
+    walk = (nxt != nxt[0]).any(axis=0)
+    walk[:-1] |= walk[1:]  # a free draw and the one before it
+    walk = np.flatnonzero(walk)
+    s, picks = 0, []
+    for step in zip(*[row.take(walk).tolist() for row in nxt]):  # a stretch's first step is forced
+        s = step[s]
+        picks.append(s)
+    symbols = nxt[0].copy()
+    symbols[walk] = picks
+    return OrbitSample(word=tuple(symbols.tolist()), source=mu, seed=seed, symbols=symbols)
 
 
 def _log(p: float) -> float:
@@ -130,22 +149,35 @@ def _log(p: float) -> float:
 def _birkhoff_sums(f: LocallyConstantPotential, w: np.ndarray, n: int) -> np.ndarray:
     """f_1(w), ..., f_n(w), summed left to right like birkhoff_sum.
 
-    Windows get integer labels, one symbol column at a time (relabelled
-    densely after each, so no label overflows). Each distinct window is
-    looked up once, in order of first occurrence, so a window outside the
-    table raises InadmissibleWord at the same window as a left-to-right walk.
+    Each window gets a base-span code, one symbol column at a time; once the
+    code space passes the n windows, the codes are relabelled densely before
+    the next column, so no code table passes n * span entries. Each distinct
+    window is looked up once, in order of first occurrence, so a window
+    outside the table raises InadmissibleWord at the same window as a
+    left-to-right walk.
     """
-    span = int(w.max() - w.min()) + 1  # label * span + symbol is one-to-one
-    labels = w[:n]
+    low = int(w.min())
+    span = int(w.max()) - low + 1  # code * span + symbol - low is one-to-one
+    codes, size = w[:n] - low, span
     for j in range(1, f.depth):
-        labels = np.unique(labels, return_inverse=True)[1] * span + w[j : j + n]
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    values = np.empty(len(first))
-    # stable reuses np.unique's merge sort; quicksort pages in another kernel
-    for i in np.argsort(first, kind="stable").tolist():
-        values[i] = f.value(tuple(w[first[i] : first[i] + f.depth].tolist()))
+        if size > n:
+            codes, starts = _first_seen(codes, size)
+            size = len(starts)
+        codes, size = codes * span + (w[j : j + n] - low), size * span
+    codes, starts = _first_seen(codes, size)
+    values = np.array([f.value(tuple(w[t : t + f.depth].tolist())) for t in starts.tolist()], dtype=float)
     with np.errstate(over="ignore"):  # f_n past the float range reads +-inf
-        return np.cumsum(values[inverse])
+        return np.cumsum(values[codes])
+
+
+def _first_seen(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(labels, starts): codes below size relabelled 0, 1, ... in order of
+    first occurrence, and the position where each label first occurs."""
+    at = np.empty(size, dtype=np.int64)
+    at[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)  # the last write, the first position, wins
+    starts = np.flatnonzero(at[codes] == np.arange(len(codes)))
+    at[codes[starts]] = np.arange(len(starts))
+    return at[codes], starts
 
 
 def local_pressure(
@@ -158,21 +190,21 @@ def local_pressure(
     """Per-horizon values (f_n(x) - log mu(B_n(x, eps))) / n along x.
 
     The ball at horizon n and scale 2^-m is the cylinder of the first n + m
-    symbols of x. Works for any Markov measure; invariance plays no role.
-    Ball logs and Birkhoff sums are prefix sums over the word, accumulated
+    symbols of x, read from x.symbols for an OrbitSample. Works for any
+    Markov measure; invariance plays no role. Ball logs and Birkhoff sums are prefix sums over the word, accumulated
     left to right. f is evaluated only up to the last horizon whose ball has
     positive measure: windows past it are never looked up.
     """
-    word = x.word if isinstance(x, OrbitSample) else tuple(x)
+    w = x.symbols if isinstance(x, OrbitSample) else tuple(x)
     ns = _normalize_range(n_range, minimum_points=1)
     n_max = ns[-1]
     need = max(bowen_ball_word_length(n_max, scale), n_max + f.depth - 1)
-    if len(word) < need:
+    if len(w) < need:
         raise InsufficientDepth(
-            f"orbit of length {len(word)} is too short for horizon {n_max} "
+            f"orbit of length {len(w)} is too short for horizon {n_max} "
             f"at scale m={scale.m} (needs {need})"
         )
-    w = np.array(word[:need], dtype=np.int64)
+    w = np.asarray(w[:need], dtype=np.int64)
     ball = w[: n_max + scale.m]
     # log mu([ball[:d]]) for every d, one math.log per matrix entry, summed left
     # to right; a null step stays -inf, so the charged horizons come first
@@ -210,15 +242,20 @@ def measure_pressure_mc(
     ``SeedSequence(seed).generate_state(samples, np.uint64)``, so the result
     depends only on (inputs, seed). The orbits run one after another, each
     drawn once by sample_orbit and traced once by local_pressure; the first
-    orbit's trace is kept whole in ``trace``.
+    orbit's trace is kept whole in ``trace``. A run whose samples times orbit
+    length passes the enumeration budget is refused before any seed is made.
     """
     if samples < 1:
         raise ValueError("need at least one sample orbit")
     ns = _normalize_range(n_range, minimum_points=1)
-    seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
     # local_pressure reads max(n_max + m, n_max + depth - 1) symbols; a longer
     # draw only extends the orbit, so shallower potentials see the same one
     n_draw = ns[-1] + max(0, f.depth - 1 - scale.m)
+    # one orbit's symbols, then the run's, are charged before any seed is made
+    length = bowen_ball_word_length(n_draw, scale)
+    check_budget(length, "orbit symbols")
+    check_budget(samples * length, "orbit symbols")
+    seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
     traces = (
         local_pressure(mu, f, sample_orbit(mu, n_draw, scale, child), scale, n_range)
         for child in seeds.tolist()

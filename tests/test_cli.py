@@ -784,6 +784,20 @@ def test_cli_refuses_an_orbit_past_the_enumeration_budget_up_front(tmp_path):
     }
 
 
+def test_cli_refuses_a_monte_carlo_run_past_the_enumeration_budget_up_front(tmp_path):
+    # each orbit is 2,002 symbols, but 10^9 of them are 2.002 * 10^12: the
+    # run is refused before its seeds, which alone would take 7.45 GiB
+    cfg = dict(json.loads((CONFIGS / "measure_uniform.json").read_text()), samples=10 ** 9)
+    start = time.perf_counter()
+    code, out, err = _run_memory_limited(tmp_path, "pressure measure", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "EnumerationBudgetExceeded",
+        "message": f"enumeration of {2002 * 10 ** 9} orbit symbols exceeds the budget of {2 ** 26}",
+    }
+
+
 def test_cli_refuses_a_band_tree_past_the_node_budget_up_front(tmp_path):
     # a band tree's layer sizes are known before any per-node array is made:
     # symbol 0 in 0.3 +- 0.02 at L = 20000 holds 91,860,401 nodes, past the
@@ -1360,6 +1374,9 @@ def test_traced_layers_run_through_the_tracer_hooks(tmp_path, monkeypatch):
     # the cover and forward folds run through the names the tracer times
     assert metrics["engine.cover_min_log.calls"] > 0
     assert metrics["engine.leaf_sum_log.calls"] > 0
+    # and each orbit is drawn and traced through the public names it times
+    assert metrics["measure.sample_orbit.calls"] > 0
+    assert metrics["measure.local_pressure.calls"] > 0
     assert not hasattr(cli.run, "__wrapped__")  # uninstalled
 
 

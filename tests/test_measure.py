@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,111 @@ def test_sample_orbit_refuses_an_orbit_past_the_budget_before_the_draw():
         tracemalloc.stop()
     assert (exc.value.count, exc.value.budget, exc.value.unit) == (2 ** 26 + 2, 2 ** 26, "orbit symbols")
     assert peak < 2 ** 20
+
+
+def test_large_alphabet_orbits_are_refused_by_their_bytes(monkeypatch):
+    # 2^20 + 2 symbols are inside the count budget, but each peaks at
+    # 14 + 2 * 64 = 142 cells of 8 bytes on 64 symbols (about 1.2 GB in all):
+    # the bytes alone refuse the orbit, before the draw
+    import tracemalloc
+
+    mu = pl.bernoulli_measure(np.full(64, 1 / 64))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drawn"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+            pl.sample_orbit(mu, 2 ** 20, pl.Scale(2), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.count, exc.value.unit) == ((2 ** 20 + 2) * 142, "8-byte cells of orbit")
+    assert peak < 2 ** 20
+    # the same length on two symbols passes, at 18 cells a symbol
+    assert (2 ** 20 + 2) * 18 < exc.value.budget
+
+
+def _chains():
+    """Chains whose draws are all forced, all free, or mixed, by name."""
+    from pressurelab.harness import _embed_measure
+
+    rng = np.random.default_rng(35)
+    row = np.array([0.2, 0.0, 0.5, 0.3])
+    golden = pl.equilibrium_measure(GM, pl.zero_potential(GM))
+    return {
+        "equal-rows": pl.MarkovMeasure(np.tile(row, (4, 1)), row),  # every draw forced
+        "flip": pl.MarkovMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5])),  # none
+        "zeros": _random_markov(rng, 5),
+        "one-symbol": pl.MarkovMeasure(np.ones((1, 1)), np.ones(1)),
+        "golden": golden,
+        "embedded": _embed_measure(golden, (0, 2), 4),  # identity rows outside the core
+    }
+
+
+@pytest.mark.parametrize("name", list(_chains()))
+def test_forced_and_walked_draws_match_the_symbolwise_walk(name):
+    mu = _chains()[name]
+    for seed in range(12):
+        for n_max, m in ((1, 0), (2, 1), (40, 2), (500, 3)):
+            orbit = pl.sample_orbit(mu, n_max, pl.Scale(m), seed)
+            assert orbit.word == sample_orbit_symbolwise(mu.initial, mu.transition, n_max + m, seed)
+            assert orbit.symbols.dtype == np.int64
+            assert np.array_equal(orbit.symbols, np.array(orbit.word))
+
+
+def test_orbit_equality_and_repr_read_the_word_not_its_array():
+    mu = pl.bernoulli_measure([0.3, 0.7])
+    a = pl.sample_orbit(mu, 30, pl.Scale(1), 4)
+    b = pl.sample_orbit(mu, 30, pl.Scale(1), 4)
+    assert a.symbols is not b.symbols and a == b
+    assert a == pl.OrbitSample(a.word, mu, 4, symbols=np.zeros(1, dtype=np.int64))
+    assert a != pl.OrbitSample(a.word[::-1], mu, 4, symbols=a.symbols)
+    assert a != pl.OrbitSample(a.word, mu, 5, symbols=a.symbols)
+    assert "symbols" not in repr(a)
+
+
+def test_birkhoff_codes_relabelled_densely_match_the_symbolwise_trace(monkeypatch):
+    # 64 symbols at depth 3: after two columns the code space is 4,096,
+    # past the 700 windows, so the codes are relabelled before the third
+    import pressurelab.measure as measure
+
+    calls = []
+    first_seen = measure._first_seen
+    monkeypatch.setattr(measure, "_first_seen", lambda codes, size: calls.append(size) or first_seen(codes, size))
+    rng = np.random.default_rng(64)
+    f = pl.LocallyConstantPotential(3, dict(zip(all_words(64, 3), rng.normal(size=64 ** 3).tolist())))
+    mu = pl.bernoulli_measure(np.full(64, 1 / 64))
+    word = (0, 63) + tuple(rng.integers(0, 64, size=700).tolist())  # codes span all 64 symbols
+    for n_range in ((350, 700), [1, 2, 699, 700]):
+        calls.clear()
+        assert pl.local_pressure(mu, f, word, pl.Scale(0), n_range) == _oracle_trace(mu, f, word, 0, n_range)
+        pairs = len(set(zip(word[:700], word[1:701])))  # the dense codes of the first two columns
+        assert calls == [64 ** 2, pairs * 64] and pairs * 64 < 64 ** 3
+    # a window missing from the table is still named first along the orbit
+    missing = (word[500:503], word[600:603])
+    g = pl.LocallyConstantPotential(3, {w: v for w, v in f.table.items() if w not in missing})
+    with pytest.raises(pl.InadmissibleWord, match=re.escape(repr(missing[0]))):
+        pl.local_pressure(mu, g, word, pl.Scale(0), (350, 700))
+
+
+@pytest.mark.parametrize("name", ["flip", "zeros", "golden", "embedded"])
+def test_mc_orbits_are_the_public_draw_and_trace(name):
+    mu = _chains()[name]
+    f = pl.LocallyConstantPotential(2, {w: 0.1 * w[0] - 0.05 * w[1] for w in all_words(mu.n_states, 2)})
+    est = pl.measure_pressure_mc(mu, f, pl.Scale(1), (60, 90), 5, 11)
+    seeds = np.random.SeedSequence(11).generate_state(5, dtype=np.uint64).tolist()
+    traces = [pl.local_pressure(mu, f, pl.sample_orbit(mu, 90, pl.Scale(1), s), pl.Scale(1), (60, 90)) for s in seeds]
+    assert est.per_orbit == tuple(t.liminf_estimate for t in traces)
+    assert est.trace == traces[0]
+
+
+def test_mc_refuses_a_run_past_the_budget_before_its_seeds(monkeypatch):
+    # each orbit of 402 symbols passes; 10^6 of them do not, and the run is
+    # refused before SeedSequence makes a seed
+    mu = pl.bernoulli_measure([0.5, 0.5])
+    monkeypatch.setattr(np.random, "SeedSequence", lambda seed: pytest.fail("seeded"))
+    with pytest.raises(pl.EnumerationBudgetExceeded) as exc:
+        pl.measure_pressure_mc(mu, F0, pl.Scale(2), (300, 400), samples=10 ** 6, seed=0)
+    assert (exc.value.count, exc.value.unit) == (402 * 10 ** 6, "orbit symbols")
 
 
 def test_sample_orbit_clamps_a_final_draw_tying_the_last_cdf_value(monkeypatch):
