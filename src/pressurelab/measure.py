@@ -173,8 +173,8 @@ def _birkhoff_sums(f: LocallyConstantPotential, w: np.ndarray, n: int) -> np.nda
 def _first_seen(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     """(labels, starts): codes below size relabelled 0, 1, ... in order of
     first occurrence, and the position where each label first occurs."""
-    at = np.empty(size, dtype=np.int64)
-    at[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)  # the last write, the first position, wins
+    at = np.full(size, len(codes))
+    np.minimum.at(at, codes, np.arange(len(codes)))  # unbuffered, so repeats keep their minimum
     starts = np.flatnonzero(at[codes] == np.arange(len(codes)))
     at[codes[starts]] = np.arange(len(starts))
     return at[codes], starts
