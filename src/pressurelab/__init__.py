@@ -16,7 +16,6 @@ from .bowen import (
     check_chain,
     cover_value,
     min_cover_value,
-    string_cover_value,
     vitali_select,
     weighted_cover_value,
     weighted_pressure,
@@ -51,7 +50,6 @@ from .measure import (
     LocalPressureTrace,
     MCPressureEstimate,
     OrbitSample,
-    cylinder_measure,
     exact_invariant_pressure,
     local_pressure,
     measure_pressure_mc,

@@ -53,8 +53,8 @@ Conventions used throughout:
   node as exp(-s * h + extreme of f_h over the node's cylinder); partition
   leaves weigh as exp(extreme of f_h). ``sigma`` is 0 for ball covers (the
   ball of horizon n at scale m is the depth n + m cylinder, priced at its
-  full depth), q - 1 for string covers over a depth-q partition, and m - 1
-  for (n, 2^-m)-separated sums.
+  full depth) and m - 1 for (n, 2^-m)-separated sums. The tests' oracle
+  for string covers over a depth-q partition runs the cover fold at q - 1.
 - With t = k - 1 - sigma, a depth-d node determines all but t of the h
   windows: t > 0 tail windows are extremized over admissible continuations,
   and t < 0 means the word determines more windows than the horizon needs,
@@ -66,6 +66,8 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,8 +185,8 @@ class _TreeProgram:
         if steps > 0:  # then r = k - 1, so every suffix is a tail context
             tails = extreme_tails(self.host, f, rel, steps, want_max)
             return np.array([tails[u] for u in words])
-        if steps < 0:
-            return np.array([-sum(f.value(u[len(u) - k - j : len(u) - j]) for j in range(-steps))
+        if steps < 0:  # last window first, added left to right as in birkhoff_sum
+            return np.array([-reduce(add, (f.value(u[len(u) - k - j : len(u) - j]) for j in range(-steps)), 0.0)
                              if len(u) >= self.sigma else math.nan for u in words])
         return np.zeros(len(words))
 

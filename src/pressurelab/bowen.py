@@ -1,5 +1,5 @@
-"""Bowen-ball covers, weighted (fractional) covers, string covers, the
-centered-term chain check, Vitali selection, and critical-exponent search.
+"""Bowen-ball covers, weighted (fractional) covers, the centered-term
+chain check, Vitali selection, and critical-exponent search.
 
 Cover pricing convention
 ------------------------
@@ -219,32 +219,6 @@ def weighted_pressure(
 ) -> CriticalExponent:
     """Critical exponent of weighted_cover_value, i.e. ``bowen_pressure``'s."""
     return replace(bowen_pressure(sft, K, f, scale, N, L, tol), method="weighted")
-
-
-def string_cover_value(
-    sft: Subshift,
-    Z: SubsetSpec,
-    f: LocallyConstantPotential,
-    s: float,
-    N: int,
-    partition_depth: int,
-    L: int,
-) -> float:
-    """Minimal cover value by symbol strings over a depth-q cylinder partition.
-
-    A string of length n over the partition into depth-q cylinders pins down
-    a cylinder of depth n + q - 1 (its coordinate windows overlap by q - 1),
-    and it is priced exp(-s * n + sup f_n) over that cylinder. Inadmissible
-    strings pin down the empty set and contribute nothing, which the tree DP
-    realizes by never visiting them. With q = 1 this is exactly the
-    depth-priced ball cover value.
-    """
-    q = partition_depth
-    if q < 1:
-        raise ValueError("partition depth q must be at least 1")
-    _require_finite(s=s)
-    d_min = _check_window(N, Scale(q - 1), L)
-    return _value_from_log(_nonempty_program(_TreeProgram(sft, Z, f, q - 1, L), d_min).at(s))
 
 
 # ---------------------------------------------------------------------------

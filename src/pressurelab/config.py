@@ -140,9 +140,13 @@ def parse_config(
                 problems.append((name, f"required for `{command}`"))
         if command == "verify unions" and subset is not None and subset.kind != "finite_union":
             problems.append(("subset", "must be a finite_union of the components"))
-        invariant = command in ("pressure exact", "verify gibbs")
+        equilibrium = command == "pressure measure" and (measure_spec or {}).get("kind") == "equilibrium"
+        invariant = equilibrium or command in ("pressure exact", "verify gibbs")
         if invariant and subset is not None and subset.kind not in ("whole", "sub_sft"):
-            problems.append(("subset", f"`{command}` needs an invariant target (whole or sub_sft)"))
+            user = "an equilibrium measure" if equilibrium else f"`{command}`"
+            problems.append(("subset", f"{user} needs an invariant target (whole or sub_sft)"))
+        if command == "verify variational" and subset is not None and subset.kind == "finite_union":
+            problems.append(("subset", "`verify variational` takes a single target; unions go to `verify unions`"))
 
     if problems:
         raise SchemaError(problems)

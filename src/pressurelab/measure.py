@@ -79,22 +79,6 @@ class MCPressureEstimate:
     trace: Optional[LocalPressureTrace] = field(repr=False, default=None)
 
 
-def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
-    """mu of the cylinder [w]: pi_{w_0} * prod P_{w_i w_{i+1}}, exact.
-
-    Words stepping outside the support have measure 0; the empty word has
-    measure 1.
-    """
-    if not w:
-        return 1.0
-    p = float(mu.initial[w[0]])
-    for a, b in zip(w, w[1:]):
-        if p == 0.0:
-            return 0.0
-        p *= float(mu.transition[a, b])
-    return p
-
-
 def _orbit_cells(k: int) -> int:
     """8-byte cells an orbit of k symbols peaks at per symbol, from its draw
     through its trace: one a state for the next-symbol table and for its

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EnumerationBudgetExceeded, InadmissibleWord, InsufficientDepth, ScaleTooCoarse
@@ -293,7 +294,7 @@ def birkhoff_sum(
         raise InsufficientDepth(
             f"word of length {len(w)} cannot determine {n} summands of a depth-{k} potential"
         )
-    return sum(f.value(w[i : i + k]) for i in range(n))
+    return reduce(add, (f.value(w[i : i + k]) for i in range(n)), 0.0)  # not sum(): compensated from 3.12
 
 
 def _extreme_birkhoff(

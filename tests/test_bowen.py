@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pressurelab as pl
-from pressurelab._engine import CoverProgram, _TreeProgram, _window_gains, leaf_sum_log
+from pressurelab._engine import CoverProgram, _TreeProgram, _value_from_log, _window_gains, leaf_sum_log
 from pressurelab.bowen import _bisect_critical, enlargement_cylinder
 from pressurelab.capacity import log_partition_function
 from pressurelab.subsets import TargetAutomaton, WordLayers, count_target_words
@@ -346,7 +346,7 @@ def test_string_and_centered_covers_match_oracle_on_random_cases():
             q = int(rng.integers(2, 4))
             N = int(rng.integers(1, 3))
             d_min = N + q - 1
-            got = pl.string_cover_value(host, spec, f, s, N, q, L)
+            got = _value_from_log(CoverProgram(_TreeProgram(host, spec, f, q - 1, L), N + q - 1).at(s))
             cost = oracle_costs(host.allowed, table, depth, leaves, s, d_min, L, sigma=q - 1)
             assert got == pytest.approx(interval_min_cover(leaves, cost, d_min, L), rel=1e-9)
 
@@ -579,7 +579,7 @@ def test_nested_unions_with_a_frequency_part_match_oracles():
             assert got == pytest.approx(interval_min_cover(leaves, cost, N + m, L), rel=1e-9)
 
             q = int(rng.integers(2, 4))
-            got = pl.string_cover_value(host, spec, f, s, 1, q, L)
+            got = _value_from_log(CoverProgram(_TreeProgram(host, spec, f, q - 1, L), q).at(s))
             cost = oracle_costs(host.allowed, table, depth, leaves, s, q, L, sigma=q - 1)
             assert got == pytest.approx(interval_min_cover(leaves, cost, q, L), rel=1e-9)
 
@@ -1159,7 +1159,6 @@ _NON_FINITE_CALLS = {
     "cover_value": lambda s, delta: pl.cover_value(
         FULL2, [pl.Ball((0, 0, 0), 2, pl.Scale(1))], F0, s),
     "min_cover_value": lambda s, delta: pl.min_cover_value(FULL2, pl.whole(), F0, s, 2, pl.Scale(1), 8),
-    "string_cover_value": lambda s, delta: pl.string_cover_value(FULL2, pl.whole(), F0, s, 2, 2, 8),
     "check_chain": lambda s, delta: pl.check_chain(FULL2, pl.whole(), F0, s, delta, 6, pl.Scale(4), 14),
 }
 
@@ -1269,7 +1268,6 @@ def test_empty_target_is_read_from_the_cover_program():
         lambda: pl.bowen_pressure(FULL2, empty, F0, pl.Scale(1), 2, 8),
         lambda: pl.weighted_pressure(FULL2, empty, F0, pl.Scale(1), 2, 8),
         lambda: pl.min_cover_value(FULL2, empty, F0, 0.5, 2, pl.Scale(1), 8),
-        lambda: pl.string_cover_value(FULL2, empty, F0, 0.5, 2, 2, 8),
         lambda: pl.check_chain(FULL2, empty, F0, 0.5, 0.5, 2, m4, 8),
     ):
         with pytest.raises(pl.EmptyTarget, match=message):
@@ -1289,19 +1287,19 @@ def test_weighted_pressure_full_shift():
 
 def test_string_cover_depth_one_partition_matches_ball_covers():
     for s in (0.3, math.log(2), 1.1):
-        a = pl.string_cover_value(FULL2, pl.whole(), F0, s, 3, 1, 8)
+        a = _value_from_log(CoverProgram(_TreeProgram(FULL2, pl.whole(), F0, 0, 8), 3).at(s))
         b = pl.min_cover_value(FULL2, pl.whole(), F0, s, 2, pl.Scale(1), 8)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_string_cover_threshold_identity():
-    got = pl.string_cover_value(FULL2, pl.whole(), F0, math.log(2), 2, 1, 8)
+    got = _value_from_log(CoverProgram(_TreeProgram(FULL2, pl.whole(), F0, 0, 8), 2).at(math.log(2)))
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_string_cover_prices_by_string_length():
     s = 0.9
-    got = pl.string_cover_value(FULL2, pl.whole(), F10, s, 2, 2, 6)
+    got = _value_from_log(CoverProgram(_TreeProgram(FULL2, pl.whole(), F10, 1, 6), 3).at(s))
     leaves = admissible_words(FULL2.allowed, 6)
     cost = {}
     for leaf in leaves:
@@ -1318,7 +1316,7 @@ def test_string_cover_skips_inadmissible_strings():
     # admissible words only; a string of length n is priced by n while its
     # cell is the cylinder of depth n + 1
     f = pl.zero_potential(GM)
-    got = pl.string_cover_value(GM, pl.whole(), f, 0.5, 2, 2, 7)
+    got = _value_from_log(CoverProgram(_TreeProgram(GM, pl.whole(), f, 1, 7), 3).at(0.5))
     leaves = admissible_words(GM.allowed, 7)
     cost = {}
     for leaf in leaves:

@@ -174,6 +174,17 @@ def test_parse_config_unions_needs_union_subset():
     assert any(path == "subset" for path, _ in exc.value.problems)
 
 
+def test_verify_variational_refuses_a_union_at_subset(tmp_path, capsys):
+    # the shipped union config used to pass the schema and end in a
+    # ValueError record that named no field
+    code, out, err = _run(["verify", "variational", "--config", str(CONFIGS / "unions_fixed_points.json"),
+                           "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    record = json.loads(err.strip())
+    assert record["error"] == "SchemaError"
+    assert [path for path, _ in record["problems"]] == ["subset"]
+
+
 def test_parse_config_defaults():
     cfg = parse_config({"system": {"alphabet_size": 3}, "potential": {"constant": 1.0}})
     assert cfg.subset.kind == "whole"
@@ -318,6 +329,20 @@ def test_parse_config_rejects_unknown_keys_in_nested_objects(command, cfg, path)
     with pytest.raises(SchemaError) as exc:
         parse_config(json.dumps(cfg), command)
     assert exc.value.problems == [(path, "unknown field")]
+
+
+@pytest.mark.parametrize("subset", [
+    {"kind": "frequency_level", "symbol": 0, "target": 0.5, "window": 0.1},
+    {"kind": "finite_union", "parts": _FIXED},
+])
+def test_equilibrium_measure_refuses_a_non_invariant_subset(subset):
+    # the equilibrium measure lives on the target's invariant core, which only
+    # whole and sub_sft targets have; other measures ignore the subset
+    cfg = dict(_MEASURE, subset=subset)
+    parse_config(json.dumps(cfg), "pressure measure")
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(dict(cfg, measure={"kind": "equilibrium"})), "pressure measure")
+    assert [path for path, _ in exc.value.problems] == ["subset"]
 
 
 def test_parse_config_takes_labels_where_it_reads_them():

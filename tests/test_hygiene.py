@@ -3,7 +3,9 @@
 import ast
 import importlib
 import itertools
+import operator
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,56 @@ def test_pyproject_reads_the_version_from_the_package():
     assert attr == {"attr": "pressurelab._version.__version__"}
     module, name = attr["attr"].rsplit(".", 1)
     assert re.fullmatch(r"\d+\.\d+\.\d+", getattr(importlib.import_module(module), name))
+
+
+def _requirements():
+    """(name, environment marker) of every requirement pyproject.toml declares
+    for the package or its test extra."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for requirement in project["dependencies"] + project["optional-dependencies"]["test"]:
+        spec, _, marker = requirement.partition(";")
+        yield re.match(r"[\w.-]+", spec.strip()).group().lower(), marker.strip()
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "!=": operator.ne}
+
+
+def _applies(marker: str, version: tuple) -> bool:
+    """Whether a requirement with ``marker`` (none, or one python_version
+    comparison) is installed on Python ``version``."""
+    if not marker:
+        return True
+    found = re.fullmatch(r'python_version\s*([<>=!]=?)\s*"(\d+)\.(\d+)"', marker)
+    assert found, f"a marker this check cannot read: {marker!r}"
+    return _COMPARE[found[1]](version, (int(found[2]), int(found[3])))
+
+
+def _test_imports():
+    """The top-level module of every import and pytest.importorskip in tests/."""
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module.split(".")[0]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                yield node.args[0].value.split(".")[0]
+
+
+def test_the_test_extra_declares_what_the_tests_import_and_ci_pins_it():
+    # ``pip install .[test]`` must bring every third-party module the tests
+    # import, or a test that imports it through importorskip skips without a
+    # word; CI installs by hand, so its pins must cover the same list
+    requirements = dict(_requirements())
+    local = {"pressurelab", "brute", "perfbench"}
+    third_party = set(_test_imports()) - set(sys.stdlib_module_names) - local
+    assert sorted(third_party - {name.replace("-", "_") for name in requirements}) == []
+
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    (install,) = [line for line in workflow.splitlines() if "pip install" in line]
+    ((major, minor),) = re.findall(r'python-version: "(\d+)\.(\d+)"', workflow)
+    pinned = {name.lower() for name in re.findall(r"([\w.-]+)==", install)}
+    wanted = {name for name, marker in requirements.items() if _applies(marker, (int(major), int(minor)))}
+    assert sorted(wanted - pinned) == []

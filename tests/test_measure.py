@@ -25,34 +25,6 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 LOG2 = math.log(2)
 
 
-def test_cylinder_measure_uniform():
-    mu = pl.bernoulli_measure([0.5, 0.5])
-    assert pl.cylinder_measure(mu, (0, 1, 1)) == pytest.approx(0.125, abs=1e-15)
-
-
-def test_cylinder_measure_bernoulli_literal_product():
-    mu = pl.bernoulli_measure([0.3, 0.7])
-    assert pl.cylinder_measure(mu, (0, 0, 1)) == pytest.approx(0.063, abs=1e-15)
-
-
-def test_cylinder_measure_forbidden_word_is_zero():
-    mu = pl.equilibrium_measure(GM, pl.zero_potential(GM))
-    assert pl.cylinder_measure(mu, (1, 1)) == 0.0
-
-
-def test_cylinder_measure_empty_word_is_one():
-    mu = pl.bernoulli_measure([0.4, 0.6])
-    assert pl.cylinder_measure(mu, ()) == 1.0
-
-
-def test_cylinder_measure_markov_literal_chain_rule():
-    mu = pl.markov_measure([[0.9, 0.1], [0.4, 0.6]])
-    w = (0, 1, 1, 0)
-    pi = mu.initial
-    expected = pi[0] * 0.1 * 0.6 * 0.4
-    assert pl.cylinder_measure(mu, w) == pytest.approx(expected, rel=1e-12)
-
-
 def test_local_pressure_uniform_closed_form():
     mu = pl.bernoulli_measure([0.5, 0.5])
     x = tuple(int(b) for b in np.random.default_rng(0).integers(0, 2, size=120))

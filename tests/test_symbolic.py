@@ -189,6 +189,14 @@ def test_birkhoff_sum_depth_two_literal():
     assert pl.birkhoff_sum(f, w, 4) == 2.0
 
 
+def test_birkhoff_sum_adds_left_to_right():
+    # the suite compares values bit for bit, so the summation order is part
+    # of the result: 1e16 + 1.0 rounds back to 1e16, and a compensated sum
+    # (builtin sum() of floats from Python 3.12) would give 1.0 instead
+    f = pl.potential_from_table(pl.full_shift(3), 1, {(0,): 1e16, (1,): 1.0, (2,): -1e16})
+    assert pl.birkhoff_sum(f, (0, 1, 2)) == 0.0
+
+
 def test_sup_birkhoff_zero_potential_is_zero():
     f = pl.zero_potential(FULL2)
     assert pl.sup_birkhoff_on_cylinder(FULL2, f, (0, 1), 5) == 0.0
